@@ -38,6 +38,7 @@ from ..sim import (
     ResilienceReport,
     RetryPolicy,
     SanitizerReport,
+    check_execute,
 )
 from ..tik import KernelBuilder
 from .spec import PoolSpec
@@ -282,14 +283,6 @@ def _validate_input(x: np.ndarray, dtype: DType) -> None:
         )
 
 
-def _check_execute(execute: str) -> None:
-    if execute not in ("numeric", "cycles", "jit"):
-        raise LayoutError(
-            f"unknown execution mode {execute!r}; expected 'numeric', "
-            "'cycles' or 'jit'"
-        )
-
-
 def run_forward(
     x: np.ndarray,
     spec: PoolSpec,
@@ -367,7 +360,7 @@ def run_forward(
     available as ``result.sanitizer``.  Requires ``execute="numeric"``
     and no ``faults``/``retry``; off by default and zero-cost when off.
     """
-    _check_execute(execute)
+    check_execute(execute, LayoutError)
     dtype = dtype_of(x)
     _validate_input(x, dtype)
     n, c1_total, ih, iw, c0 = x.shape
@@ -431,7 +424,7 @@ def run_backward(
     kernels (one per unique tile geometry, shared by every relocated
     slice clone) with bit-identical gradients and cycle counts.
     """
-    _check_execute(execute)
+    check_execute(execute, LayoutError)
     dtype = dtype_of(grad)
     _validate_input(grad, dtype)
     n, c1_total, oh, ow, c0 = grad.shape

@@ -17,6 +17,7 @@ x-axis of Figure 8.
   ``plan="autotuned"``.
 """
 
+from ..sim import EXECUTE_MODES
 from .autotune import (
     DEFAULT_TABLE_PATH,
     AutotuneTable,
@@ -33,7 +34,6 @@ from .autotune import (
     tuned_plan,
 )
 from .planner import (
-    EXECUTE_MODES,
     PLAN_KINDS,
     ExecutionPlan,
     Lowering,

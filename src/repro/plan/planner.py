@@ -55,6 +55,7 @@ from ..sim import (
     GlobalMemory,
     ProgramCache,
     RunResult,
+    check_execute,
     compile_program,
     plan_key,
     resolve_model,
@@ -69,9 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Plan directions: forward pooling and backward (input-gradient).
 PLAN_KINDS = ("fwd", "bwd")
-
-#: Execution modes a plan may carry (mirrors the drivers).
-EXECUTE_MODES = ("numeric", "cycles", "jit")
 
 
 @dataclass(frozen=True)
@@ -196,11 +194,7 @@ class ExecutionPlan:
             raise PlanError(
                 "with_mask is a forward MaxPool-only plan flag"
             )
-        if self.execute not in EXECUTE_MODES:
-            raise PlanError(
-                f"unknown execution mode {self.execute!r}; expected one "
-                f"of {EXECUTE_MODES}"
-            )
+        check_execute(self.execute, PlanError)
         if self.chunk < 1:
             raise PlanError(f"row chunk must be >= 1, got {self.chunk}")
         if min(self.n, self.c1, self.ih, self.iw) < 1:

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..errors import LayoutError, ServeError
 from ..ops.spec import PoolSpec
+from ..sim import check_execute
 from ..sim.scheduler import resolve_model
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The operator kinds a request may name, mirroring :mod:`repro.ops.api`.
 KINDS = ("maxpool", "avgpool", "maxpool_backward", "avgpool_backward")
 _FORWARD_KINDS = ("maxpool", "avgpool")
-_EXECUTE_MODES = ("numeric", "cycles", "jit")
 #: Plan policies a request may carry.  Explicit ExecutionPlan objects
 #: stay a library-level feature: requests are a wire format, and the
 #: named policies keep the geometry key hashable and small.
@@ -133,11 +133,7 @@ class PoolRequest:
                 f"unknown request kind {self.kind!r}; expected one of "
                 f"{KINDS}"
             )
-        if self.execute not in _EXECUTE_MODES:
-            raise ServeError(
-                f"unknown execution mode {self.execute!r}; expected one "
-                f"of {_EXECUTE_MODES}"
-            )
+        check_execute(self.execute, ServeError)
         if self.plan not in _PLAN_POLICIES:
             raise ServeError(
                 f"unknown plan policy {self.plan!r}; expected one of "

@@ -4,6 +4,8 @@
 * :mod:`repro.sim.memory`  -- simulated global memory (DDR/HBM/L2).
 * :mod:`repro.sim.aicore`  -- one AI Core executing a Program.
 * :mod:`repro.sim.chip`    -- the multi-core chip and tile scheduling.
+* :mod:`repro.sim.modes`   -- the execute modes and the one check of
+  how they compose with sanitize/faults/retry/compiled kernels.
 * :mod:`repro.sim.trace`   -- per-instruction execution traces.
 * :mod:`repro.sim.scheduler` -- pluggable timing models (serial/pipelined).
 * :mod:`repro.sim.compile` -- the NumPy JIT: lowered programs fused
@@ -41,6 +43,7 @@ from .fingerprint import (
     fingerprint_result,
 )
 from .memory import GlobalMemory
+from .modes import EXECUTE_MODES, check_execute, check_modes
 from .scheduler import (
     MODELS,
     PIPELINED,
@@ -87,6 +90,9 @@ __all__ = [
     "summarize",
     "Chip",
     "ChipRunResult",
+    "EXECUTE_MODES",
+    "check_execute",
+    "check_modes",
     "ExecutionModel",
     "SerialModel",
     "PipelinedModel",

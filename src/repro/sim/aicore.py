@@ -26,6 +26,7 @@ from ..errors import SimulationError
 from ..isa.program import Program
 from .buffers import Allocator, ScratchBuffer
 from .memory import GlobalMemory
+from .modes import check_modes
 from .scheduler import ExecutionModel, resolve_model
 from .trace import Trace
 
@@ -216,42 +217,16 @@ class AICore:
         :class:`~repro.errors.SanitizerError` and the resulting
         :class:`RunResult` carries the sanitizer's report.
         """
-        if execute not in ("numeric", "cycles", "jit"):
-            raise SimulationError(
-                f"unknown execution mode {execute!r}; expected 'numeric', "
-                "'cycles' or 'jit'"
-            )
-        if compiled is not None and execute != "jit":
-            raise SimulationError(
-                "compiled= supplies a JIT kernel and is only meaningful "
-                "with execute='jit'"
-            )
+        check_modes(
+            execute, sanitize=sanitize, injection=injection,
+            compiled=compiled,
+        )
         if sanitize:
             from .sanitizer import resolve_sanitizer
 
             san = resolve_sanitizer(sanitize, self.config)
         else:
             san = None
-        if san is not None and execute != "numeric":
-            raise SimulationError(
-                "sanitized runs must execute numerically "
-                "(execute='numeric'): the cycles-only fast path never "
-                "touches buffer data, and the JIT's fused batch steps "
-                "bypass the per-instruction loop strict mode instruments"
-            )
-        if san is not None and injection is not None:
-            raise SimulationError(
-                "sanitize= and injection= are mutually exclusive: fault "
-                "injection deliberately corrupts scratch-pad state, which "
-                "strict mode would (correctly) reject"
-            )
-        if injection is not None and execute == "jit":
-            raise SimulationError(
-                "injection= and execute='jit' are mutually exclusive: "
-                "faults are injected at per-instruction boundaries, which "
-                "the JIT's fused batch steps do not have; run the "
-                "interpreter (execute='numeric') to inject faults"
-            )
         if summary is not None:
             self._check_summary(program, summary)
         if execute == "cycles":

@@ -41,11 +41,10 @@ import numpy as np
 
 from ..config import ChipConfig
 from ..dtypes import FLOAT16, DType
-from ..errors import CoreFailure, DeadlineExceeded, PlanError, SimulationError
+from ..errors import CoreFailure, DeadlineExceeded, SimulationError
 from ..isa.program import Program
 from .aicore import AICore, RunResult
 from .faults import (
-    BitFlip,
     CoverageLedger,
     DegradationEvent,
     FailureRecord,
@@ -58,6 +57,7 @@ from .faults import (
     resolve_injector,
 )
 from .memory import GlobalMemory
+from .modes import check_modes
 from .sanitizer import Sanitizer, SanitizerReport
 from .scheduler import SERIAL, ExecutionModel, resolve_model
 from .trace import pooled_lane_utilization
@@ -511,80 +511,6 @@ class Chip:
             sanitizer=report,
         )
 
-    def _sanitizers(
-        self,
-        sanitize: bool,
-        execute: str,
-        faults,
-        retry,
-    ) -> "list[Sanitizer] | None":
-        """One persistent halting :class:`Sanitizer` per core (so
-        cross-tile stale reads are diagnosed precisely), or ``None``
-        when strict mode is off.  Rejects combinations strict mode
-        cannot check."""
-        if not sanitize:
-            return None
-        if faults is not None or retry is not None:
-            raise SimulationError(
-                "sanitize= and faults=/retry= are mutually exclusive: "
-                "fault injection corrupts scratch-pad state on purpose, "
-                "which strict mode would (correctly) reject"
-            )
-        if execute != "numeric":
-            raise SimulationError(
-                "sanitized dispatch must execute numerically "
-                "(execute='numeric'): cycles-only runs never touch "
-                "buffer data, and JIT runs bypass the per-instruction "
-                "loop strict mode instruments"
-            )
-        return [Sanitizer(self.config) for _ in self.cores]
-
-    @staticmethod
-    def _check_jit_modes(
-        execute: str, faults, retry, compiled=None
-    ) -> None:
-        """``execute="jit"`` composes with *silent-only* fault plans
-        (every fault an undetected :class:`BitFlip`): those never fail
-        an attempt, so the chip applies them to the kernel's written
-        global-memory tensors post-execute.  Everything else in the
-        resilient dispatcher -- detected faults, crashes, stalls,
-        deadlines, ``retry=`` -- operates at per-instruction boundaries
-        the fused batch kernels do not have, and raises a
-        :class:`~repro.errors.PlanError` naming the conflicting fields.
-        """
-        if compiled is not None and execute != "jit":
-            raise SimulationError(
-                "compiled= supplies JIT kernels and is only meaningful "
-                "with execute='jit'"
-            )
-        if execute != "jit":
-            return
-        plan = faults.plan if isinstance(faults, FaultInjector) else faults
-        conflicts = []
-        if plan is not None and not plan.silent_only:
-            kinds = sorted(
-                {
-                    "BitFlip(detected=True)"
-                    if isinstance(f, BitFlip)
-                    else type(f).__name__
-                    for f in plan.faults
-                    if not (isinstance(f, BitFlip) and not f.detected)
-                }
-            )
-            conflicts.append(f"faults= (fault kinds: {', '.join(kinds)})")
-        if retry is not None:
-            conflicts.append("retry= (resilient retry)")
-        if conflicts:
-            raise PlanError(
-                f"execute='jit' conflicts with {' and '.join(conflicts)}: "
-                "fused batch kernels have no per-instruction boundaries "
-                "for fault injection or retry accounting.  Only *silent* "
-                "BitFlip plans (detected=False) compose with the JIT -- "
-                "their flips land on the kernel's written global-memory "
-                "tensors post-execute.  Run the interpreter "
-                "(execute='numeric') for resilient dispatch"
-            )
-
     def run_tiles(
         self,
         programs: list[Program],
@@ -645,8 +571,13 @@ class Chip:
                 f"{len(programs)} tile programs; kernels must "
                 "correspond 1:1 with tiles"
             )
-        self._check_jit_modes(execute, faults, retry, compiled)
-        sanitizers = self._sanitizers(sanitize, execute, faults, retry)
+        check_modes(
+            execute, sanitize=sanitize, faults=faults, retry=retry,
+            compiled=compiled,
+        )
+        sanitizers = (
+            [Sanitizer(self.config) for _ in self.cores] if sanitize else None
+        )
         injector = resolve_injector(faults)
         launch = self.config.cost.tile_launch_cycles
         silent_jit = injector is not None and execute == "jit"
@@ -742,8 +673,13 @@ class Chip:
                 "(possibly None) kernel per tile program, nested exactly "
                 "like the groups"
             )
-        self._check_jit_modes(execute, faults, retry, compiled)
-        sanitizers = self._sanitizers(sanitize, execute, faults, retry)
+        check_modes(
+            execute, sanitize=sanitize, faults=faults, retry=retry,
+            compiled=compiled,
+        )
+        sanitizers = (
+            [Sanitizer(self.config) for _ in self.cores] if sanitize else None
+        )
         injector = resolve_injector(faults)
         launch = self.config.cost.tile_launch_cycles
         silent_jit = injector is not None and execute == "jit"

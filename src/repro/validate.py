@@ -12,103 +12,18 @@ Two layers, both exposed as library features and as a CLI
 
 2. :func:`fuzz` -- a *differential fuzzer*: seeded random geometries
    (:func:`repro.workloads.sample_pool_geometry`, biased toward edge
-   regimes) are run through **four execution routes** per registered
-   implementation --
+   regimes) run every registered implementation through the base
+   routes ``fresh`` / ``relocated`` / ``cached`` / ``cycles``, plus
+   ``pipelined`` unless restricted to the serial model (contract:
+   :func:`_check_routes`).
 
-   * ``fresh``     -- uncached numeric execution, one lowering per tile;
-   * ``relocated`` -- numeric execution through a cold
-     :class:`~repro.sim.ProgramCache` (one lowering per unique tile
-     geometry, relocated clones per ``(N, C1)`` slice);
-   * ``cached``    -- the same cache served warm (every program a hit);
-   * ``cycles``    -- the analytic ``execute="cycles"`` fast path;
-
-   plus (unless restricted via ``models``/``--model serial``) a fifth
-   ``pipelined`` route running numerically under the scoreboard timing
-   model (:mod:`repro.sim.scheduler`), which must produce
-   **bit-identical** numeric outputs and a makespan **no larger** than
-   the serial model's on every tile.
-
-   All numeric routes must agree **bit-for-bit** with each other;
-   MaxPool forward must match the golden model bit-for-bit; AvgPool
-   agrees within :data:`_TOL` (fp16 summation regrouping); backward
-   passes match bit-for-bit whenever a single summation order exists
-   (one tile per slice -- row-chunked accumulate-DMA merges regroup
-   fp16 sums by construction, see README "Scope and fidelity").  The
-   ``cycles`` route must report the *exact* cycle count and
-   per-instruction trace of numeric execution.
-
-   With ``--chaos`` a **sixth route** runs every sampled geometry under
-   a seeded :class:`~repro.sim.FaultPlan` (stalls, mid-program core
-   crashes, detected scratch-pad bit flips, cycle-budget deadlines)
-   through the resilient dispatcher and asserts that whenever recovery
-   succeeds the final outputs are **bit-identical** to the fault-free
-   run, that the attached :class:`~repro.sim.ResilienceReport` accounts
-   the plan, and that recovery overhead never makes the run cheaper
-   than the fault-free baseline.  Unrecoverable cases fail loudly and
-   are shrunk to a minimal reproducer like any other failure.
-
-   With ``--jit`` an **eighth route** re-runs every sampled geometry
-   per timing model through the NumPy JIT (``execute="jit"``,
-   :mod:`repro.sim.compile`): the lowered program is compiled into a
-   fused batch kernel, memoized in the
-   :class:`~repro.sim.ProgramCache`, and shared across relocated
-   slice clones.  The route must be **bit-identical** to the
-   interpreter (outputs *and* masks), cycle-exact (chip makespan and
-   total work unchanged -- the JIT accelerates dispatch, never the
-   model), and on a warm second run must serve the kernel from the
-   cache (``jit_hits > 0``).  Mismatches shrink to a minimal
-   reproducer like any other failure.
-
-   With ``--autotune`` a **ninth route** runs the cost-model autotuner
-   (:mod:`repro.plan.autotune`) over each sampled workload (coarse
-   chunk grid, first registered variant per op and direction), then
-   re-executes the winning :class:`~repro.plan.ExecutionPlan`
-   numerically: outputs and masks must be **bit-identical** to the
-   default plan's (the search swaps only members of a bit-exact
-   equivalence class), the numeric run's cycle count must equal the
-   search's cycles-mode prediction exactly (the cost model is
-   data-independent), and the winner may never cost more than the
-   default-plan baseline.
-
-   With ``--sanitize`` a **seventh route** re-runs every sampled
-   geometry per timing model in strict memory-checking mode
-   (:mod:`repro.sim.sanitizer`): scratch-pads are poisoned on reset,
-   every operand is bounds- and initialization-checked against the
-   program's allocation manifest, ``execute()`` side effects are
-   shadow-diffed against declared regions, and the pipelined timeline
-   is audited for races.  The route must come back *clean* (a
-   :class:`~repro.sim.SanitizerReport` attached with zero violations),
-   bit-identical to the unsanitized run, and cycle-exact -- the
-   sanitizer observes, it never perturbs.  Any
-   :class:`~repro.errors.SanitizerError` is a failing check shrunk to
-   a minimal reproducer like any other failure.
-
-   With ``--serve-chaos`` a **tenth route** replaces the grid and the
-   operator fuzz entirely: a seeded storm of requests with cycled
-   fault profiles (clean / worker crash / hung-but-alive stall / tail
-   latency / dropped reply / guaranteed deadline miss) is driven
-   through a live :class:`~repro.serve.PoolService` with the stall
-   watchdog and hedged retries enabled.  Recovered responses must be
-   **byte-identical** to executing the chaos-stripped twin request
-   in-process, deadline-profile requests must fail with a punctual
-   structured :class:`~repro.errors.DeadlineError`, and the
-   exactly-once ledger must close: every submission resolves exactly
-   once, ``completed + failed == submitted``, and no pending-request
-   or in-flight-dispatch residue survives the storm.
-
-   With ``--integrity`` an **eleventh route** (again replacing grid
-   and operator fuzz) drives seeded silent-data-corruption storms
-   through a :class:`~repro.serve.PoolService` with
-   :class:`~repro.serve.IntegrityConfig` active: a clean storm must
-   produce zero false positives and byte-identical responses; a
-   transit-corruption storm (``chaos_corrupt_payload``) must be fully
-   absorbed by service-side fingerprint re-verification (every served
-   response still byte-identical, the corrupt slot quarantined); a
-   corrupt-core storm (``chaos_corrupt_output``) must be caught by
-   dual-execution audits, the corrupt slot convicted via tie-break and
-   recorded as a structured :class:`~repro.errors.IntegrityError`; and
-   known-answer probes must run clean on a healthy fleet and convict a
-   chaos-corrupted probe target between user requests.
+The opt-in routes live in one registry, :data:`ROUTES`, one entry per
+route; each entry's check function states its contract and the CLI
+exposes it as ``--<name>``.  The per-operator add-ons ``chaos``,
+``sanitize``, ``jit`` and ``autotune`` extend every fuzzed operator;
+the standalone storms ``serve-chaos`` and ``integrity`` drive a live
+:class:`~repro.serve.PoolService` in place of the grid and the
+operator fuzz.
 
 Failures are shrunk (binary-reducing image extents, channels and batch)
 to a minimal reproducer printed as a ready-to-paste :class:`FuzzCase`::
@@ -125,13 +40,14 @@ import sys
 import zlib
 from dataclasses import dataclass, field
 from dataclasses import replace as _dc_replace
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .config import ASCEND910, ASCEND910_SINGLE_CORE, ChipConfig
 from .dtypes import dtype_of
-from .errors import ReproError
+from .errors import LayoutError, PlanError, ReproError, TilingError
 from .ops import (
     PoolSpec,
     backward_impl,
@@ -149,6 +65,7 @@ from .ops.reference import (
     maxpool_backward_ref,
     maxpool_forward_ref,
 )
+from .plan import Workload, search
 from .sim import BitFlip, Crash, FaultPlan, ProgramCache, RetryPolicy
 from .workloads import make_gradient, make_input, sample_pool_geometry
 
@@ -257,6 +174,130 @@ def _diff_detail(a: np.ndarray | None, b: np.ndarray | None) -> str:
     return f"max|diff|={float(d.max()):.3e}" if d.size else ""
 
 
+def _array_identity(arr: np.ndarray | None):
+    return None if arr is None else (
+        arr.dtype.str, arr.shape, np.ascontiguousarray(arr).tobytes()
+    )
+
+
+def _same_result(a, b) -> bool:
+    """Whether two results carry byte-identical outputs and masks.
+
+    Presence, dtype, shape and raw bytes all count: ``array_equal``
+    would treat ``-0.0`` and ``0.0`` as equal, yet a flipped sign bit on
+    a zero is still a different result (and corruption the fingerprint
+    rightly catches).  Cycles are compared by the callers that need it.
+    """
+    return (
+        _array_identity(a.output) == _array_identity(b.output)
+        and _array_identity(a.mask) == _array_identity(b.mask)
+    )
+
+
+def _same_cycles(a: PoolRunResult, b: PoolRunResult) -> bool:
+    return (
+        a.cycles == b.cycles
+        and a.chip.total_work_cycles == b.chip.total_work_cycles
+    )
+
+
+def _raised(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """One registered variant bound to a workload and its golden models.
+
+    ``run(**kw)`` forwards ``kw`` (cache, execute, model, faults, ...)
+    to :func:`~repro.ops.run_forward` / :func:`~repro.ops.run_backward`.
+    ``workload`` is set on the first non-mask variant per (direction,
+    op) only: the operator the ``autotune`` route searches.
+    """
+
+    name: str
+    kind: str
+    run: Callable[..., PoolRunResult]
+    ref: np.ndarray
+    mask_ref: np.ndarray | None
+    regroups: bool
+    workload: Workload | None
+
+    def golden_exact(self, res: PoolRunResult) -> bool:
+        """Whether ``res`` must match the golden model bit-for-bit.
+
+        Exact while a single fp16 summation order exists: the X-Y split
+        regroups the AvgPool sum (rows, then columns), and a row-chunked
+        backward slice accumulates partial sums via DMA-add, regrouping
+        them at chunk boundaries (README "Scope and fidelity").
+        """
+        return not self.regroups and (
+            self.kind == "fwd" or len(res.tiles) == 1
+        )
+
+
+def _operators(
+    ih: int,
+    iw: int,
+    c: int,
+    n: int,
+    spec: PoolSpec,
+    seed: int,
+    config: ChipConfig,
+    impls: Sequence[str] | None = None,
+    collect_trace: bool = True,
+) -> Iterator[_Operator]:
+    """Every registered variant (forward first, then backward) bound to
+    the seeded workload ``(n, ih, iw, c, spec)``."""
+    x = make_input(ih, iw, c, n=n, seed=seed)
+    oh, ow = spec.out_hw(ih, iw)
+    grad = make_gradient(x.shape[1], oh, ow, n=n, seed=seed + 1)
+    mask_ref = maxpool_argmax_ref(x, spec)
+    refs = {
+        ("fwd", "max"): maxpool_forward_ref(x, spec),
+        ("fwd", "avg"): avgpool_forward_ref(x, spec),
+        ("bwd", "max"): maxpool_backward_ref(mask_ref, grad, spec, ih, iw),
+        ("bwd", "avg"): avgpool_backward_ref(grad, spec, ih, iw),
+    }
+    names = tuple(impls) if impls is not None else None
+    kw = dict(config=config, collect_trace=collect_trace)
+    tuned: set[tuple[str, str]] = set()
+
+    def workload(kind, impl, data, with_mask=False):
+        if with_mask or (kind, impl.op) in tuned:
+            return None
+        tuned.add((kind, impl.op))
+        return Workload.of_impl(
+            kind, impl, spec, dtype_of(data), n, data.shape[1], ih, iw
+        )
+
+    for name, op, with_mask in forward_variants(names):
+        impl = forward_impl(name, op, with_mask)
+        yield _Operator(
+            name=f"{op}pool/{name}{'+mask' if with_mask else ''}",
+            kind="fwd",
+            run=partial(run_forward, x, spec, impl, **kw),
+            ref=refs["fwd", op],
+            mask_ref=mask_ref if with_mask else None,
+            regroups=op == "avg" and name == "xysplit",
+            workload=workload("fwd", impl, x, with_mask),
+        )
+    for name, op in backward_variants(names):
+        impl = backward_impl(name, op)
+        yield _Operator(
+            name=f"{op}pool-bwd/{name}",
+            kind="bwd",
+            run=partial(
+                run_backward, grad, spec, impl, ih, iw,
+                mask=mask_ref if op == "max" else None, **kw,
+            ),
+            ref=refs["bwd", op],
+            mask_ref=None,
+            regroups=False,
+            workload=workload("bwd", impl, grad),
+        )
+
+
 def validate_all(
     config: ChipConfig = ASCEND910_SINGLE_CORE,
     grid: Sequence[tuple[int, int, int, int, PoolSpec]] = DEFAULT_GRID,
@@ -273,72 +314,25 @@ def validate_all(
     (the default) every grid point additionally asserts the scheduler
     invariant: the pipelined makespan never exceeds the serial one.
     """
-    check_pipelined = "pipelined" in models
     report = ValidationReport()
     for h, w, c, n, spec in grid:
-        x = make_input(h, w, c, n=n, seed=seed)
         label = (
             f"{n}x{h}x{w}x{c}/k{spec.kh}{spec.kw}s{spec.sh}{spec.sw}"
         )
-        max_ref = maxpool_forward_ref(x, spec)
-        avg_ref = avgpool_forward_ref(x, spec)
-        mask_ref = maxpool_argmax_ref(x, spec)
-        oh, ow = spec.out_hw(h, w)
-        grad = make_gradient(x.shape[1], oh, ow, n=n, seed=seed + 1)
-
-        for name, op, with_mask in forward_variants():
-            impl = forward_impl(name, op, with_mask)
-            res = run_forward(x, spec, impl, config, collect_trace=False)
-            ref = max_ref if op == "max" else avg_ref
-            # The X-Y split regroups the fp16 sum (rows then columns).
-            exact = op == "max" or name != "xysplit"
-            ok = _close(res.output, ref, exact=exact)
-            if with_mask:
+        for op in _operators(h, w, c, n, spec, seed, config,
+                             collect_trace=False):
+            res = op.run()
+            ok = _close(res.output, op.ref, op.golden_exact(res))
+            if op.mask_ref is not None:
                 ok = ok and res.mask is not None and _close(
-                    res.mask, mask_ref, exact=True
+                    res.mask, op.mask_ref, exact=True
                 )
-            mask_tag = "+mask" if with_mask else ""
-            report.add(f"{op}pool/{name}{mask_tag}/{label}", ok)
-            if check_pipelined:
-                pipe = run_forward(
-                    x, spec, impl, config, collect_trace=False,
-                    execute="cycles", model="pipelined",
-                )
+            report.add(f"{op.name}/{label}", ok)
+            if "pipelined" in models:
+                pipe = op.run(execute="cycles", model="pipelined")
                 ok = pipe.cycles <= res.cycles
                 report.add(
-                    f"{op}pool/{name}{mask_tag}/{label}"
-                    "/pipelined-le-serial",
-                    ok,
-                    "" if ok else f"{pipe.cycles} > {res.cycles}",
-                )
-
-        bwd_max_ref = maxpool_backward_ref(mask_ref, grad, spec, h, w)
-        bwd_avg_ref = avgpool_backward_ref(grad, spec, h, w)
-        for name, op in backward_variants():
-            impl = backward_impl(name, op)
-            res = run_backward(
-                grad, spec, impl, h, w,
-                mask=mask_ref if op == "max" else None,
-                config=config, collect_trace=False,
-            )
-            ref = bwd_max_ref if op == "max" else bwd_avg_ref
-            # Bit-exact only while a single summation order exists: a
-            # row-chunked slice accumulates partial sums via DMA-add,
-            # regrouping the fp16 additions at chunk boundaries.
-            exact = len(res.tiles) == 1
-            report.add(f"{op}pool-bwd/{name}/{label}",
-                       _close(res.output, ref, exact=exact))
-            if check_pipelined:
-                pipe = run_backward(
-                    grad, spec, impl, h, w,
-                    mask=mask_ref if op == "max" else None,
-                    config=config, collect_trace=False,
-                    execute="cycles", model="pipelined",
-                )
-                ok = pipe.cycles <= res.cycles
-                report.add(
-                    f"{op}pool-bwd/{name}/{label}/pipelined-le-serial",
-                    ok,
+                    f"{op.name}/{label}/pipelined-le-serial", ok,
                     "" if ok else f"{pipe.cycles} > {res.cycles}",
                 )
     return report
@@ -411,11 +405,10 @@ def _routes(
     run: Callable[..., PoolRunResult],
     models: Sequence[str] = DEFAULT_MODELS,
 ) -> dict[str, PoolRunResult]:
-    """Execute one operator through the differential routes.
+    """Execute one operator through the base differential routes.
 
     Always the four serial routes; with ``"pipelined"`` in ``models`` a
-    fifth numeric route under the scoreboard timing model is added,
-    checked for bit-identical outputs and ``makespan <= serial``.
+    fifth numeric route under the scoreboard timing model is added.
     """
     cache = ProgramCache()
     routes = {
@@ -430,6 +423,14 @@ def _routes(
         )
     assert cache.stats.hits > 0, "warm cache route served no hits"
     return routes
+
+
+def _baselines(
+    runs: dict[str, PoolRunResult], models: Sequence[str]
+) -> Iterator[tuple[str, PoolRunResult]]:
+    """``(model, fault-free numeric run under that model)`` pairs."""
+    for m in models:
+        yield m, runs["pipelined"] if m == "pipelined" else runs["fresh"]
 
 
 def _trace_identical(a: PoolRunResult, b: PoolRunResult) -> str:
@@ -457,46 +458,42 @@ def _trace_identical(a: PoolRunResult, b: PoolRunResult) -> str:
 def _check_routes(
     report: ValidationReport,
     prefix: str,
+    op: _Operator,
     routes: dict[str, PoolRunResult],
-    ref: np.ndarray,
-    exact: bool,
-    mask_ref: np.ndarray | None = None,
 ) -> None:
-    """Assert the four-route agreement contract for one operator run."""
+    """The base-route contract for one operator run.
+
+    ``fresh`` matches the golden model (bit-for-bit where
+    :meth:`_Operator.golden_exact`, else within :data:`_TOL`), masks
+    bit-for-bit; ``relocated`` and ``cached`` are byte-identical to
+    ``fresh`` at the same cycle count; ``cycles`` carries no data but
+    the exact cycle count and per-tile trace of numeric execution; the
+    ``pipelined`` scoreboard route is byte-identical to ``fresh`` with a
+    makespan no larger than the serial one, on every tile.
+    """
     fresh = routes["fresh"]
-    ok = _close(fresh.output, ref, exact=exact)
+    ok = _close(fresh.output, op.ref, exact=op.golden_exact(fresh))
     report.add(
         f"{prefix}/fresh-vs-golden", ok,
-        "" if ok else _diff_detail(fresh.output, ref),
+        "" if ok else _diff_detail(fresh.output, op.ref),
     )
-    if mask_ref is not None:
-        ok = fresh.mask is not None and _close(fresh.mask, mask_ref, True)
+    if op.mask_ref is not None:
+        ok = fresh.mask is not None and _close(fresh.mask, op.mask_ref, True)
         report.add(
             f"{prefix}/mask-vs-golden", ok,
-            "" if ok else _diff_detail(fresh.mask, mask_ref),
+            "" if ok else _diff_detail(fresh.mask, op.mask_ref),
         )
     for route in ("relocated", "cached"):
         res = routes[route]
-        ok = (
-            res.output is not None
-            and np.array_equal(res.output, fresh.output)
-            and res.cycles == fresh.cycles
-        )
-        if mask_ref is not None:
-            ok = ok and res.mask is not None and np.array_equal(
-                res.mask, fresh.mask
-            )
+        ok = _same_result(res, fresh) and res.cycles == fresh.cycles
         report.add(
             f"{prefix}/{route}-vs-fresh", ok,
             "" if ok else _diff_detail(res.output, fresh.output),
         )
     cyc = routes["cycles"]
-    ok = cyc.output is None and cyc.mask is None
-    report.add(f"{prefix}/cycles-no-data", ok)
-    ok = (
-        cyc.cycles == fresh.cycles
-        and cyc.chip.total_work_cycles == fresh.chip.total_work_cycles
-    )
+    report.add(f"{prefix}/cycles-no-data",
+               cyc.output is None and cyc.mask is None)
+    ok = _same_cycles(cyc, fresh)
     report.add(
         f"{prefix}/cycles-vs-fresh", ok,
         "" if ok else f"cycles {cyc.cycles} vs {fresh.cycles}",
@@ -505,20 +502,12 @@ def _check_routes(
     report.add(f"{prefix}/trace-vs-fresh", detail == "", detail)
     pipe = routes.get("pipelined")
     if pipe is not None:
-        ok = pipe.output is not None and np.array_equal(
-            pipe.output, fresh.output
-        )
-        if mask_ref is not None:
-            ok = ok and pipe.mask is not None and np.array_equal(
-                pipe.mask, fresh.mask
-            )
+        ok = _same_result(pipe, fresh)
         report.add(
             f"{prefix}/pipelined-output-vs-fresh", ok,
             "" if ok else _diff_detail(pipe.output, fresh.output),
         )
-        # Scheduler invariant: the scoreboard only moves issue slots
-        # *earlier*, so the pipelined makespan may never exceed the
-        # serial one -- chip-level and on every individual tile.
+        # The scoreboard only moves issue slots *earlier*.
         ok = pipe.cycles <= fresh.cycles and all(
             pa.cycles <= pb.cycles
             for pa, pb in zip(pipe.chip.per_tile, fresh.chip.per_tile)
@@ -558,13 +547,16 @@ def _plan_must_fail(plan: FaultPlan) -> bool:
 def _check_chaos(
     report: ValidationReport,
     prefix: str,
-    run: Callable[..., PoolRunResult],
+    op: _Operator,
     routes: dict[str, PoolRunResult],
     models: Sequence[str],
     config: ChipConfig,
 ) -> None:
     """The chaos route: re-run under a seeded fault plan per model.
 
+    Each operator re-runs through the resilient dispatcher under a
+    seeded :class:`~repro.sim.FaultPlan` (stalls, mid-program core
+    crashes, detected scratch-pad bit flips, cycle-budget deadlines).
     Asserts the resilience contract -- recovered outputs bit-identical
     to the fault-free run, the :class:`~repro.sim.ResilienceReport`
     attached and accounting the plan, recovery engaged whenever the
@@ -573,8 +565,7 @@ def _check_chaos(
     :class:`~repro.errors.ReproError`) are recorded as failing checks,
     so the fuzzer shrinks them like any numeric mismatch.
     """
-    for m in models:
-        base = routes["pipelined"] if m == "pipelined" else routes["fresh"]
+    for m, base in _baselines(routes, models):
         plan = FaultPlan.generate(
             _chaos_seed(prefix, m),
             num_tiles=len(base.chip.per_tile),
@@ -582,23 +573,15 @@ def _check_chaos(
         )
         tag = f"{prefix}/chaos-{m}"
         try:
-            res = run(
+            res = op.run(
                 cache=ProgramCache(), execute="numeric", model=m,
                 faults=plan, retry=RetryPolicy(),
             )
         except ReproError as exc:
-            report.add(
-                f"{tag}/recovered", False,
-                f"unrecoverable: {type(exc).__name__}: {exc}",
-            )
+            report.add(f"{tag}/recovered", False,
+                       f"unrecoverable: {_raised(exc)}")
             continue
-        ok = res.output is not None and np.array_equal(
-            res.output, base.output
-        )
-        if base.mask is not None:
-            ok = ok and res.mask is not None and np.array_equal(
-                res.mask, base.mask
-            )
+        ok = _same_result(res, base)
         report.add(
             f"{tag}/output-vs-fault-free", ok,
             "" if ok else _diff_detail(res.output, base.output),
@@ -612,8 +595,7 @@ def _check_chaos(
         if rep is None:
             continue
         if plan.faults:
-            must_fail = _plan_must_fail(plan)
-            ok = rep.retries > 0 if must_fail else True
+            ok = rep.retries > 0 if _plan_must_fail(plan) else True
             report.add(
                 f"{tag}/recovery-engaged", ok,
                 "" if ok else (
@@ -635,12 +617,7 @@ def _check_chaos(
         else:
             # Empty plan: the resilient path must be a cycle-exact
             # no-op relative to the fault-free run.
-            ok = (
-                rep.clean
-                and res.cycles == base.cycles
-                and res.chip.total_work_cycles
-                == base.chip.total_work_cycles
-            )
+            ok = rep.clean and _same_cycles(res, base)
             report.add(
                 f"{tag}/empty-plan-identical", ok,
                 "" if ok else (
@@ -653,34 +630,35 @@ def _check_chaos(
 def _check_sanitize(
     report: ValidationReport,
     prefix: str,
-    run: Callable[..., PoolRunResult],
+    op: _Operator,
     routes: dict[str, PoolRunResult],
     models: Sequence[str],
+    config: ChipConfig,
 ) -> None:
     """The sanitize route: re-run numerically in strict mode per model.
 
-    Asserts the memory-safety contract: the run completes without a
-    :class:`~repro.errors.SanitizerError`, the merged
-    :class:`~repro.sim.SanitizerReport` is attached and *clean*, the
-    outputs are bit-identical to the unsanitized baseline and the cycle
-    count is unchanged -- the sanitizer observes execution, it never
-    perturbs it.  A raised violation is recorded as a failing check
-    (its message names the program, instruction index and byte range),
-    so the fuzzer shrinks it like any numeric mismatch.
+    Strict mode (:mod:`repro.sim.sanitizer`) poisons scratch-pads on
+    reset, bounds- and initialization-checks every operand against the
+    program's allocation manifest, shadow-diffs ``execute()`` side
+    effects against declared regions, and audits the pipelined
+    timeline for races.  Asserts the memory-safety contract: the run
+    completes without a :class:`~repro.errors.SanitizerError`, the
+    merged :class:`~repro.sim.SanitizerReport` is attached and *clean*,
+    the outputs are bit-identical to the unsanitized baseline and the
+    cycle count is unchanged -- the sanitizer observes execution, it
+    never perturbs it.  A raised violation is recorded as a failing
+    check (its message names the program, instruction index and byte
+    range), so the fuzzer shrinks it like any numeric mismatch.
     """
-    for m in models:
-        base = routes["pipelined"] if m == "pipelined" else routes["fresh"]
+    for m, base in _baselines(routes, models):
         tag = f"{prefix}/sanitize-{m}"
         try:
-            res = run(
+            res = op.run(
                 cache=ProgramCache(), execute="numeric", model=m,
                 sanitize=True,
             )
         except ReproError as exc:
-            report.add(
-                f"{tag}/clean", False,
-                f"{type(exc).__name__}: {exc}",
-            )
+            report.add(f"{tag}/clean", False, _raised(exc))
             continue
         rep = res.sanitizer
         ok = rep is not None and rep.clean
@@ -691,21 +669,12 @@ def _check_sanitize(
                 "; ".join(v.message for v in rep.violations[:3])
             ),
         )
-        ok = res.output is not None and np.array_equal(
-            res.output, base.output
-        )
-        if base.mask is not None:
-            ok = ok and res.mask is not None and np.array_equal(
-                res.mask, base.mask
-            )
+        ok = _same_result(res, base)
         report.add(
             f"{tag}/output-vs-unsanitized", ok,
             "" if ok else _diff_detail(res.output, base.output),
         )
-        ok = (
-            res.cycles == base.cycles
-            and res.chip.total_work_cycles == base.chip.total_work_cycles
-        )
+        ok = _same_cycles(res, base)
         report.add(
             f"{tag}/cycles-unperturbed", ok,
             "" if ok else f"cycles {res.cycles} vs {base.cycles}",
@@ -724,57 +693,45 @@ def _check_sanitize(
 def _check_jit(
     report: ValidationReport,
     prefix: str,
-    run: Callable[..., PoolRunResult],
+    op: _Operator,
     routes: dict[str, PoolRunResult],
     models: Sequence[str],
+    config: ChipConfig,
 ) -> None:
     """The JIT route: re-run through compiled batch kernels per model.
 
-    Asserts the compilation contract: ``execute="jit"`` produces
-    **bit-identical** outputs (and masks) to the interpreter, the chip
-    makespan and total work cycles are unchanged (the JIT accelerates
-    dispatch, never the timing model), and a warm second run through
-    the same :class:`~repro.sim.ProgramCache` serves the memoized
-    kernel (``stats.jit_hits > 0``) with identical results.  A raised
-    error is recorded as a failing check, so the fuzzer shrinks it
-    like any numeric mismatch.
+    Asserts the compilation contract (:mod:`repro.sim.compile`):
+    ``execute="jit"`` produces **bit-identical** outputs (and masks) to
+    the interpreter, the chip makespan and total work cycles are
+    unchanged (the JIT accelerates dispatch, never the timing model),
+    and a warm second run through the same
+    :class:`~repro.sim.ProgramCache` serves the memoized kernel
+    (``stats.jit_hits > 0``) with identical results.  A raised error is
+    recorded as a failing check, so the fuzzer shrinks it like any
+    numeric mismatch.
     """
-    for m in models:
-        base = routes["pipelined"] if m == "pipelined" else routes["fresh"]
+    for m, base in _baselines(routes, models):
         tag = f"{prefix}/jit-{m}"
         cache = ProgramCache()
         try:
-            res = run(cache=cache, execute="jit", model=m)
-            warm = run(cache=cache, execute="jit", model=m)
+            res = op.run(cache=cache, execute="jit", model=m)
+            warm = op.run(cache=cache, execute="jit", model=m)
         except ReproError as exc:
-            report.add(
-                f"{tag}/bit-identical", False,
-                f"{type(exc).__name__}: {exc}",
-            )
+            report.add(f"{tag}/bit-identical", False, _raised(exc))
             continue
-        ok = res.output is not None and np.array_equal(
-            res.output, base.output
-        )
-        if base.mask is not None:
-            ok = ok and res.mask is not None and np.array_equal(
-                res.mask, base.mask
-            )
+        ok = _same_result(res, base)
         report.add(
             f"{tag}/bit-identical", ok,
             "" if ok else _diff_detail(res.output, base.output),
         )
-        ok = (
-            res.cycles == base.cycles
-            and res.chip.total_work_cycles == base.chip.total_work_cycles
-        )
+        ok = _same_cycles(res, base)
         report.add(
             f"{tag}/cycles-unchanged", ok,
             "" if ok else f"cycles {res.cycles} vs {base.cycles}",
         )
         ok = (
             cache.stats.jit_hits > 0
-            and warm.output is not None
-            and np.array_equal(warm.output, res.output)
+            and _same_result(warm, res)
             and warm.cycles == res.cycles
         )
         report.add(
@@ -789,46 +746,38 @@ def _check_jit(
 def _check_autotune(
     report: ValidationReport,
     prefix: str,
-    run: Callable[..., PoolRunResult],
+    op: _Operator,
     routes: dict[str, PoolRunResult],
-    workload,
-    config: ChipConfig,
     models: Sequence[str],
+    config: ChipConfig,
 ) -> None:
     """The autotune route: cost-model search, then numeric re-execution.
 
-    Asserts the autotuner contract (:mod:`repro.plan.autotune`): the
-    coarse-grid search finds a winning :class:`~repro.plan.ExecutionPlan`
-    no more expensive than the default-plan baseline; re-running that
-    plan *numerically* produces outputs (and masks) **bit-identical**
-    to the default plan's ``fresh`` route -- the search only swaps
-    members of a bit-exact equivalence class -- and reports *exactly*
-    the cycle count the cycles-mode search predicted (the cost model is
+    Runs once per (direction, op) -- on the first registered non-mask
+    variant, the one carrying a ``workload``.  Asserts the autotuner
+    contract (:mod:`repro.plan.autotune`): the coarse-grid search finds
+    a winning :class:`~repro.plan.ExecutionPlan` no more expensive than
+    the default-plan baseline; re-running that plan *numerically*
+    produces outputs (and masks) **bit-identical** to the default
+    plan's ``fresh`` route -- the search only swaps members of a
+    bit-exact equivalence class -- and reports *exactly* the cycle
+    count the cycles-mode search predicted (the cost model is
     data-independent).  A raised error is recorded as a failing check,
     so the fuzzer shrinks it like any numeric mismatch.
     """
-    from .plan import search
-
+    if op.workload is None:
+        return
     tag = f"{prefix}/autotune"
     try:
-        result = search(workload, config, models=models, chunks="coarse")
-        res = run(
+        result = search(op.workload, config, models=models, chunks="coarse")
+        res = op.run(
             cache=ProgramCache(), execute="numeric", plan=result.best
         )
     except ReproError as exc:
-        report.add(
-            f"{tag}/output-vs-default", False,
-            f"{type(exc).__name__}: {exc}",
-        )
+        report.add(f"{tag}/output-vs-default", False, _raised(exc))
         return
     fresh = routes["fresh"]
-    ok = res.output is not None and np.array_equal(
-        res.output, fresh.output
-    )
-    if fresh.mask is not None:
-        ok = ok and res.mask is not None and np.array_equal(
-            res.mask, fresh.mask
-        )
+    ok = _same_result(res, fresh)
     report.add(
         f"{tag}/output-vs-default", ok,
         "" if ok else _diff_detail(res.output, fresh.output),
@@ -847,16 +796,25 @@ def _check_autotune(
     )
 
 
+def _operator_checks(routes: Sequence[str]) -> list[Callable[..., None]]:
+    """The checks of the named per-operator routes, in registry order."""
+    add_ons = [name for name, r in ROUTES.items() if not r.standalone]
+    unknown = sorted(set(routes) - set(add_ons))
+    if unknown:
+        raise ValueError(
+            f"unknown per-operator route(s) {unknown}; expected any of "
+            f"{add_ons}"
+        )
+    return [ROUTES[name].check for name in add_ons if name in routes]
+
+
 def check_case(
     case: FuzzCase,
     config: ChipConfig = FUZZ_CHIP,
     impls: Sequence[str] | None = None,
     report: ValidationReport | None = None,
     models: Sequence[str] = DEFAULT_MODELS,
-    chaos: bool = False,
-    sanitize: bool = False,
-    jit: bool = False,
-    autotune: bool = False,
+    routes: Sequence[str] = (),
 ) -> ValidationReport:
     """Differentially validate one workload across every registered
     implementation and all execution routes.
@@ -864,131 +822,20 @@ def check_case(
     Returns the (possibly supplied) report; check names are prefixed
     with the case label so one report can hold many cases.  ``models``
     selects the timing models: ``"pipelined"`` adds the scoreboard
-    route with its bit-identical-output and makespan invariants.
-    ``chaos=True`` adds the sixth route: every operator re-runs under a
-    seeded :class:`~repro.sim.FaultPlan` through the resilient
-    dispatcher and must recover to bit-identical outputs (see
-    :func:`_check_chaos`).  ``sanitize=True`` adds the seventh route:
-    every operator re-runs per model in strict memory-checking mode
-    and must come back clean, bit-identical and cycle-exact (see
-    :func:`_check_sanitize`).  ``jit=True`` adds the eighth route:
-    every operator re-runs per model through compiled batch kernels
-    (``execute="jit"``) and must be bit-identical and cycle-exact,
-    with the warm cache serving the memoized kernel (see
-    :func:`_check_jit`).  ``autotune=True`` adds the ninth route: for
-    the first registered variant of each (op, direction), the
-    cost-model autotuner searches the workload's plan space and the
-    winning plan re-executes numerically, bit-identical to the default
-    plan at exactly the predicted cycle count (see
-    :func:`_check_autotune`).
+    route.  ``routes`` names per-operator :data:`ROUTES` add-ons (e.g.
+    ``("chaos", "jit")``) checked after the base routes of every
+    operator.
     """
     if report is None:
         report = ValidationReport()
-    x = make_input(case.ih, case.iw, case.c, n=case.n, seed=case.seed)
-    spec = case.spec
-    max_ref = maxpool_forward_ref(x, spec)
-    avg_ref = avgpool_forward_ref(x, spec)
-    mask_ref = maxpool_argmax_ref(x, spec)
-    oh, ow = spec.out_hw(case.ih, case.iw)
-    grad = make_gradient(x.shape[1], oh, ow, n=case.n, seed=case.seed + 1)
-    names = tuple(impls) if impls is not None else None
-    tuned_fwd: set[str] = set()
-    tuned_bwd: set[str] = set()
-
-    for name, op, with_mask in forward_variants(names):
-        impl = forward_impl(name, op, with_mask)
-
-        def run_fwd(
-            cache, execute, model="serial", faults=None, retry=None,
-            sanitize=False, plan="default", impl=impl,
-        ):
-            return run_forward(
-                x, spec, impl, config, collect_trace=True,
-                execute=execute, cache=cache, model=model,
-                faults=faults, retry=retry, sanitize=sanitize,
-                plan=plan,
-            )
-
-        routes = _routes(run_fwd, models)
-        mask_tag = "+mask" if with_mask else ""
-        prefix = f"{op}pool/{name}{mask_tag}/{case.label}"
-        _check_routes(
-            report,
-            prefix,
-            routes,
-            max_ref if op == "max" else avg_ref,
-            # MaxPool forward is bit-exact in every regime; AvgPool
-            # tolerates fp16 summation regrouping (X-Y split).
-            exact=op == "max",
-            mask_ref=mask_ref if with_mask else None,
-        )
-        if chaos:
-            _check_chaos(report, prefix, run_fwd, routes, models, config)
-        if sanitize:
-            _check_sanitize(report, prefix, run_fwd, routes, models)
-        if jit:
-            _check_jit(report, prefix, run_fwd, routes, models)
-        if autotune and not with_mask and op not in tuned_fwd:
-            tuned_fwd.add(op)
-            from .plan import Workload
-
-            workload = Workload.of_impl(
-                "fwd", impl, spec, dtype_of(x), case.n, x.shape[1],
-                case.ih, case.iw,
-            )
-            _check_autotune(
-                report, prefix, run_fwd, routes, workload, config, models
-            )
-
-    bwd_max_ref = maxpool_backward_ref(mask_ref, grad, spec, case.ih, case.iw)
-    bwd_avg_ref = avgpool_backward_ref(grad, spec, case.ih, case.iw)
-    for name, op in backward_variants(names):
-        impl = backward_impl(name, op)
-
-        def run_bwd(
-            cache, execute, model="serial", faults=None, retry=None,
-            sanitize=False, plan="default", impl=impl, op=op,
-        ):
-            return run_backward(
-                grad, spec, impl, case.ih, case.iw,
-                mask=mask_ref if op == "max" else None,
-                config=config, collect_trace=True,
-                execute=execute, cache=cache, model=model,
-                faults=faults, retry=retry, sanitize=sanitize,
-                plan=plan,
-            )
-
-        routes = _routes(run_bwd, models)
-        # Bit-exact against the golden model only while a single
-        # summation order exists; row-chunked accumulate-DMA regroups
-        # fp16 sums at chunk boundaries (README "Scope and fidelity").
-        # Route-vs-route agreement stays bit-exact regardless.
-        single_tile = len(routes["fresh"].tiles) == 1
-        prefix = f"{op}pool-bwd/{name}/{case.label}"
-        _check_routes(
-            report,
-            prefix,
-            routes,
-            bwd_max_ref if op == "max" else bwd_avg_ref,
-            exact=op == "max" and single_tile,
-        )
-        if chaos:
-            _check_chaos(report, prefix, run_bwd, routes, models, config)
-        if sanitize:
-            _check_sanitize(report, prefix, run_bwd, routes, models)
-        if jit:
-            _check_jit(report, prefix, run_bwd, routes, models)
-        if autotune and op not in tuned_bwd:
-            tuned_bwd.add(op)
-            from .plan import Workload
-
-            workload = Workload.of_impl(
-                "bwd", impl, spec, dtype_of(grad), case.n, grad.shape[1],
-                case.ih, case.iw,
-            )
-            _check_autotune(
-                report, prefix, run_bwd, routes, workload, config, models
-            )
+    checks = _operator_checks(routes)
+    for op in _operators(case.ih, case.iw, case.c, case.n, case.spec,
+                         case.seed, config, impls):
+        prefix = f"{op.name}/{case.label}"
+        runs = _routes(op.run, models)
+        _check_routes(report, prefix, op, runs)
+        for check in checks:
+            check(report, prefix, op, runs, models, config)
     return report
 
 
@@ -997,21 +844,19 @@ def _case_fails(
     config: ChipConfig,
     impls: Sequence[str] | None,
     models: Sequence[str] = DEFAULT_MODELS,
-    chaos: bool = False,
-    sanitize: bool = False,
-    jit: bool = False,
-    autotune: bool = False,
+    routes: Sequence[str] = (),
 ) -> bool:
-    """Whether differential validation of ``case`` records any failure
-    (geometry-invalid shrink candidates count as not failing)."""
+    """Whether differential validation of ``case`` records any failure.
+
+    A shrink candidate whose geometry cannot even be built (layout,
+    tiling or plan error) is not a *smaller* reproduction and counts as
+    not failing; any other exception is a genuine bug and propagates.
+    """
     try:
         return not check_case(
-            case, config, impls, models=models, chaos=chaos,
-            sanitize=sanitize, jit=jit, autotune=autotune,
+            case, config, impls, models=models, routes=routes
         ).all_passed
-    except Exception:
-        # A shrink candidate that cannot even be built is not a
-        # *smaller* reproduction of a numeric mismatch.
+    except (LayoutError, TilingError, PlanError):
         return False
 
 
@@ -1133,47 +978,29 @@ def fuzz(
     impls: Sequence[str] | None = None,
     progress: Callable[[str], None] | None = None,
     models: Sequence[str] = DEFAULT_MODELS,
-    chaos: bool = False,
-    sanitize: bool = False,
-    jit: bool = False,
-    autotune: bool = False,
+    routes: Sequence[str] = (),
 ) -> FuzzReport:
     """Differentially fuzz every registered implementation.
 
-    Generates ``cases`` seeded random geometries, runs each through the
-    execution routes (fresh / relocated / cached / cycles, plus the
-    pipelined scoreboard route when ``"pipelined"`` is in ``models``)
-    for every registered forward and backward implementation, and
-    shrinks any failure to a minimal reproducer.  ``impls`` optionally
-    restricts the sweep to the named implementations (forward and
-    backward names share one namespace).  ``chaos=True`` adds the
-    fault-injection route: each operator re-runs under a seeded
-    :class:`~repro.sim.FaultPlan` and must recover bit-identically.
-    ``sanitize=True`` adds the strict memory-checking route: each
-    operator re-runs per model under the sanitizer and must come back
-    clean, bit-identical and cycle-exact.  ``jit=True`` adds the
-    compiled-kernel route: each operator re-runs per model through
-    ``execute="jit"`` and must be bit-identical and cycle-exact, with
-    the warm cache serving the memoized kernel.  ``autotune=True`` adds
-    the cost-model route: per (op, direction) the autotuner searches
-    the workload and its winning plan re-runs numerically,
-    bit-identical to the default plan at the predicted cycle count.
+    Generates ``cases`` seeded random geometries, runs each through
+    :func:`check_case` (the base routes for ``models``, plus the
+    per-operator :data:`ROUTES` add-ons named in ``routes``) for every
+    registered forward and backward implementation, and shrinks any
+    failure to a minimal reproducer.  ``impls`` optionally restricts
+    the sweep to the named implementations (forward and backward names
+    share one namespace).
     """
     report = FuzzReport(seed=seed)
     for case in generate_cases(seed, cases):
         case_report = check_case(
-            case, config, impls, models=models, chaos=chaos,
-            sanitize=sanitize, jit=jit, autotune=autotune,
+            case, config, impls, models=models, routes=routes
         )
         report.cases += 1
         report.checks += len(case_report.checks)
         if not case_report.all_passed:
             shrunk = shrink_case(
                 case,
-                lambda cand: _case_fails(
-                    cand, config, impls, models, chaos, sanitize, jit,
-                    autotune,
-                ),
+                lambda cand: _case_fails(cand, config, impls, models, routes),
             )
             report.failures.append(
                 FuzzFailure(
@@ -1190,8 +1017,44 @@ def fuzz(
 
 
 # ---------------------------------------------------------------------------
-# Serve-chaos route: the service layer under a seeded fault storm.
+# Service storms: seeded request streams through a live PoolService.
 # ---------------------------------------------------------------------------
+
+def _storm_request(
+    rng: random.Random, seed: int, idx: int, models: Sequence[str]
+) -> tuple[dict, str]:
+    """The ``PoolRequest`` keywords and label of storm request ``idx``.
+
+    Geometries come from the operator fuzz's biased sampler (small
+    outputs and kernels); kinds cover all four operators (backward
+    masks derived from the golden model), timing models are drawn from
+    ``models`` so ``--model both`` mixes serial and pipelined requests
+    in one storm, and a slice of requests runs ``execute="jit"`` so
+    compiled kernels cross the service too.
+    """
+    ih, iw, c, n, spec = sample_pool_geometry(rng, max_out=4, max_kernel=3)
+    case_seed = seed * 100003 + idx
+    kind = rng.choice(
+        ("maxpool", "maxpool", "avgpool",
+         "maxpool_backward", "avgpool_backward")
+    )
+    model = rng.choice(tuple(models))
+    execute = rng.choice(("numeric", "numeric", "numeric", "jit"))
+    kw: dict = dict(kind=kind, spec=spec, tenant=f"tenant{idx % 4}",
+                    execute=execute, model=model)
+    x = make_input(ih, iw, c, n=n, seed=case_seed)
+    if kind in ("maxpool", "avgpool"):
+        kw.update(x=x, impl="im2col")
+        if kind == "maxpool" and rng.random() < 0.5:
+            kw["with_mask"] = True
+    else:
+        oh, ow = spec.with_image(ih, iw).out_hw()
+        grad = make_gradient(x.shape[1], oh, ow, n=n, seed=case_seed + 1)
+        kw.update(x=grad, impl="col2im", ih=ih, iw=iw)
+        if kind == "maxpool_backward":
+            kw["mask"] = maxpool_argmax_ref(x, spec)
+    return kw, f"{kind}/{model}/{execute}/{n}x{ih}x{iw}x{c}@{case_seed}"
+
 
 #: Fault profiles the serve-chaos storm cycles through.  ``clean`` is
 #: the control group; ``crash``/``stall``/``slow``/``drop`` each
@@ -1224,45 +1087,15 @@ def generate_serve_cases(
     count: int,
     models: Sequence[str] = DEFAULT_MODELS,
 ) -> list[ServeChaosCase]:
-    """``count`` seeded random service requests with cycled fault profiles.
-
-    Geometries come from the same biased sampler as the operator fuzz;
-    kinds cover all four operators (backward masks derived from the
-    golden model), timing models are drawn from ``models`` so
-    ``--model both`` mixes serial and pipelined requests in one storm,
-    and a slice of requests runs ``execute="jit"`` so compiled kernels
-    cross the fault machinery too.
-    """
+    """``count`` seeded storm requests (:func:`_storm_request`) with
+    cycled fault profiles (:data:`SERVE_CHAOS_PROFILES`)."""
     from .serve import PoolRequest
 
     rng = random.Random(zlib.crc32(b"serve-chaos") + seed)
     cases: list[ServeChaosCase] = []
     for idx in range(count):
         profile = SERVE_CHAOS_PROFILES[idx % len(SERVE_CHAOS_PROFILES)]
-        ih, iw, c, n, spec = sample_pool_geometry(
-            rng, max_out=4, max_kernel=3
-        )
-        case_seed = seed * 100003 + idx
-        kind = rng.choice(
-            ("maxpool", "maxpool", "avgpool",
-             "maxpool_backward", "avgpool_backward")
-        )
-        model = rng.choice(tuple(models))
-        execute = rng.choice(("numeric", "numeric", "numeric", "jit"))
-        kw: dict = dict(execute=execute, model=model)
-        if kind in ("maxpool", "avgpool"):
-            x = make_input(ih, iw, c, n=n, seed=case_seed)
-            kw.update(x=x, impl="im2col")
-            if kind == "maxpool" and rng.random() < 0.5:
-                kw["with_mask"] = True
-        else:
-            x = make_input(ih, iw, c, n=n, seed=case_seed)
-            oh, ow = spec.with_image(ih, iw).out_hw()
-            grad = make_gradient(x.shape[1], oh, ow, n=n,
-                                 seed=case_seed + 1)
-            kw.update(x=grad, impl="col2im", ih=ih, iw=iw)
-            if kind == "maxpool_backward":
-                kw["mask"] = maxpool_argmax_ref(x, spec)
+        kw, label = _storm_request(rng, seed, idx, models)
         if profile == "crash":
             kw["chaos_crash_attempts"] = (0,)
         elif profile == "stall":
@@ -1275,15 +1108,9 @@ def generate_serve_cases(
         elif profile == "deadline":
             kw["chaos_stall_attempts"] = tuple(range(8))
             kw["deadline_ms"] = _SERVE_DEADLINE_MS
-        request = PoolRequest(
-            kind=kind, spec=spec, tenant=f"tenant{idx % 4}", **kw
-        )
-        label = (
-            f"{profile}/{kind}/{model}/{execute}"
-            f"/{n}x{ih}x{iw}x{c}@{case_seed}"
-        )
         cases.append(ServeChaosCase(
-            profile=profile, request=request, label=label,
+            profile=profile, request=PoolRequest(**kw),
+            label=f"{profile}/{label}",
         ))
     return cases
 
@@ -1309,7 +1136,7 @@ def serve_chaos(
     config: ChipConfig = FUZZ_CHIP,
     progress: Callable[[str], None] | None = None,
 ) -> ValidationReport:
-    """The tenth route: drive a seeded fault storm through the service.
+    """The serve-chaos route: drive a seeded fault storm through the service.
 
     Builds one :class:`~repro.serve.PoolService` (stall watchdog +
     hedging enabled, generous retry budget so every recoverable fault
@@ -1421,21 +1248,10 @@ def serve_chaos(
                 )
             continue
         if exc is not None:
-            report.add(
-                f"{case.label}/completed", False,
-                f"{type(exc).__name__}: {exc}",
-            )
+            report.add(f"{case.label}/completed", False, _raised(exc))
             continue
         direct = oracles[idx]
-        ok = (
-            (res.output is None) == (direct.output is None)
-            and (res.output is None
-                 or np.array_equal(res.output, direct.output))
-            and (res.mask is None) == (direct.mask is None)
-            and (res.mask is None
-                 or np.array_equal(res.mask, direct.mask))
-            and res.cycles == direct.cycles
-        )
+        ok = _same_result(res, direct) and res.cycles == direct.cycles
         report.add(
             f"{case.label}/byte-identical", ok,
             "" if ok else _diff_detail(res.output, direct.output),
@@ -1505,10 +1321,6 @@ def serve_chaos(
     return report
 
 
-# ---------------------------------------------------------------------------
-# Integrity route: silent-data-corruption storms through the service.
-# ---------------------------------------------------------------------------
-
 #: Quarantine threshold of the integrity storms: a slot producing this
 #: many corrupt replies is benched, so the checks below can pin down
 #: exactly when the corrupt worker must stop serving traffic.
@@ -1520,63 +1332,21 @@ def generate_integrity_cases(
     count: int,
     models: Sequence[str] = DEFAULT_MODELS,
 ) -> list[tuple["object", str]]:
-    """``count`` seeded *clean* requests for the integrity storms.
+    """``count`` seeded *clean* storm requests (:func:`_storm_request`)
+    with their labels.
 
-    Same biased geometry sampler and kind/model/execute mix as the
-    serve-chaos storm, but no fault profiles: each storm below applies
-    its own corruption hook to copies of these requests, so the clean
-    originals double as the in-process byte-identity oracles.
+    Each integrity storm applies its own corruption hook to copies of
+    these requests, so the clean originals double as the in-process
+    byte-identity oracles.
     """
     from .serve import PoolRequest
 
     rng = random.Random(zlib.crc32(b"integrity") + seed)
     cases: list[tuple[object, str]] = []
     for idx in range(count):
-        ih, iw, c, n, spec = sample_pool_geometry(
-            rng, max_out=4, max_kernel=3
-        )
-        case_seed = seed * 100003 + idx
-        kind = rng.choice(
-            ("maxpool", "maxpool", "avgpool",
-             "maxpool_backward", "avgpool_backward")
-        )
-        model = rng.choice(tuple(models))
-        execute = rng.choice(("numeric", "numeric", "numeric", "jit"))
-        kw: dict = dict(execute=execute, model=model)
-        if kind in ("maxpool", "avgpool"):
-            x = make_input(ih, iw, c, n=n, seed=case_seed)
-            kw.update(x=x, impl="im2col")
-            if kind == "maxpool" and rng.random() < 0.5:
-                kw["with_mask"] = True
-        else:
-            x = make_input(ih, iw, c, n=n, seed=case_seed)
-            oh, ow = spec.with_image(ih, iw).out_hw()
-            grad = make_gradient(x.shape[1], oh, ow, n=n,
-                                 seed=case_seed + 1)
-            kw.update(x=grad, impl="col2im", ih=ih, iw=iw)
-            if kind == "maxpool_backward":
-                kw["mask"] = maxpool_argmax_ref(x, spec)
-        request = PoolRequest(
-            kind=kind, spec=spec, tenant=f"tenant{idx % 4}", **kw
-        )
-        label = f"{kind}/{model}/{execute}/{n}x{ih}x{iw}x{c}@{case_seed}"
-        cases.append((request, label))
+        kw, label = _storm_request(rng, seed, idx, models)
+        cases.append((PoolRequest(**kw), label))
     return cases
-
-
-def _result_bytes(res) -> bytes:
-    """The byte-exact identity of a result (output + mask + cycles).
-
-    ``tobytes`` rather than ``array_equal`` on purpose: a flipped sign
-    bit on a 0.0 compares *numerically* equal (-0.0 == 0.0) but is
-    still corruption, and the fingerprint rightly treats it as such.
-    """
-    parts = []
-    for arr in (res.output, res.mask):
-        parts.append(b"\x00" if arr is None else
-                     b"\x01" + np.ascontiguousarray(arr).tobytes())
-    parts.append(str(int(res.cycles)).encode("ascii"))
-    return b"|".join(parts)
 
 
 def integrity_storm(
@@ -1587,7 +1357,7 @@ def integrity_storm(
     config: ChipConfig = FUZZ_CHIP,
     progress: Callable[[str], None] | None = None,
 ) -> ValidationReport:
-    """The eleventh route: silent-corruption storms through the service.
+    """The integrity route: silent-corruption storms through the service.
 
     Four scenarios over one seeded case set, each against a live
     :class:`~repro.serve.PoolService` with integrity checking on:
@@ -1628,9 +1398,13 @@ def integrity_storm(
 
     report = ValidationReport()
     storm = generate_integrity_cases(seed, cases, models)
-    oracles = [
-        _result_bytes(execute_request(req, config)) for req, _ in storm
-    ]
+    oracles = [execute_request(req, config) for req, _ in storm]
+
+    def identical(idx, res):
+        return (
+            _same_result(res, oracles[idx])
+            and res.cycles == oracles[idx].cycles
+        )
 
     retry = RetryPolicy(
         max_attempts=8, quarantine_after=_INTEGRITY_QUARANTINE_AFTER
@@ -1671,6 +1445,17 @@ def integrity_storm(
         finally:
             await svc.close(drain=False)
 
+    def served(prefix, outcomes):
+        """``(idx, label, response)`` of every completed submission;
+        each failed one is recorded as a failing check."""
+        for idx, res, exc in outcomes:
+            label = storm[idx][1]
+            if exc is not None:
+                report.add(f"{prefix}/{label}/completed", False,
+                           _raised(exc))
+            else:
+                yield idx, label, res
+
     def check_ledger(prefix, outcomes, stats, residue):
         report.add(
             f"{prefix}/every-submission-resolved",
@@ -1688,21 +1473,17 @@ def integrity_storm(
             f"pending={residue['requests']} "
             f"dispatched={residue['dispatched']}",
         )
+        if progress is not None:
+            progress(f"{prefix} storm checked")
 
     # -- scenario 1: clean storm (false-positive control) ---------------
     outcomes, stats, errors, residue = asyncio.run(
         drive(IntegrityConfig(audit_rate=1.0, seed=seed))
     )
-    for idx, res, exc in outcomes:
-        label = storm[idx][1]
-        if exc is not None:
-            report.add(f"clean/{label}/completed", False,
-                       f"{type(exc).__name__}: {exc}")
-            continue
+    for idx, label, res in served("clean", outcomes):
         report.add(
             f"clean/{label}/byte-identical",
-            _result_bytes(res) == oracles[idx]
-            and res.fingerprint_ok is True,
+            identical(idx, res) and res.fingerprint_ok is True,
             f"fingerprint_ok={res.fingerprint_ok}",
         )
     report.add(
@@ -1719,24 +1500,16 @@ def integrity_storm(
         f"audits_run={stats.audits_run}",
     )
     check_ledger("clean", outcomes, stats, residue)
-    if progress is not None:
-        progress("clean storm checked")
 
     # -- scenario 2: transit corruption (fingerprint catches it) --------
     outcomes, stats, errors, residue = asyncio.run(
         drive(IntegrityConfig(), chaos_field="chaos_corrupt_payload")
     )
     served_by_corrupt = 0
-    for idx, res, exc in outcomes:
-        label = storm[idx][1]
-        if exc is not None:
-            report.add(f"payload/{label}/completed", False,
-                       f"{type(exc).__name__}: {exc}")
-            continue
+    for idx, label, res in served("payload", outcomes):
         served_by_corrupt += res.worker == 0
         report.add(
-            f"payload/{label}/byte-identical",
-            _result_bytes(res) == oracles[idx],
+            f"payload/{label}/byte-identical", identical(idx, res),
             f"served by worker {res.worker}",
         )
     report.add(
@@ -1756,8 +1529,6 @@ def integrity_storm(
         f"counted={stats.corrupt_workers_quarantined}",
     )
     check_ledger("payload", outcomes, stats, residue)
-    if progress is not None:
-        progress("payload storm checked")
 
     # -- scenario 3: corrupt core (audits + tie-break catch it) ---------
     outcomes, stats, errors, residue = asyncio.run(
@@ -1765,12 +1536,7 @@ def integrity_storm(
               chaos_field="chaos_corrupt_output")
     )
     served_by_corrupt = 0
-    for idx, res, exc in outcomes:
-        label = storm[idx][1]
-        if exc is not None:
-            report.add(f"output/{label}/completed", False,
-                       f"{type(exc).__name__}: {exc}")
-            continue
+    for idx, label, res in served("output", outcomes):
         report.add(
             f"output/{label}/audited", res.audited,
             "audit_rate=1.0 must sample everything",
@@ -1779,13 +1545,12 @@ def integrity_storm(
             served_by_corrupt += 1
             report.add(
                 f"output/{label}/corruption-served-corrupt",
-                _result_bytes(res) != oracles[idx],
+                not identical(idx, res),
                 "corrupt worker served oracle-identical bytes",
             )
         else:
             report.add(
-                f"output/{label}/byte-identical",
-                _result_bytes(res) == oracles[idx],
+                f"output/{label}/byte-identical", identical(idx, res),
                 f"served by worker {res.worker}",
             )
     # Sequential submission + lowest-slot ties: the corrupt worker
@@ -1817,26 +1582,28 @@ def integrity_storm(
         f"quarantined={stats.quarantined}",
     )
     check_ledger("output", outcomes, stats, residue)
-    if progress is not None:
-        progress("output storm checked")
 
     # -- scenario 4: known-answer probes --------------------------------
-    async def kat_quiet():
+    async def kat(workers, corrupt, done, polls):
         svc = PoolService(
-            workers=2, config=config, retry=retry,
-            integrity=IntegrityConfig(kat_interval_ms=40.0),
+            workers=workers, config=config, retry=retry,
+            integrity=IntegrityConfig(
+                kat_interval_ms=40.0, kat_chaos_corrupt_output=corrupt
+            ),
         )
         await svc.start()
         try:
-            for _ in range(40):
+            for _ in range(polls):
                 await asyncio.sleep(0.05)
-                if svc.stats.kat_probes >= 3:
+                if done(svc):
                     break
             return svc.stats, list(svc.integrity_errors)
         finally:
             await svc.close(drain=False)
 
-    stats, errors = asyncio.run(kat_quiet())
+    stats, errors = asyncio.run(
+        kat(2, (), lambda svc: svc.stats.kat_probes >= 3, 40)
+    )
     report.add(
         "kat/quiet-fleet-probed", stats.kat_probes >= 3,
         f"kat_probes={stats.kat_probes}",
@@ -1847,24 +1614,10 @@ def integrity_storm(
         f"errors={len(errors)} quarantined={stats.quarantined}",
     )
 
-    async def kat_corrupt():
-        svc = PoolService(
-            workers=3, config=config, retry=retry,
-            integrity=IntegrityConfig(
-                kat_interval_ms=40.0, kat_chaos_corrupt_output=(1,)
-            ),
-        )
-        await svc.start()
-        try:
-            for _ in range(200):
-                await asyncio.sleep(0.05)
-                if any(e.slot == 1 for e in svc.integrity_errors):
-                    break
-            return svc.stats, list(svc.integrity_errors)
-        finally:
-            await svc.close(drain=False)
-
-    stats, errors = asyncio.run(kat_corrupt())
+    stats, errors = asyncio.run(kat(
+        3, (1,), lambda svc: any(e.slot == 1 for e in svc.integrity_errors),
+        200,
+    ))
     report.add(
         "kat/corrupt-core-convicted-between-requests",
         any(isinstance(e, IntegrityError) and e.slot == 1
@@ -1883,6 +1636,79 @@ def integrity_storm(
     if progress is not None:
         progress("kat scenarios checked")
     return report
+
+
+# ---------------------------------------------------------------------------
+# Route registry.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Route:
+    """One opt-in validation route: a :data:`ROUTES` entry.
+
+    A per-operator add-on's ``check`` runs after the base routes of
+    every fuzzed operator as ``check(report, prefix, op, runs, models,
+    config)``.  A ``standalone`` route is a service storm called as
+    ``check(seed=, cases=, models=, progress=)``; it returns its own
+    :class:`ValidationReport` and replaces the grid and the operator
+    fuzz.  ``help`` is the ``--<name>`` CLI help.
+    """
+
+    check: Callable[..., object]
+    help: str
+    standalone: bool = False
+
+
+#: Every opt-in route by name -- the one place a route is added.  The
+#: CLI flag is ``--<name>``; the ``--json`` payload carries a boolean
+#: under :func:`route_key` (and a standalone route's report under
+#: ``<key>_report``).  Registry order is check order.
+ROUTES: dict[str, Route] = {
+    "chaos": Route(
+        _check_chaos,
+        "re-run every fuzzed operator under a seeded FaultPlan through "
+        "the resilient dispatcher; recovered outputs must be "
+        "bit-identical to the fault-free run",
+    ),
+    "sanitize": Route(
+        _check_sanitize,
+        "re-run every fuzzed operator per timing model under the "
+        "ISA-level memory sanitizer; clean, bit-identical, cycle-exact",
+    ),
+    "jit": Route(
+        _check_jit,
+        "re-run every fuzzed operator per timing model through the "
+        "NumPy JIT (execute='jit'); bit-identical, cycle-exact, and "
+        "served from the warm program cache",
+    ),
+    "autotune": Route(
+        _check_autotune,
+        "autotune each fuzzed workload (first variant per op and "
+        "direction) and re-run the winning plan numerically; "
+        "bit-identical at exactly the predicted cycles, never costlier "
+        "than the default plan",
+    ),
+    "serve-chaos": Route(
+        serve_chaos,
+        "run ONLY a seeded fault storm of --cases requests through a "
+        "PoolService with watchdog and hedging (skips the grid and the "
+        "operator fuzz)",
+        standalone=True,
+    ),
+    "integrity": Route(
+        integrity_storm,
+        "run ONLY seeded silent-data-corruption storms through a "
+        "PoolService with IntegrityConfig active (skips the grid and "
+        "the operator fuzz)",
+        standalone=True,
+    ),
+}
+
+
+def route_key(name: str) -> str:
+    """The identifier form of a route name (``serve-chaos`` ->
+    ``serve_chaos``): its argparse dest and ``--json`` payload key."""
+    return name.replace("-", "_")
 
 
 # ---------------------------------------------------------------------------
@@ -1931,63 +1757,9 @@ def main(argv: list[str] | None = None) -> int:
         "--skip-grid", action="store_true",
         help="skip the fixed-grid golden-model sweep",
     )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="add the fault-injection route: run every fuzzed geometry "
-        "under a seeded FaultPlan through the resilient dispatcher and "
-        "assert recovered outputs are bit-identical to the fault-free "
-        "run (unrecoverable cases fail with a shrunk reproducer)",
-    )
-    parser.add_argument(
-        "--sanitize", action="store_true",
-        help="add the strict memory-checking route: re-run every fuzzed "
-        "geometry per timing model under the ISA-level sanitizer "
-        "(poison-on-reset, operand bounds/init checks against the "
-        "allocation manifest, shadow-diffed execute() side effects, "
-        "pipelined race audit) and assert the run is clean, "
-        "bit-identical to the unsanitized run and cycle-exact",
-    )
-    parser.add_argument(
-        "--jit", action="store_true",
-        help="add the compiled-kernel route: re-run every fuzzed "
-        "geometry per timing model through the NumPy JIT "
-        "(execute='jit') and assert outputs and masks are "
-        "bit-identical to the interpreter, cycle counts are "
-        "unchanged, and the warm program cache serves the memoized "
-        "kernel",
-    )
-    parser.add_argument(
-        "--autotune", action="store_true",
-        help="add the cost-model route: per sampled geometry run the "
-        "plan autotuner (coarse chunk grid, first variant per op and "
-        "direction), re-execute the winning plan numerically, and "
-        "assert it is bit-identical to the default plan, costs no "
-        "more than the default-plan baseline, and lands exactly on "
-        "the search's cycles-mode prediction",
-    )
-    parser.add_argument(
-        "--serve-chaos", action="store_true",
-        help="run ONLY the serve-layer chaos route: submit --cases "
-        "seeded requests with cycled fault profiles (clean / crash / "
-        "stall / slow / drop / deadline) through a PoolService with "
-        "the stall watchdog and hedging enabled, and assert recovered "
-        "responses are byte-identical to in-process execution, "
-        "deadline misses raise punctual structured DeadlineErrors, "
-        "and the exactly-once ledger closes with no residue "
-        "(skips the grid and the operator fuzz)",
-    )
-    parser.add_argument(
-        "--integrity", action="store_true",
-        help="run ONLY the integrity route: drive seeded "
-        "silent-data-corruption storms (clean control / post-"
-        "fingerprint payload corruption / pre-fingerprint corrupt "
-        "core / known-answer probes) through a PoolService with "
-        "IntegrityConfig active, and assert zero false positives on "
-        "clean traffic, every injected corruption detected, the "
-        "corrupt slot convicted and quarantined, and surviving "
-        "responses byte-identical to in-process execution "
-        "(skips the grid and the operator fuzz)",
-    )
+    for name, route in ROUTES.items():
+        parser.add_argument(f"--{name}", action="store_true",
+                            help=route.help)
     parser.add_argument(
         "--model", choices=("serial", "pipelined", "both"),
         default="both",
@@ -2014,65 +1786,39 @@ def main(argv: list[str] | None = None) -> int:
     models: tuple[str, ...] = (
         ("serial",) if args.model == "serial" else DEFAULT_MODELS
     )
+    selected = [name for name in ROUTES if getattr(args, route_key(name))]
+    storms = [name for name in selected if ROUTES[name].standalone]
     print(render_config(FUZZ_CHIP))
-    payload: dict = {
-        "models": list(models),
-        "chaos": args.chaos,
-        "sanitize": args.sanitize,
-        "jit": args.jit,
-        "autotune": args.autotune,
-        "serve_chaos": args.serve_chaos,
-        "integrity": args.integrity,
-    }
+    payload: dict = {"models": list(models)}
+    payload.update((route_key(name), name in selected) for name in ROUTES)
     failed = False
 
-    if args.integrity:
-        integrity_report = integrity_storm(
-            seed=args.seed,
-            cases=args.cases or 50,
-            models=models,
-            progress=lambda msg: print(f"  {msg}", flush=True),
-        )
-        print("integrity:", integrity_report.render(only_failures=True))
-        payload["integrity_report"] = integrity_report.to_dict()
-        failed |= not integrity_report.all_passed
-        if args.json:
-            path = write_json(payload, args.json)
-            print(f"wrote {path}")
-        return 1 if failed else 0
+    def progress(msg: str) -> None:
+        print(f"  {msg}", flush=True)
 
-    if args.serve_chaos:
-        serve_report = serve_chaos(
-            seed=args.seed,
-            cases=args.cases or 50,
-            models=models,
-            progress=lambda msg: print(f"  {msg}", flush=True),
+    for name in storms:
+        storm_report = ROUTES[name].check(
+            seed=args.seed, cases=args.cases or 50, models=models,
+            progress=progress,
         )
-        print("serve-chaos:", serve_report.render(only_failures=True))
-        payload["serve_chaos_report"] = serve_report.to_dict()
-        failed |= not serve_report.all_passed
-        if args.json:
-            path = write_json(payload, args.json)
-            print(f"wrote {path}")
-        return 1 if failed else 0
+        print(f"{name}:", storm_report.render(only_failures=True))
+        payload[f"{route_key(name)}_report"] = storm_report.to_dict()
+        failed |= not storm_report.all_passed
 
-    if not args.skip_grid:
+    if not storms and not args.skip_grid:
         grid_report = validate_all(models=models)
         print("grid:", grid_report.render(only_failures=True))
         payload["grid"] = grid_report.to_dict()
         failed |= not grid_report.all_passed
 
-    if args.cases:
+    if not storms and args.cases:
         fuzz_report = fuzz(
             seed=args.seed,
             cases=args.cases,
             impls=args.impl,
-            progress=lambda msg: print(f"  {msg}", flush=True),
+            progress=progress,
             models=models,
-            chaos=args.chaos,
-            sanitize=args.sanitize,
-            jit=args.jit,
-            autotune=args.autotune,
+            routes=selected,
         )
         print(fuzz_report.render())
         payload["fuzz"] = fuzz_report.to_dict()

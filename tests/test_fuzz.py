@@ -113,7 +113,7 @@ class TestDifferentialHarness:
         # exactly the predicted cycle count.
         case = FuzzCase(ih=6, iw=6, c=16, n=1,
                         spec=PoolSpec.square(2, 2), seed=0)
-        report = check_case(case, autotune=True)
+        report = check_case(case, routes=("autotune",))
         assert report.all_passed, report.render()
         names = [c.name for c in report.checks]
         for check in ("output-vs-default", "cycles-as-predicted",
@@ -223,7 +223,7 @@ class TestChaosRoute:
                     spec=PoolSpec.square(3, 1), seed=0)
 
     def test_chaos_checks_recorded_and_pass(self):
-        report = check_case(self.CASE, impls=("im2col",), chaos=True)
+        report = check_case(self.CASE, impls=("im2col",), routes=("chaos",))
         assert report.all_passed, report.render(only_failures=True)
         names = [c.name for c in report.checks]
         assert any("chaos-serial" in n for n in names)
@@ -271,11 +271,11 @@ class TestChaosRoute:
 
     def test_fuzz_chaos_fixed_seed(self):
         report = fuzz(seed=0, cases=2, impls=("im2col", "col2im"),
-                      chaos=True)
+                      routes=("chaos",))
         assert report.all_passed, report.render()
         # two identical invocations agree check-for-check
         again = fuzz(seed=0, cases=2, impls=("im2col", "col2im"),
-                     chaos=True)
+                     routes=("chaos",))
         assert report.checks == again.checks
         assert report.cases == again.cases
 
@@ -291,7 +291,7 @@ class TestChaosRoute:
         monkeypatch.setattr(
             V.FaultPlan, "generate", staticmethod(hostile)
         )
-        report = check_case(self.CASE, impls=("im2col",), chaos=True,
+        report = check_case(self.CASE, impls=("im2col",), routes=("chaos",),
                             models=("serial",))
         assert not report.all_passed
         assert any(
@@ -373,3 +373,121 @@ class TestFuzzChip:
         res = run_forward(x, case.spec, forward_impl("im2col", "max"),
                           FUZZ_CHIP, collect_trace=False, cache=None)
         assert len(res.tiles) > 1
+
+
+class TestRouteRegistry:
+    """Adding a route is one ``ROUTES`` entry: the CLI flags, the JSON
+    payload keys and the per-operator checks all derive from it."""
+
+    CASE = FuzzCase(ih=5, iw=5, c=16, n=1,
+                    spec=PoolSpec.square(2, 2), seed=0)
+
+    def test_no_per_route_parameters(self):
+        import inspect
+
+        for fn in (check_case, fuzz, V._case_fails):
+            params = set(inspect.signature(fn).parameters)
+            assert "routes" in params
+            assert not params & {"chaos", "sanitize", "jit", "autotune"}
+
+    def test_cli_flags_and_payload_keys_follow_routes(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        calls = []
+
+        def storm(seed, cases, models, progress):
+            calls.append((seed, cases, tuple(models)))
+            report = V.ValidationReport()
+            report.add("probe/ok", True)
+            return report
+
+        monkeypatch.setitem(
+            V.ROUTES, "probe-storm", V.Route(storm, "test", standalone=True)
+        )
+        path = tmp_path / "probe.json"
+        assert main(["--probe-storm", "--cases", "3", "--model", "serial",
+                     "--json", str(path)]) == 0
+        assert calls == [(0, 3, ("serial",))]
+        payload = json.loads(path.read_text())
+        route_keys = [V.route_key(name) for name in V.ROUTES]
+        assert list(payload)[1:len(route_keys) + 1] == route_keys
+        assert payload["probe_storm"] is True
+        assert not any(payload[k] for k in route_keys if k != "probe_storm")
+        assert payload["probe_storm_report"]["passed"] is True
+        assert "fuzz" not in payload and "grid" not in payload
+
+    def test_operator_route_runs_per_operator(self, monkeypatch):
+        seen = []
+
+        def check(report, prefix, op, runs, models, config):
+            seen.append(prefix)
+            report.add(f"{prefix}/probe", "fresh" in runs)
+
+        monkeypatch.setitem(V.ROUTES, "probe", V.Route(check, "test"))
+        report = check_case(self.CASE, impls=("im2col",),
+                            routes=("probe",))
+        assert report.all_passed, report.render(only_failures=True)
+        assert seen and all("im2col" in p or "col2im" in p for p in seen)
+        assert len(seen) == len([c for c in report.checks
+                                 if c.name.endswith("/probe")])
+
+    @pytest.mark.parametrize("route", ["nope", "serve-chaos"])
+    def test_unknown_or_standalone_route_rejected(self, route):
+        with pytest.raises(ValueError, match="per-operator route"):
+            check_case(self.CASE, routes=(route,))
+
+
+class TestCaseFails:
+    CASE = FuzzCase(ih=5, iw=5, c=16, n=1,
+                    spec=PoolSpec.square(2, 2), seed=0)
+
+    def test_genuine_bug_propagates(self, monkeypatch):
+        """A shrink candidate that crashes with a real bug is not
+        silently scored "not failing"."""
+        def boom(*args, **kwargs):
+            raise RuntimeError("genuine bug")
+
+        monkeypatch.setattr(V, "check_case", boom)
+        with pytest.raises(RuntimeError, match="genuine bug"):
+            V._case_fails(self.CASE, FUZZ_CHIP, None)
+
+    @pytest.mark.parametrize("exc", ["LayoutError", "TilingError",
+                                     "PlanError"])
+    def test_geometry_errors_count_as_not_failing(self, monkeypatch, exc):
+        import repro.errors as E
+
+        def unbuildable(*args, **kwargs):
+            raise getattr(E, exc)("candidate cannot be built")
+
+        monkeypatch.setattr(V, "check_case", unbuildable)
+        assert V._case_fails(self.CASE, FUZZ_CHIP, None) is False
+
+
+class TestSameResult:
+    @staticmethod
+    def result(output, mask=None):
+        from types import SimpleNamespace
+
+        return SimpleNamespace(output=output, mask=mask)
+
+    def test_signed_zero_differs(self):
+        pos = np.zeros(4, dtype=np.float16)
+        neg = pos.copy()
+        neg[2] = -0.0
+        assert np.array_equal(pos, neg)
+        assert not V._same_result(self.result(pos), self.result(neg))
+
+    def test_identical_results_equal(self):
+        out = np.arange(6, dtype=np.float16).reshape(2, 3)
+        mask = np.ones((2, 3), dtype=np.uint16)
+        assert V._same_result(self.result(out, mask),
+                              self.result(out.copy(), mask.copy()))
+
+    def test_presence_shape_and_dtype_count(self):
+        out = np.zeros(4, dtype=np.float16)
+        assert not V._same_result(self.result(out),
+                                  self.result(out, np.zeros(4)))
+        assert not V._same_result(self.result(out),
+                                  self.result(out.reshape(2, 2)))
+        assert not V._same_result(self.result(out),
+                                  self.result(out.view(np.uint16)))

@@ -43,7 +43,7 @@ from .fingerprint import (
     fingerprint_result,
 )
 from .memory import GlobalMemory
-from .modes import EXECUTE_MODES, check_execute, check_modes
+from .modes import EXECUTE_MODES, check_execute
 from .scheduler import (
     MODELS,
     PIPELINED,
@@ -92,7 +92,6 @@ __all__ = [
     "ChipRunResult",
     "EXECUTE_MODES",
     "check_execute",
-    "check_modes",
     "ExecutionModel",
     "SerialModel",
     "PipelinedModel",

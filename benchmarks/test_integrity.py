@@ -93,7 +93,7 @@ async def _burst(requests, integrity: IntegrityConfig) -> dict:
         # Drain outstanding audit / tie-break probes before reading
         # the counters (probes resolve or hit probe_timeout_ms).
         for _ in range(200):
-            if not svc._dispatched and not svc._requests:
+            if svc.backlog() == (0, 0):
                 break
             await asyncio.sleep(0.02)
         wall = time.perf_counter() - t0

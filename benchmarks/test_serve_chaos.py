@@ -227,7 +227,7 @@ async def _integrity_scenario() -> dict:
     ) as svc:
         responses = [await svc.submit(r) for r in reqs]
         for _ in range(200):
-            if not svc._dispatched and not svc._requests:
+            if svc.backlog() == (0, 0):
                 break
             await asyncio.sleep(0.02)
         stats = svc.stats

@@ -54,6 +54,16 @@ handing completions back to the event loop via
 resilience features or deadlines are in play) scans in-flight ages on
 the event loop.  All service state is touched only on the event-loop
 thread, on one injectable monotonic clock.
+
+Every dispatch is one *attempt* with one lifecycle: queued ->
+dispatched -> {ok, corrupt, err, died, expired, shed, closed} ->
+resolved.  A dispatched attempt (a *leg*) lives in one ledger keyed by
+``(request, attempt)`` until its reply or its worker's death pops it,
+and each outcome goes through one settle step that decides, for user
+requests and integrity probes alike, whether to wait for another leg,
+requeue, or resolve.  Hedges, audits, tie-breaks and known-answer
+probes are placement policies that emit attempts; they add no
+outcome paths.
 """
 
 from __future__ import annotations
@@ -63,9 +73,11 @@ import itertools
 import multiprocessing
 import threading
 import time
+from collections import defaultdict
+from functools import partial
 from multiprocessing import connection as mp_connection
-from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Any, Hashable
+from dataclasses import dataclass, field, fields, replace as _dc_replace
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -101,13 +113,17 @@ from .resilience import (
 )
 from .tenancy import FairQueue, TenantQuota
 from .workers import (
-    CRASH_EXIT_CODE,
     MSG_CRASH,
     MSG_RUN,
     MSG_STATS,
     WorkerHandle,
     spawn_worker,
 )
+
+#: The leg outcomes a request may survive, and whether a *user* request
+#: retries each one (probes retry all three).  Every other outcome --
+#: ``ok``, ``expired``, ``shed``, ``closed`` -- resolves its request.
+_LEG_FAILURES = {"corrupt": True, "died": True, "err": False}
 
 
 @dataclass
@@ -144,47 +160,35 @@ class ServeStats:
     fingerprint_failures: int = 0
 
     def to_dict(self) -> dict:
-        d = {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected_queue_full": self.rejected_queue_full,
-            "rejected_quota": self.rejected_quota,
-            "rejected_circuit": self.rejected_circuit,
-            "retries": self.retries,
-            "worker_failures": self.worker_failures,
-            "respawns": self.respawns,
-            "forced_respawns": self.forced_respawns,
-            "quarantined": list(self.quarantined),
-            "deadline_misses": self.deadline_misses,
-            "stalls_detected": self.stalls_detected,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "breaker_opens": self.breaker_opens,
-            "shed": self.shed,
-            "degraded": self.degraded,
-        }
-        if self.integrity_enabled:
-            d.update({
-                "audits_run": self.audits_run,
-                "audit_mismatches": self.audit_mismatches,
-                "kat_probes": self.kat_probes,
-                "corrupt_workers_quarantined":
-                    self.corrupt_workers_quarantined,
-                "fingerprint_failures": self.fingerprint_failures,
-            })
+        """The counters in field order (tuples as lists); the fields
+        after ``integrity_enabled`` only when it is set."""
+        d: dict = {}
+        for f in fields(self):
+            if f.name == "integrity_enabled":
+                if not self.integrity_enabled:
+                    break
+                continue
+            value = getattr(self, f.name)
+            d[f.name] = list(value) if isinstance(value, tuple) else value
         return d
 
 
 @dataclass
 class _Pending:
-    """One admitted request's mutable service-side state.
+    """One admitted request: a user request or an integrity probe.
 
-    ``outstanding`` maps attempt number -> worker slot for every
-    dispatch whose reply is still awaited (two entries while a hedge
-    is in flight); ``dispatches`` counts every dispatch ever made
-    (what :attr:`PoolResponse.attempts` reports) while ``failures``
-    counts only crashed/errored legs (what the retry budget bounds).
+    ``dispatches`` counts every attempt ever launched (attempt numbers
+    run ``0..dispatches-1``; it is what :attr:`PoolResponse.attempts`
+    reports) while ``failures`` counts the failed legs the retry budget
+    bounds.  The legs still out live only in the service's attempt
+    ledger.  ``hedge_attempt`` is the attempt number of the request's
+    one hedge leg, if it was hedged.
+
+    A probe (audit leg, tie-break, known-answer probe) carries a
+    ``verdict(slot, fingerprint)`` callback, run on its verified reply,
+    and the ``exclude`` slots it must not run on.  Probes take no
+    coalescing affinity, are excluded from user-facing stats, and
+    resolve their futures with ``None``, never an exception.
     """
 
     request: PoolRequest
@@ -194,34 +198,23 @@ class _Pending:
     deadline: float | None = None  # absolute, on the service clock
     coalesced: bool = False
     degraded: tuple[str, ...] = ()
-    next_attempt: int = 0
     dispatches: int = 0
     failures: int = 0
-    hedged: bool = False
-    outstanding: dict[int, int] = field(default_factory=dict)
-    hedge_attempts: set[int] = field(default_factory=set)
+    hedge_attempt: int | None = None
     errors: list[str] = field(default_factory=list)
-    #: Service-internal executions (integrity probes): ``""`` for user
-    #: requests, else ``"audit"``/``"tiebreak"``/``"kat"``.  Internal
-    #: pendings resolve their futures with ``None`` (never exceptions),
-    #: are excluded from user-facing stats, and their placement honors
-    #: ``exclude`` instead of coalescing affinity.
-    internal: str = ""
+    verdict: Callable[[int, int], None] | None = None
     exclude: tuple[int, ...] = ()
-    #: Probe context: the :class:`AuditRecord` for audit/tie-break
-    #: legs, the KAT geometry index for known-answer probes.
-    meta: Any = None
 
 
 @dataclass
-class _Dispatch:
-    """One in-flight dispatch: where it went and when it left.
+class _Attempt:
+    """One dispatched leg: where it went and when it left.
 
-    Keyed by ``(req_id, attempt)`` in ``PoolService._dispatched``,
-    this is the exactly-once ledger: *any* reply (winner, hedge loser,
-    post-deadline straggler) pops its record and releases exactly one
-    window slot on exactly the generation it was charged to, and the
-    stall watchdog reads ``at`` to age in-flight work.
+    Keyed by ``(req_id, attempt)`` in ``PoolService._ledger``, this is
+    the exactly-once record: *any* reply (winner, hedge loser,
+    post-deadline straggler) or its worker's death pops it and releases
+    exactly one window slot on the generation it was charged to, and
+    the stall watchdog reads ``at`` to age in-flight work.
     """
 
     slot: int
@@ -345,7 +338,7 @@ class PoolService:
 
         self._handles: list[WorkerHandle] = []
         self._requests: dict[int, _Pending] = {}
-        self._dispatched: dict[tuple[int, int], _Dispatch] = {}
+        self._ledger: dict[tuple[int, int], _Attempt] = {}
         self._queue: FairQueue[int] = FairQueue()
         self._tenant_pending: dict[str, int] = {}
         self._ids = itertools.count()
@@ -421,14 +414,12 @@ class PoolService:
                     break
                 await asyncio.gather(*futures, return_exceptions=True)
         else:
-            for p in list(self._requests.values()):
-                if not p.future.done():
-                    p.future.set_exception(
-                        ServeError("service closed before completion")
-                    )
-            self._requests.clear()
-            self._tenant_pending.clear()
-            self._dispatched.clear()
+            for req_id in list(self._requests):
+                self._settle(req_id, "closed", lambda rid, p: ServeError(
+                    "service closed before completion"
+                ))
+            for key in list(self._ledger):
+                self._land(key)
         self._closed = True
         for task in (self._dispatcher, self._watchdog):
             if task is not None:
@@ -446,13 +437,13 @@ class PoolService:
             if h.alive and h.process.is_alive():
                 try:
                     h.send(None)
-                except Exception:
-                    pass
+                except (ServeError, OSError, ValueError):
+                    pass  # raced its death, or its inbox is torn down
         deadline = self._clock() + self.shutdown_timeout
         for h in self._handles:
             h.process.join(timeout=max(0.0, deadline - self._clock()))
             if h.process.is_alive():
-                h.process.terminate()
+                h.terminate()
                 h.process.join(timeout=1.0)
             h.alive = False
             h.retire_inbox()
@@ -510,12 +501,13 @@ class PoolService:
         )
 
     def _shed_for(self, tenant: str) -> bool:
-        """Evict one queued lower-priority request to admit ``tenant``.
+        """Evict one queued lower-priority user request to admit ``tenant``.
 
         Victims are drawn from the lowest-priority tenant *strictly
         below* the arriving tenant's priority (ties never shed each
         other, so the default flat priorities shed nothing), newest
         queued item first -- its caller has the least sunk latency.
+        Integrity probes are never victims: they are not user work.
         The evicted request fails with a structured
         :class:`~repro.errors.AdmissionError` carrying a retry-after
         hint.  Returns whether a slot was freed.
@@ -524,7 +516,8 @@ class PoolService:
         while True:
             victims = [
                 t for t in self._queue.tenants()
-                if self._quota(t).priority < arriving
+                if t != INTERNAL_TENANT
+                and self._quota(t).priority < arriving
             ]
             if not victims:
                 return False
@@ -535,10 +528,7 @@ class PoolService:
             p = self._requests.get(req_id)
             if p is None or p.future.done():
                 continue  # stale queue entry; keep looking
-            self.stats.shed += 1
-            self.stats.failed += 1
-            self._finish(req_id, p)
-            p.future.set_exception(AdmissionError(
+            self._settle(req_id, "shed", lambda rid, p: AdmissionError(
                 f"request shed under overload: tenant {victim!r} "
                 f"(priority {self._quota(victim).priority}) yielded its "
                 f"newest queued request to tenant {tenant!r} (priority "
@@ -567,7 +557,7 @@ class PoolService:
         """
         if not self._started or self._closed:
             raise ServeError("service is not running (start() it first)")
-        assert self._loop is not None and self._dispatch_event is not None
+        assert self._loop is not None
         cfg = self.resilience
         tenant = request.tenant
         if tenant == INTERNAL_TENANT:
@@ -634,7 +624,6 @@ class PoolService:
                 limit=quota.max_pending,
                 retry_after=self._retry_after_hint(),
             )
-        req_id = next(self._ids)
         item = _Pending(
             request=request,
             future=self._loop.create_future(),
@@ -646,12 +635,18 @@ class PoolService:
             ),
             degraded=degraded,
         )
-        self._requests[req_id] = item
-        self._tenant_pending[tenant] = pending + 1
-        self._queue.push(tenant, req_id)
+        self._admit(item)
         self.stats.submitted += 1
-        self._dispatch_event.set()
         return await item.future
+
+    def _admit(self, p: _Pending) -> None:
+        """Queue ``p`` at its tenant's tail and wake the dispatcher."""
+        req_id = next(self._ids)
+        tenant = p.request.tenant
+        self._requests[req_id] = p
+        self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
+        self._queue.push(tenant, req_id)
+        self._wake()
 
     # Convenience wrappers mirroring repro.ops.api -----------------------
 
@@ -691,7 +686,12 @@ class PoolService:
             ih=ih, iw=iw, tenant=tenant, **kw,
         ))
 
-    # -- dispatch (event-loop thread) ------------------------------------
+    # -- placement and dispatch (event-loop thread) ------------------------
+
+    def _wake(self) -> None:
+        """Schedule a dispatcher pass."""
+        if self._dispatch_event is not None:
+            self._dispatch_event.set()
 
     async def _dispatch_loop(self) -> None:
         assert self._dispatch_event is not None
@@ -708,117 +708,108 @@ class PoolService:
             return True
         return self._breakers[h.slot].available()
 
-    def _pick_worker(self, key: Hashable) -> tuple[WorkerHandle, bool] | None:
-        """The worker for ``key``: affinity first, else least loaded.
-
-        An affinity (coalescing) hit ignores the per-worker dispatch
-        window -- the whole point is to keep same-geometry work on the
-        warm worker, and its inbox serialises it anyway.  New keys only
-        go to available workers (healthy, breaker permitting) with
-        window capacity; ``None`` means everything is saturated and
-        dispatch should wait.
-        """
-        slot = self.coalescer.route(key)
-        if slot is not None:
-            h = self._handles[slot]
-            if self._available(h):
-                return h, True
-        candidates = [
-            h for h in self._handles
-            if self._available(h)
-            and h.inflight < self.max_inflight_per_worker
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda h: (h.inflight, h.slot)), False
-
-    def _pick_probe_worker(
-        self, exclude: tuple[int, ...]
+    def _pick(
+        self,
+        exclude: tuple[int, ...] = (),
+        *,
+        limit: int | None = None,
+        first: int = 0,
     ) -> WorkerHandle | None:
-        """Placement for integrity probes: least-loaded available
-        worker outside ``exclude`` (the slots whose answers the probe
-        is meant to check); no coalescing affinity -- an audit *must
-        not* land back on the worker it audits."""
-        candidates = [
-            h for h in self._handles
-            if h.slot not in exclude
-            and self._available(h)
-            and h.inflight < self.max_inflight_per_worker
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda h: (h.inflight, h.slot))
-
-    def _dispatch_to(
-        self, req_id: int, p: _Pending, handle: WorkerHandle
-    ) -> None:
-        """Send one attempt of ``req_id`` to ``handle`` and ledger it."""
-        attempt = p.next_attempt
-        p.next_attempt += 1
-        p.dispatches += 1
-        p.outstanding[attempt] = handle.slot
-        self._dispatched[(req_id, attempt)] = _Dispatch(
-            slot=handle.slot,
-            generation=handle.generation,
-            at=self._clock(),
+        """The one placement rule: the least-loaded available worker
+        outside ``exclude`` with fewer than ``limit`` legs in flight
+        (default: the dispatch window), ties broken by slot order
+        starting at ``first``; ``None`` when there is none."""
+        limit = self.max_inflight_per_worker if limit is None else limit
+        n = len(self._handles)
+        return min(
+            (
+                h for h in self._handles
+                if h.slot not in exclude
+                and h.inflight < limit
+                and self._available(h)
+            ),
+            key=lambda h: (h.inflight, (h.slot - first) % n),
+            default=None,
         )
-        handle.inflight += 1
+
+    def _launch(self, req_id: int, p: _Pending, h: WorkerHandle) -> None:
+        """Send attempt ``p.dispatches`` of ``req_id`` to ``h`` and
+        ledger it."""
+        attempt = p.dispatches
+        p.dispatches += 1
+        self._ledger[(req_id, attempt)] = _Attempt(
+            slot=h.slot, generation=h.generation, at=self._clock(),
+        )
+        h.inflight += 1
         if self._breakers is not None:
-            self._breakers[handle.slot].record_dispatch()
+            self._breakers[h.slot].record_dispatch()
         try:
-            handle.send((MSG_RUN, req_id, attempt, p.request))
+            h.send((MSG_RUN, req_id, attempt, p.request))
         except ServeError:
-            # Died between liveness check and send; the collector will
-            # requeue it with everything else on that worker.
+            # Died between liveness check and send; its death settles
+            # this leg with everything else on that worker.
             pass
+
+    def _land(self, key: tuple[int, int]) -> _Attempt | None:
+        """Pop one leg off the ledger and release its window slot.
+
+        The ledger is the only place a leg is recorded and this is the
+        only place one is removed, so a worker's ``inflight`` is always
+        the number of its legs on the ledger: every leg is charged to
+        the generation it was sent to, and a generation's legs all
+        land (reply or death) before its slot is respawned.
+        """
+        leg = self._ledger.pop(key, None)
+        if leg is not None:
+            self._handles[leg.slot].inflight -= 1
+        return leg
 
     def _pump(self) -> None:
         """Move queued requests onto workers until saturation.
 
-        Integrity probes whose exclusion set cannot currently be
-        honored are *deferred* (set aside and requeued at the end of
-        the pass) rather than blocking the head of the queue: a
-        tie-break that must avoid two busy slots should not wedge user
-        traffic behind it.  Deferred probes retry on the next pump --
-        the watchdog tick re-sets the dispatch event every interval, so
-        they never starve silently; a probe that stays unplaceable is
-        eventually abandoned by its ``probe_timeout_ms``.
+        A user request goes to its geometry's warm worker when that
+        worker is available -- coalescing affinity ignores the
+        dispatch window, since the warm worker's inbox serialises
+        same-geometry work anyway -- else to :meth:`_pick`; with no
+        worker free it goes back to its tenant's head and the pass
+        ends.  A probe takes no affinity and must avoid its
+        ``exclude`` slots; one that cannot be placed is *deferred*
+        (requeued after the pass) rather than blocking the head of the
+        queue, so a tie-break that must avoid two busy slots never
+        wedges user traffic.  The watchdog re-wakes the dispatcher
+        every interval, and ``probe_timeout_ms`` abandons a probe that
+        stays unplaceable.
         """
         deferred: list[tuple[str, int]] = []
-        try:
-            while len(self._queue):
-                popped = self._queue.pop()
-                if popped is None:
-                    return
-                tenant, req_id = popped
-                p = self._requests.get(req_id)
-                if p is None or p.future.done():
+        while (popped := self._queue.pop()) is not None:
+            tenant, req_id = popped
+            p = self._requests.get(req_id)
+            if p is None or p.future.done():
+                continue
+            now = self._clock()
+            if p.deadline is not None and now >= p.deadline:
+                self._expire(req_id, p, "queued", now)
+                continue
+            if p.verdict is not None:
+                h = self._pick(p.exclude)
+                if h is None:
+                    deferred.append((tenant, req_id))
                     continue
-                now = self._clock()
-                if p.deadline is not None and now >= p.deadline:
-                    self._fail_deadline(req_id, p, stage="queued", now=now)
-                    continue
-                if p.internal:
-                    handle = self._pick_probe_worker(p.exclude)
-                    if handle is None:
-                        deferred.append((tenant, req_id))
-                        continue
-                    self._dispatch_to(req_id, p, handle)
-                    continue
-                picked = self._pick_worker(p.key)
-                if picked is None:
+            else:
+                slot = self.coalescer.route(p.key)
+                hit = slot is not None and self._available(
+                    self._handles[slot])
+                h = self._handles[slot] if hit else self._pick()
+                if h is None:
                     self._queue.push_front(tenant, req_id)
-                    return
-                handle, hit = picked
-                if p.dispatches == 0:
-                    self.coalescer.bind(p.key, handle.slot, hit=hit)
+                    break
+                self.coalescer.bind(
+                    p.key, h.slot, hit=hit and not p.dispatches)
+                if not p.dispatches:
                     p.coalesced = hit
-                else:
-                    self.coalescer.bind(p.key, handle.slot, hit=False)
-                self._dispatch_to(req_id, p, handle)
-        finally:
-            for tenant, req_id in reversed(deferred):
-                self._queue.push_front(tenant, req_id)
+            self._launch(req_id, p, h)
+        for tenant, req_id in reversed(deferred):
+            self._queue.push_front(tenant, req_id)
 
     # -- watchdog (event-loop thread) -------------------------------------
 
@@ -863,28 +854,20 @@ class PoolService:
             return None
         return self.latency.quantile(cfg.hedge_quantile or 0.99)
 
-    def _hedge(self, req_id: int, p: _Pending) -> None:
-        """Speculatively re-dispatch ``req_id`` to a second worker.
+    def _hedge(self, req_id: int, p: _Pending, slot: int) -> None:
+        """Speculatively re-dispatch ``req_id`` off ``slot``, where its
+        only leg is running.
 
-        At most one hedge per request; the hedge leg must land on a
-        *different* available worker with window capacity (no
-        candidate simply means "try again next tick").  First reply
-        wins; the exactly-once ledger discards the loser.
+        At most one hedge per request; no free worker simply means
+        "try again next tick".  First reply wins; the loser lands on
+        the ledger as a stale reply.
         """
-        exclude = set(p.outstanding.values())
-        candidates = [
-            h for h in self._handles
-            if h.slot not in exclude
-            and self._available(h)
-            and h.inflight < self.max_inflight_per_worker
-        ]
-        if not candidates:
+        h = self._pick((slot,))
+        if h is None:
             return
-        handle = min(candidates, key=lambda h: (h.inflight, h.slot))
-        p.hedged = True
-        p.hedge_attempts.add(p.next_attempt)
+        p.hedge_attempt = p.dispatches
         self.stats.hedges += 1
-        self._dispatch_to(req_id, p, handle)
+        self._launch(req_id, p, h)
 
     def _declare_stalled(self, handle: WorkerHandle) -> None:
         """Terminate a live worker whose in-flight work aged out.
@@ -899,34 +882,30 @@ class PoolService:
         """
         self.stats.stalls_detected += 1
         handle.suspected_stalled = True
-        try:
-            handle.process.terminate()
-        except Exception:  # pragma: no cover - already-dead race
-            pass
+        handle.terminate()
 
     def _watchdog_tick(self) -> None:
-        """One scan: deadlines, stalls, hedges (event-loop thread)."""
+        """One scan: deadlines, stalls, KAT cadence, hedges."""
         if self._closed:
             return
         now = self._clock()
         cfg = self.resilience
+        legs: defaultdict[int, list[_Attempt]] = defaultdict(list)
+        for (req_id, _), leg in self._ledger.items():
+            legs[req_id].append(leg)
 
         for req_id, p in list(self._requests.items()):
-            if p.future.done():
-                continue
             if p.deadline is not None and now >= p.deadline:
-                stage = "in-flight" if p.outstanding else "queued"
-                self._fail_deadline(req_id, p, stage=stage, now=now)
+                stage = "in-flight" if legs[req_id] else "queued"
+                self._expire(req_id, p, stage, now)
 
         if cfg is not None and cfg.stall_timeout_ms is not None:
             limit = cfg.stall_timeout_ms / 1e3
-            for (req_id, attempt), d in list(self._dispatched.items()):
-                if now - d.at < limit:
-                    continue
-                h = self._handles[d.slot]
+            for leg in list(self._ledger.values()):
+                h = self._handles[leg.slot]
                 if (
-                    h.alive
-                    and h.generation == d.generation
+                    now - leg.at >= limit
+                    and h.alive
                     and not h.suspected_stalled
                 ):
                     self._declare_stalled(h)
@@ -940,23 +919,19 @@ class PoolService:
             self._last_kat = now
             self._launch_kat()
 
-        if cfg is not None and cfg.hedge_enabled:
-            threshold = self._hedge_threshold()
-            if threshold is not None:
-                for req_id, p in list(self._requests.items()):
-                    if p.future.done() or p.hedged or p.internal:
-                        continue
-                    if len(p.outstanding) != 1:
-                        continue  # queued, or already multi-legged
-                    (attempt, _slot), = p.outstanding.items()
-                    d = self._dispatched.get((req_id, attempt))
-                    if d is None:
-                        continue
-                    if (now - d.at) * 1e3 >= threshold:
-                        self._hedge(req_id, p)
+        threshold = self._hedge_threshold()
+        if threshold is not None:
+            for req_id, p in list(self._requests.items()):
+                out = legs[req_id]
+                if (
+                    p.verdict is None
+                    and p.hedge_attempt is None
+                    and len(out) == 1
+                    and (now - out[0].at) * 1e3 >= threshold
+                ):
+                    self._hedge(req_id, p, out[0].slot)
 
-        if self._dispatch_event is not None:
-            self._dispatch_event.set()
+        self._wake()
 
     # -- collector (background thread) -----------------------------------
 
@@ -1007,7 +982,7 @@ class PoolService:
         except RuntimeError:  # loop already closed during shutdown
             pass
 
-    # -- completion / recovery (event-loop thread) ------------------------
+    # -- attempt outcomes (event-loop thread) ------------------------------
 
     def _finish(self, req_id: int, p: _Pending) -> None:
         del self._requests[req_id]
@@ -1018,499 +993,250 @@ class PoolService:
         else:
             self._tenant_pending.pop(tenant, None)
 
-    def _fail_deadline(
-        self, req_id: int, p: _Pending, *, stage: str, now: float
-    ) -> None:
-        """Fail ``req_id`` with a structured deadline miss.
-
-        Any still-outstanding dispatch keeps its ledger entry: its
-        eventual reply (or its worker's death) releases the window
-        slot, and until then the stall watchdog keeps aging it.
-
-        Internal integrity probes carry a ``probe_timeout_ms`` deadline
-        instead of a user one: an expired probe is quietly abandoned
-        (no user-facing stats, future resolved with ``None``) -- a
-        saturated fleet must not hold drain hostage to an audit.
-        """
-        if p.internal:
-            self._resolve_probe(req_id, p)
-            return
-        self.stats.deadline_misses += 1
-        self.stats.failed += 1
-        elapsed_ms = (now - p.submitted_at) * 1e3
-        assert p.request.deadline_ms is not None
-        if not p.future.done():
-            p.future.set_exception(DeadlineError(
-                f"request {req_id} missed its "
-                f"{p.request.deadline_ms:g} ms deadline "
-                f"({stage}; {elapsed_ms:.1f} ms elapsed)",
-                deadline_ms=p.request.deadline_ms,
-                elapsed_ms=elapsed_ms,
-                stage=stage,
-            ))
-        self._finish(req_id, p)
-
-    # -- integrity (event-loop thread) ------------------------------------
-
-    @property
-    def integrity_errors(self) -> list[IntegrityError]:
-        """Recorded integrity incidents (bounded; empty when off)."""
-        return self._integrity.errors if self._integrity is not None else []
-
-    @staticmethod
-    def _consume_probe_result(fut: "asyncio.Future") -> None:
-        # Internal futures are never awaited; retrieving the outcome in
-        # a done-callback keeps asyncio from warning about it at GC.
-        if not fut.cancelled():
-            fut.exception()
-
-    def _spawn_probe(
+    def _settle(
         self,
-        request: PoolRequest,
-        kind: str,
-        meta: Any,
-        exclude: tuple[int, ...] = (),
+        req_id: int,
+        outcome: str,
+        error: Callable[[int, _Pending], Exception] | None = None,
+        *,
+        note: str | None = None,
+        reply: tuple = (),
     ) -> None:
-        """Admit a service-internal execution (audit leg, tie-break,
-        KAT probe) under the reserved tenant, bounded by
-        ``probe_timeout_ms`` instead of a user deadline."""
-        if self._closed or self._loop is None or self.integrity is None:
-            return
-        req_id = next(self._ids)
-        now = self._clock()
-        p = _Pending(
-            request=request,
-            future=self._loop.create_future(),
-            key=geometry_key(request),
-            submitted_at=now,
-            deadline=now + self.integrity.probe_timeout_ms / 1e3,
-            internal=kind,
-            exclude=tuple(exclude),
-            meta=meta,
-        )
-        p.future.add_done_callback(self._consume_probe_result)
-        self._requests[req_id] = p
-        self._tenant_pending[INTERNAL_TENANT] = (
-            self._tenant_pending.get(INTERNAL_TENANT, 0) + 1
-        )
-        self._queue.push(INTERNAL_TENANT, req_id)
-        if self._dispatch_event is not None:
-            self._dispatch_event.set()
+        """Decide what ``outcome`` means for ``req_id``: the service's
+        only wait / requeue / resolve decision.
 
-    def _resolve_probe(self, req_id: int, p: _Pending) -> None:
-        self._finish(req_id, p)
-        if not p.future.done():
-            p.future.set_result(None)
+        * A leg failure (see ``_LEG_FAILURES``) charges the retry
+          budget when retried (``note`` joins the request's error
+          list), then: another leg still out -> wait for it; retried
+          and budget left -> requeue at the tenant's head; otherwise
+          resolve.
+        * Any other outcome resolves at once.  Legs still out stay on
+          the ledger until their reply or death.
 
-    def _launch_kat(self) -> None:
-        """Dispatch the next known-answer probe to an idle worker.
-
-        Probes rotate over the fleet (``_kat_slot``) and only target
-        *idle* available workers -- a KAT must never add latency to a
-        slot with user work in flight; a fully busy fleet simply skips
-        this cadence tick (its work is being audited anyway).
+        Resolving completes ``ok`` (``reply`` is ``(slot, attempt,
+        result, wire_fp, fp)``), fails a user request with
+        ``error(req_id, p)``, and abandons a probe quietly (running its
+        verdict if ``ok``).  An outcome for a request that is already
+        resolved (a hedge loser, a post-deadline straggler) is a no-op.
         """
-        assert self._integrity is not None
-        n = len(self._handles)
-        for off in range(n):
-            h = self._handles[(self._kat_slot + off) % n]
-            if self._available(h) and h.inflight == 0:
-                self._kat_slot = (h.slot + 1) % n
-                idx, req = self._integrity.next_kat()
-                self._spawn_probe(
-                    req, "kat", idx,
-                    exclude=tuple(s for s in range(n) if s != h.slot),
-                )
+        p = self._requests.get(req_id)
+        if p is None or p.future.done():
+            return
+        probe = p.verdict is not None
+        if outcome in _LEG_FAILURES:
+            retried = probe or _LEG_FAILURES[outcome]
+            if retried:
+                p.failures += 1
+            if note is not None:
+                p.errors.append(note)
+            if any(rid == req_id for rid, _ in self._ledger):
                 return
+            if retried and p.failures < self.retry.max_attempts:
+                if not probe:
+                    self.stats.retries += 1
+                self._queue.push_front(p.request.tenant, req_id)
+                return
+        self._finish(req_id, p)
+        if probe:
+            p.future.set_result(None)
+            if outcome == "ok":
+                p.verdict(reply[0], reply[-1])
+        elif outcome == "ok":
+            self._respond(req_id, p, *reply)
+        else:
+            assert error is not None
+            self.stats.failed += 1
+            if outcome == "expired":
+                self.stats.deadline_misses += 1
+            elif outcome == "shed":
+                self.stats.shed += 1
+            p.future.set_exception(error(req_id, p))
 
-    def _charge_corruption(self, slot: int) -> None:
-        """One fingerprint-verification failure against ``slot``.
-
-        Feeds the *existing* quarantine accounting: enough failures
-        (``retry.quarantine_after``) quarantine the slot exactly like
-        repeated crashes would, and the coalescer unbinds it so warm
-        affinity stops routing new work there.
-        """
-        if not 0 <= slot < len(self._handles):  # pragma: no cover
-            return
-        h = self._handles[slot]
-        h.failures += 1
-        if h.failures >= self.retry.quarantine_after and not h.quarantined:
-            h.quarantined = True
-            if slot not in self.stats.quarantined:
-                self.stats.quarantined = self.stats.quarantined + (slot,)
-            self.stats.corrupt_workers_quarantined += 1
-            self.coalescer.forget_worker(slot)
-
-    def _convict(self, slot: int, error: IntegrityError) -> None:
-        """Quarantine a worker an audit tie-break or KAT probe proved
-        corrupt, and terminate its body.
-
-        Termination is deliberate: the slot's in-flight user requests
-        would otherwise complete with wrong bytes that *pass*
-        fingerprint verification (a corrupt core faithfully digests
-        its own wrong answer).  Killing the process routes them
-        through the existing death machinery -- requeued on healthy
-        workers -- while the quarantine flag keeps the slot out of
-        placement and respawn.
-        """
-        assert self._integrity is not None
-        self._integrity.record(error)
-        if not 0 <= slot < len(self._handles):  # pragma: no cover
-            return
-        h = self._handles[slot]
-        h.failures = max(h.failures, self.retry.quarantine_after)
-        if not h.quarantined:
-            h.quarantined = True
-            if slot not in self.stats.quarantined:
-                self.stats.quarantined = self.stats.quarantined + (slot,)
-            self.stats.corrupt_workers_quarantined += 1
-        self.coalescer.forget_worker(slot)
-        if h.alive:
-            try:
-                h.process.terminate()
-            except Exception:  # pragma: no cover - already-dead race
-                pass
-
-    def _start_audit(
-        self, req_id: int, p: _Pending, worker_id: int, base_fp: int
-    ) -> None:
-        """Kick off the dual-execution audit of a completed request."""
-        rec = AuditRecord(
-            origin_id=req_id,
-            request=audit_twin(p.request),
-            slots=(worker_id,),
-            fingerprints=(base_fp,),
-        )
-        self._spawn_probe(rec.request, "audit", rec, exclude=(worker_id,))
-
-    def _on_probe_reply(
+    def _respond(
         self,
         req_id: int,
         p: _Pending,
-        worker_id: int,
+        slot: int,
+        attempt: int,
+        result: Any,
+        wire_fp: int | None,
         fp: int | None,
-        err: str | None,
-        corrupt: bool,
     ) -> None:
-        """A probe's worker reply arrived: compare and act.
-
-        Probes ride the same retry vocabulary as user requests: an
-        errored or corrupt leg is requeued (bounded by
-        ``retry.max_attempts``) -- payload corruption of the *audit
-        leg itself* must not masquerade as an audit verdict.
-        """
-        assert self._integrity is not None
-        if err is not None or corrupt or fp is None:
-            p.failures += 1
-            if p.failures >= self.retry.max_attempts:
-                self._resolve_probe(req_id, p)
-            else:
-                self._queue.push_front(INTERNAL_TENANT, req_id)
-            return
-        self._resolve_probe(req_id, p)
-        if p.internal == "kat":
-            self.stats.kat_probes += 1
-            golden = self._integrity.golden(p.meta)
-            if fp != golden:
-                self._convict(worker_id, IntegrityError(
-                    f"known-answer probe diverged on worker slot "
-                    f"{worker_id}: the slot is computing wrong bytes",
-                    slot=worker_id,
-                    request=p.request,
-                    divergence=(
-                        f"probe fingerprint {fp:#010x} != golden "
-                        f"{golden:#010x} (KAT geometry {p.meta})"
-                    ),
-                ))
-        elif p.internal == "audit":
-            rec: AuditRecord = p.meta
-            self.stats.audits_run += 1
-            if fp == rec.fingerprints[0]:
-                return  # bit-exact across two workers: clean
-            self.stats.audit_mismatches += 1
-            self._spawn_probe(
-                rec.request, "tiebreak",
-                AuditRecord(
-                    origin_id=rec.origin_id,
-                    request=rec.request,
-                    slots=rec.slots + (worker_id,),
-                    fingerprints=rec.fingerprints + (fp,),
-                    stage="tiebreak",
+        """Complete user request ``req_id`` and, if sampled, audit it."""
+        now = self._clock()
+        self.stats.completed += 1
+        if attempt == p.hedge_attempt:
+            self.stats.hedge_wins += 1
+        self.latency.observe((now - p.submitted_at) * 1e3)
+        audited = (
+            self._integrity is not None
+            and self._integrity.should_audit(req_id)
+        )
+        p.future.set_result(PoolResponse(
+            request_id=req_id,
+            tenant=p.request.tenant,
+            worker=slot,
+            attempts=p.dispatches,
+            coalesced=p.coalesced,
+            result=result,
+            submitted_at=p.submitted_at,
+            completed_at=now,
+            hedged=p.hedge_attempt is not None,
+            degraded=p.degraded,
+            fingerprint=wire_fp,
+            fingerprint_ok=True if fp is not None else None,
+            audited=audited,
+        ))
+        if audited:
+            rec = AuditRecord(
+                origin_id=req_id,
+                request=audit_twin(p.request),
+                slots=(slot,),
+                fingerprints=(
+                    fp if fp is not None
+                    else self._integrity.fingerprint(result),
                 ),
-                exclude=rec.slots + (worker_id,),
             )
-        elif p.internal == "tiebreak":
-            rec = p.meta
-            (slot_a, slot_b) = rec.slots
-            (fp_a, fp_b) = rec.fingerprints
-            divergence = (
-                f"fingerprints: slot {slot_a}={fp_a:#010x}, slot "
-                f"{slot_b}={fp_b:#010x}, tie-break slot "
-                f"{worker_id}={fp:#010x}"
+            self._spawn_probe(
+                rec.request, partial(self._audit_verdict, rec),
+                exclude=(slot,),
             )
-            if fp == fp_a and fp != fp_b:
-                bad = slot_b
-            elif fp == fp_b and fp != fp_a:
-                bad = slot_a
-            else:
-                bad = None
-            if bad is not None:
-                self._convict(bad, IntegrityError(
-                    f"dual-execution audit of request {rec.origin_id} "
-                    f"convicted worker slot {bad} (two independent "
-                    "workers agree against it)",
-                    slot=bad,
-                    request=rec.request,
-                    divergence=divergence,
-                ))
-            else:
-                # Three distinct answers (or the tie-break agreed with
-                # both, impossible for differing fps): no majority --
-                # record the incident without convicting anyone.
-                self._integrity.record(IntegrityError(
-                    f"audit tie-break of request {rec.origin_id} "
-                    "reached no majority; slots "
-                    f"{slot_a}/{slot_b}/{worker_id} all disagree",
-                    slot=None,
-                    request=rec.request,
-                    divergence=divergence,
-                ))
+
+    def _exhausted(self, req_id: int, p: _Pending) -> str:
+        return (
+            f"request {req_id} ({p.request.kind}/{p.request.impl}) "
+            f"exhausted its retry budget of {self.retry.max_attempts} "
+            "attempts; "
+        )
+
+    def _expire(
+        self, req_id: int, p: _Pending, stage: str, now: float
+    ) -> None:
+        """Settle a missed deadline: a user request fails with a
+        structured :class:`~repro.errors.DeadlineError`; a probe (whose
+        deadline is ``probe_timeout_ms``) is abandoned, so a saturated
+        fleet cannot hold drain hostage to an audit."""
+        elapsed_ms = (now - p.submitted_at) * 1e3
+        self._settle(req_id, "expired", lambda rid, p: DeadlineError(
+            f"request {rid} missed its "
+            f"{p.request.deadline_ms:g} ms deadline "
+            f"({stage}; {elapsed_ms:.1f} ms elapsed)",
+            deadline_ms=p.request.deadline_ms,
+            elapsed_ms=elapsed_ms,
+            stage=stage,
+        ))
 
     def _on_message(self, msg: tuple) -> None:
-        tag = msg[0]
+        """One collector-posted message: a cache-stats snapshot or one
+        leg's reply."""
+        tag, key, worker_id, *payload = msg
         if tag == MSG_STATS:
-            _, token, worker_id, snapshot = msg
-            waiter = self._stats_waiters.get(token)
+            waiter = self._stats_waiters.get(key)
             if waiter is not None:
                 fut, acc = waiter
-                acc[worker_id] = snapshot
+                acc[worker_id] = payload[0]
                 if len(acc) >= sum(1 for h in self._handles if h.alive):
                     if not fut.done():
                         fut.set_result(dict(acc))
-                    del self._stats_waiters[token]
-            return
-        if tag == "ok":
-            _, req_id, worker_id, attempt, result, wire_fp = msg
-            err = None
+                    del self._stats_waiters[key]
         else:
-            _, req_id, worker_id, attempt, etype, message = msg
-            err = f"worker {worker_id} rejected request: {etype}: {message}"
-            result = wire_fp = None
+            self._on_reply(tag, key, worker_id, *payload)
+        self._wake()
 
-        # Service-side fingerprint re-verification: re-digest the
-        # unpickled payload and compare against the digest the worker
-        # took before the payload crossed the process boundary.  Done
-        # before the ledger/breaker accounting so a corrupt reply feeds
-        # the breaker as a *failure* -- and done even for stale replies
-        # (the corruption indicts the worker regardless of whether its
-        # request still exists).
-        fp_actual: int | None = None
-        corrupt = False
-        if (
-            err is None
-            and self._integrity is not None
-            and wire_fp is not None
-        ):
-            fp_actual = self._integrity.fingerprint(result)
-            corrupt = fp_actual != wire_fp
+    def _on_reply(
+        self, tag: str, req_id: int, worker_id: int, attempt: int, *payload
+    ) -> None:
+        """Land a leg's reply, verify it, and settle its request.
 
-        # Exactly-once ledger: whatever happens to the request below,
-        # this reply releases exactly one window slot on exactly the
-        # generation it was charged to, and feeds the slot's breaker.
-        d = self._dispatched.pop((req_id, attempt), None)
-        if d is not None:
-            h = self._handles[d.slot]
-            if h.alive and h.generation == d.generation:
-                h.inflight = max(0, h.inflight - 1)
-                h.served += 1
+        Service-side fingerprint re-verification re-digests the
+        unpickled payload and compares it with the digest the worker
+        took before the payload crossed the process boundary.  It runs
+        even for stale replies, and a corrupt reply feeds the breaker
+        as a *failure*: the corruption indicts the worker whether or
+        not its request still exists.
+        """
+        leg = self._land((req_id, attempt))
+        fp: int | None = None
+        if tag == "ok":
+            result, wire_fp = payload
+            if self._integrity is not None and wire_fp is not None:
+                fp = self._integrity.fingerprint(result)
+            outcome = "corrupt" if fp is not None and fp != wire_fp else "ok"
+        else:
+            outcome = "err"
+        if leg is not None:
+            self._handles[leg.slot].served += 1
             if self._breakers is not None:
-                br = self._breakers[d.slot]
-                if err is None and not corrupt:
+                br = self._breakers[leg.slot]
+                if outcome == "ok":
                     br.record_success()
                 else:
                     br.record_failure()
-        if corrupt:
+        if outcome == "corrupt":
             self.stats.fingerprint_failures += 1
-            self._charge_corruption(worker_id)
-
-        p = self._requests.get(req_id)
-        if p is None or attempt not in p.outstanding:
-            # Stale: the request already resolved (hedge loser, retry
-            # superseded it, or it deadline-failed); the ledger above
-            # already settled the worker-side accounting.
-            if self._dispatch_event is not None:
-                self._dispatch_event.set()
-            return
-        del p.outstanding[attempt]
-        if p.future.done():  # pragma: no cover - defensive
-            if self._dispatch_event is not None:
-                self._dispatch_event.set()
-            return
-        if p.internal:
-            self._on_probe_reply(req_id, p, worker_id, fp_actual, err,
-                                 corrupt)
-            if self._dispatch_event is not None:
-                self._dispatch_event.set()
-            return
-        if err is None and corrupt:
-            # The caller must never see the corrupt bytes: treat the
-            # reply like a failed leg and retry the dispatch, bounded
-            # by the same budget worker crashes are.
-            p.failures += 1
-            p.errors.append(
-                f"worker {worker_id} reply failed fingerprint "
-                f"verification (worker {wire_fp:#010x} != service "
-                f"{fp_actual:#010x})"
-            )
-            if p.outstanding:
-                # A hedge leg is still out; let its reply decide.
-                if self._dispatch_event is not None:
-                    self._dispatch_event.set()
-                return
-            if p.failures >= self.retry.max_attempts:
-                self.stats.failed += 1
-                self._finish(req_id, p)
-                p.future.set_exception(IntegrityError(
-                    f"request {req_id} ({p.request.kind}/"
-                    f"{p.request.impl}) exhausted its retry budget of "
-                    f"{self.retry.max_attempts} attempts; every reply "
-                    "failed fingerprint verification (payload "
-                    "corruption between worker and service)",
+            self._quarantine(worker_id, corrupt=True)
+        if leg is None:
+            return  # superseded: its worker's death already settled it
+        if outcome == "ok":
+            self._settle(
+                req_id, "ok", reply=(worker_id, attempt, result, wire_fp, fp))
+        elif outcome == "corrupt":
+            self._settle(
+                req_id, "corrupt",
+                lambda rid, p: IntegrityError(
+                    self._exhausted(rid, p) + "every reply failed "
+                    "fingerprint verification (payload corruption "
+                    "between worker and service)",
                     slot=worker_id,
                     request=p.request,
                     divergence=(
                         f"worker fingerprint {wire_fp:#010x} != "
-                        f"service-side {fp_actual:#010x}"
+                        f"service-side {fp:#010x}"
                     ),
-                ))
-            else:
-                self.stats.retries += 1
-                self._queue.push_front(p.request.tenant, req_id)
-            if self._dispatch_event is not None:
-                self._dispatch_event.set()
-            return
-        if err is None:
-            now = self._clock()
-            self.stats.completed += 1
-            if attempt in p.hedge_attempts:
-                self.stats.hedge_wins += 1
-            self.latency.observe((now - p.submitted_at) * 1e3)
-            audited = (
-                self._integrity is not None
-                and self._integrity.should_audit(req_id)
+                ),
+                note=(
+                    f"worker {worker_id} reply failed fingerprint "
+                    f"verification (worker {wire_fp:#010x} != service "
+                    f"{fp:#010x})"
+                ),
             )
-            self._finish(req_id, p)
-            p.future.set_result(PoolResponse(
-                request_id=req_id,
-                tenant=p.request.tenant,
-                worker=worker_id,
-                attempts=p.dispatches,
-                coalesced=p.coalesced,
-                result=result,
-                submitted_at=p.submitted_at,
-                completed_at=now,
-                hedged=p.hedged,
-                degraded=p.degraded,
-                fingerprint=wire_fp,
-                fingerprint_ok=True if fp_actual is not None else None,
-                audited=audited,
-            ))
-            if audited:
-                base_fp = (
-                    fp_actual if fp_actual is not None
-                    else self._integrity.fingerprint(result)
-                )
-                self._start_audit(req_id, p, worker_id, base_fp)
         else:
-            p.errors.append(err)
-            if p.outstanding:
-                # A hedge leg is still out; let its reply decide.
-                if self._dispatch_event is not None:
-                    self._dispatch_event.set()
-                return
-            self.stats.failed += 1
-            self._finish(req_id, p)
-            if len(p.errors) > 1:
-                p.future.set_exception(HedgeError(
-                    f"every leg of hedged request {req_id} failed: "
+            etype, message = payload
+            self._settle(
+                req_id, "err",
+                lambda rid, p: HedgeError(
+                    f"every leg of hedged request {rid} failed: "
                     + "; ".join(p.errors)
-                ))
-            else:
-                p.future.set_exception(ServeError(p.errors[0]))
-        if self._dispatch_event is not None:
-            self._dispatch_event.set()
+                ) if len(p.errors) > 1 else ServeError(p.errors[0]),
+                note=(
+                    f"worker {worker_id} rejected request: {etype}: "
+                    f"{message}"
+                ),
+            )
 
     def _on_worker_death(self, slot: int, generation: int) -> None:
         handle = self._handles[slot]
         if not handle.alive or handle.generation != generation:
             return  # already handled (or a stale report for an old body)
         handle.alive = False
-        handle.inflight = 0
-        handle.failures += 1
         self.stats.worker_failures += 1
         exitcode = handle.process.exitcode
         handle.retire_inbox()  # nobody will read it; see retire_inbox
         self.coalescer.forget_worker(slot)
         if self._breakers is not None:
             self._breakers[slot].record_failure()
-
-        # Retry or fail everything the dead body still owed a reply.
-        affected = [
-            key for key, d in self._dispatched.items()
-            if d.slot == slot and d.generation == generation
-        ]
-        for key in affected:
-            req_id, attempt = key
-            del self._dispatched[key]
-            p = self._requests.get(req_id)
-            if p is None:
-                continue  # already resolved (hedge win, deadline, ...)
-            p.outstanding.pop(attempt, None)
-            if p.future.done():  # pragma: no cover - defensive
-                continue
-            p.failures += 1
-            if p.outstanding:
-                # A hedge leg is still running elsewhere; it covers
-                # the request, so the death neither requeues nor fails
-                # it (no double execution, no double resolution).
-                continue
-            if p.failures >= self.retry.max_attempts:
-                if p.internal:
-                    self._resolve_probe(req_id, p)
-                    continue
-                self.stats.failed += 1
-                p.future.set_exception(WorkerFailure(
-                    f"request {req_id} ({p.request.kind}/"
-                    f"{p.request.impl}) exhausted its retry budget of "
-                    f"{self.retry.max_attempts} attempts; last worker "
-                    f"slot {slot} died (exit code {exitcode})"
-                ))
-                self._finish(req_id, p)
-            else:
-                if not p.internal:
-                    self.stats.retries += 1
-                self._queue.push_front(p.request.tenant, req_id)
-
-        # Quarantine-or-respawn, mirroring the chip-level dispatcher.
-        if handle.failures >= self.retry.quarantine_after:
-            handle.quarantined = True
-            if slot not in self.stats.quarantined:
-                self.stats.quarantined = self.stats.quarantined + (slot,)
-        healthy = sum(1 for h in self._handles if h.healthy)
-        if not handle.quarantined:
-            self._respawn(slot)
-        elif healthy == 0:
-            # Everything is quarantined: respawn the least-failed slot
-            # anyway -- degraded but still making progress, exactly like
-            # the chip dispatcher's all-quarantined placement rule.
-            best = min(self._handles, key=lambda h: (h.failures, h.slot))
-            best.quarantined = False
-            self.stats.forced_respawns += 1
-            if not best.alive:
-                self._respawn(best.slot)
-        if self._dispatch_event is not None:
-            self._dispatch_event.set()
+        # Settle everything the dead body still owed a reply.
+        for key in [
+            k for k, leg in self._ledger.items()
+            if leg.slot == slot and leg.generation == generation
+        ]:
+            self._land(key)
+            self._settle(key[0], "died", lambda rid, p: WorkerFailure(
+                self._exhausted(rid, p) + f"last worker slot {slot} died "
+                f"(exit code {exitcode})"
+            ))
+        self._quarantine(slot)
+        self._wake()
 
     def _respawn(self, slot: int) -> None:
         old = self._handles[slot]
@@ -1521,6 +1247,182 @@ class PoolService:
         self._handles[slot].failures = old.failures
         self._handles[slot].quarantined = old.quarantined
         self.stats.respawns += 1
+
+    def _quarantine(
+        self,
+        slot: int,
+        *,
+        corrupt: bool = False,
+        conviction: IntegrityError | None = None,
+    ) -> None:
+        """Charge one failure against ``slot``: the one quarantine rule
+        for crashes, stalls, corrupt payloads and convictions.
+
+        At ``retry.quarantine_after`` failures the slot is quarantined
+        (out of placement and respawn, unbound from the coalescer); a
+        dead slot that is not quarantined respawns.  A ``conviction``
+        charges the whole threshold at once, is recorded, and
+        terminates the body: its in-flight user work would otherwise
+        complete with wrong bytes that *pass* fingerprint verification
+        (a corrupt core faithfully digests its own wrong answer), so
+        killing it routes that work through the death path -- requeued
+        on healthy workers -- instead.  If no slot is left healthy, the
+        least-failed one is released (and respawned if dead) anyway --
+        degraded but still making progress, exactly like the chip
+        dispatcher's all-quarantined placement rule.
+        """
+        h = self._handles[slot]
+        threshold = self.retry.quarantine_after
+        if conviction is None:
+            h.failures += 1
+        else:
+            assert self._integrity is not None
+            self._integrity.record(conviction)
+            h.failures = max(h.failures, threshold)
+        if h.failures >= threshold and not h.quarantined:
+            h.quarantined = True
+            if slot not in self.stats.quarantined:
+                self.stats.quarantined = self.stats.quarantined + (slot,)
+            if corrupt or conviction is not None:
+                self.stats.corrupt_workers_quarantined += 1
+            self.coalescer.forget_worker(slot)
+        if conviction is not None and h.alive:
+            h.terminate()
+        if self._closed:
+            return  # a reply racing shutdown respawns nothing
+        if not h.alive and not h.quarantined:
+            self._respawn(slot)
+        if not any(h.healthy for h in self._handles):
+            best = min(self._handles, key=lambda h: (h.failures, h.slot))
+            best.quarantined = False
+            self.stats.forced_respawns += 1
+            if not best.alive:
+                self._respawn(best.slot)
+
+    # -- integrity probes (event-loop thread) ------------------------------
+
+    @property
+    def integrity_errors(self) -> list[IntegrityError]:
+        """Recorded integrity incidents (bounded; empty when off)."""
+        return self._integrity.errors if self._integrity is not None else []
+
+    def _spawn_probe(
+        self,
+        request: PoolRequest,
+        verdict: Callable[[int, int], None],
+        exclude: tuple[int, ...] = (),
+    ) -> None:
+        """Admit a service-internal execution (audit leg, tie-break,
+        KAT probe) under the reserved tenant, bounded by
+        ``probe_timeout_ms`` instead of a user deadline."""
+        if self._closed or self._loop is None or self.integrity is None:
+            return
+        now = self._clock()
+        self._admit(_Pending(
+            request=request,
+            future=self._loop.create_future(),
+            key=geometry_key(request),
+            submitted_at=now,
+            deadline=now + self.integrity.probe_timeout_ms / 1e3,
+            verdict=verdict,
+            exclude=tuple(exclude),
+        ))
+
+    def _launch_kat(self) -> None:
+        """Queue the next known-answer probe for an idle worker.
+
+        Probes rotate over the fleet (``_kat_slot``) and only target
+        *idle* available workers -- a KAT must never add latency to a
+        slot with user work in flight; a fully busy fleet simply skips
+        this cadence tick (its work is being audited anyway).
+        """
+        assert self._integrity is not None
+        h = self._pick(limit=1, first=self._kat_slot)
+        if h is None:
+            return
+        n = len(self._handles)
+        self._kat_slot = (h.slot + 1) % n
+        idx, req = self._integrity.next_kat()
+        self._spawn_probe(
+            req, partial(self._kat_verdict, idx, req),
+            exclude=tuple(s for s in range(n) if s != h.slot),
+        )
+
+    def _kat_verdict(
+        self, idx: int, request: PoolRequest, slot: int, fp: int
+    ) -> None:
+        """A known-answer probe replied: the golden answer is the judge."""
+        assert self._integrity is not None
+        self.stats.kat_probes += 1
+        golden = self._integrity.golden(idx)
+        if fp != golden:
+            self._quarantine(slot, conviction=IntegrityError(
+                f"known-answer probe diverged on worker slot "
+                f"{slot}: the slot is computing wrong bytes",
+                slot=slot,
+                request=request,
+                divergence=(
+                    f"probe fingerprint {fp:#010x} != golden "
+                    f"{golden:#010x} (KAT geometry {idx})"
+                ),
+            ))
+
+    def _audit_verdict(self, rec: AuditRecord, slot: int, fp: int) -> None:
+        """An audit leg replied: a bit-exact match is clean; a mismatch
+        queues a tie-break on a third worker."""
+        self.stats.audits_run += 1
+        if fp == rec.fingerprints[0]:
+            return
+        self.stats.audit_mismatches += 1
+        tie = AuditRecord(
+            origin_id=rec.origin_id,
+            request=rec.request,
+            slots=rec.slots + (slot,),
+            fingerprints=rec.fingerprints + (fp,),
+            stage="tiebreak",
+        )
+        self._spawn_probe(
+            rec.request, partial(self._tiebreak_verdict, tie),
+            exclude=tie.slots,
+        )
+
+    def _tiebreak_verdict(
+        self, rec: AuditRecord, slot: int, fp: int
+    ) -> None:
+        """A tie-break replied: convict the slot two workers agree
+        against, or record an incident with no majority."""
+        assert self._integrity is not None
+        (slot_a, slot_b), (fp_a, fp_b) = rec.slots, rec.fingerprints
+        divergence = (
+            f"fingerprints: slot {slot_a}={fp_a:#010x}, slot "
+            f"{slot_b}={fp_b:#010x}, tie-break slot "
+            f"{slot}={fp:#010x}"
+        )
+        if fp == fp_a and fp != fp_b:
+            bad = slot_b
+        elif fp == fp_b and fp != fp_a:
+            bad = slot_a
+        else:
+            # Three distinct answers (or the tie-break agreed with
+            # both, impossible for differing fps): no majority --
+            # record the incident without convicting anyone.
+            self._integrity.record(IntegrityError(
+                f"audit tie-break of request {rec.origin_id} "
+                "reached no majority; slots "
+                f"{slot_a}/{slot_b}/{slot} all disagree",
+                slot=None,
+                request=rec.request,
+                divergence=divergence,
+            ))
+            return
+        self._quarantine(bad, conviction=IntegrityError(
+            f"dual-execution audit of request {rec.origin_id} "
+            f"convicted worker slot {bad} (two independent "
+            "workers agree against it)",
+            slot=bad,
+            request=rec.request,
+            divergence=divergence,
+        ))
 
     # -- observability ---------------------------------------------------
 
@@ -1533,6 +1435,13 @@ class PoolService:
     def breakers(self) -> dict[int, CircuitBreaker] | None:
         """Per-slot circuit breakers (``None`` unless enabled)."""
         return self._breakers
+
+    def backlog(self) -> tuple[int, int]:
+        """``(requests, legs)``: admitted requests not yet resolved
+        (integrity probes included) and dispatched legs still awaiting
+        a reply or their worker's death (hedge losers and the legs of
+        deadline-failed requests included).  ``(0, 0)`` once idle."""
+        return len(self._requests), len(self._ledger)
 
     def crash_worker(self, slot: int) -> None:
         """Chaos hook: order worker ``slot`` to die (``os._exit``).

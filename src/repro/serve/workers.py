@@ -251,6 +251,13 @@ class WorkerHandle:
             raise ServeError(f"worker slot {self.slot} is not alive")
         self.inbox.put(msg)
 
+    def terminate(self) -> None:
+        """SIGTERM the body; one that is already reaped is not an error."""
+        try:
+            self.process.terminate()
+        except (OSError, ValueError):  # already gone / process closed
+            pass
+
     def retire_inbox(self) -> None:
         """Release the inbox of a dead (or shut-down) worker.
 

@@ -1210,12 +1210,12 @@ def serve_chaos(
             # Let hedge losers / post-resolution stragglers drain so
             # the ledger checks below see the settled end state.
             for _ in range(100):
-                if not svc._dispatched:
+                if not svc.backlog()[1]:
                     break
                 await asyncio.sleep(0.1)
+            requests, dispatched = svc.backlog()
             return outcomes, svc.stats, dict(
-                requests=len(svc._requests),
-                dispatched=len(svc._dispatched),
+                requests=requests, dispatched=dispatched,
             )
         finally:
             await svc.close(drain=False)
@@ -1435,12 +1435,12 @@ def integrity_storm(
             # Let audit/tie-break probes drain (or hit probe_timeout_ms)
             # so the counters below see the settled end state.
             for _ in range(240):
-                if not svc._dispatched and not svc._requests:
+                if svc.backlog() == (0, 0):
                     break
                 await asyncio.sleep(0.05)
+            requests, dispatched = svc.backlog()
             return outcomes, svc.stats, list(svc.integrity_errors), dict(
-                requests=len(svc._requests),
-                dispatched=len(svc._dispatched),
+                requests=requests, dispatched=dispatched,
             )
         finally:
             await svc.close(drain=False)

@@ -61,7 +61,7 @@ def _req(seed=0, **kw):
 async def _drain(svc, rounds=200):
     """Wait for outstanding dispatches and probes to settle."""
     for _ in range(rounds):
-        if not svc._dispatched and not svc._requests:
+        if svc.backlog() == (0, 0):
             return
         await asyncio.sleep(0.02)
 

@@ -142,11 +142,11 @@ class TestStallWatchdog:
             cfg = ResilienceConfig(
                 stall_timeout_ms=500.0, watchdog_interval_ms=30.0)
             async with PoolService(workers=3, resilience=cfg) as svc:
-                before = {h.slot: h.outbox for h in svc._handles}
+                before = {h.slot: h.outbox for h in svc.workers}
                 assert len(set(map(id, before.values()))) == 3
                 res = await svc.submit(_req(chaos_stall_attempts=(0,)))
                 assert res.attempts >= 2
-                after = {h.slot: h.outbox for h in svc._handles}
+                after = {h.slot: h.outbox for h in svc.workers}
                 replaced = [
                     slot for slot in before
                     if after[slot] is not before[slot]
@@ -217,7 +217,7 @@ class TestHedging:
                 assert svc.stats.hedge_wins == 1
                 # Let the loser's reply drain, then verify the ledger.
                 await asyncio.sleep(1.0)
-                assert svc._dispatched == {}
+                assert svc.backlog()[1] == 0
                 assert all(h.inflight == 0 for h in svc.workers)
                 assert svc.stats.completed == 1
         run(body())
@@ -488,7 +488,7 @@ class TestCloseNoDrain:
                 # Prompt: bounded by shutdown joins, not by the slow
                 # request's sleep-through-the-queue completion.
                 assert elapsed < 10.0
-                assert svc._requests == {}
+                assert svc.backlog()[0] == 0
         run(body())
 
 

@@ -222,3 +222,126 @@ class TestPerCoreBreakdown:
         assert pipe.cycles <= serial.cycles
         for pa, pb in zip(pipe.per_tile, serial.per_tile):
             assert pa.cycles <= pb.cycles
+
+
+# ---------------------------------------------------------------------------
+# Flat and grouped dispatch are one loop.
+# ---------------------------------------------------------------------------
+
+EQ_CFG = ChipConfig(num_cores=4)
+
+
+def _pool_tiles(execute):
+    """Real forward MaxPool tile programs (6 tiles over 4 cores), their
+    JIT kernels under ``execute="jit"``, and a global memory to run them
+    against (``None`` in cycles mode)."""
+    from repro.ops import PoolSpec
+    from repro.ops.registry import forward_impl
+    from repro.plan import lower, plan_default
+    from repro.workloads import make_input
+
+    x = make_input(17, 17, 48, n=1, seed=3)
+    plan = plan_default(
+        "fwd", forward_impl("im2col", "max"), PoolSpec.square(3, 2),
+        FLOAT16, 1, 3, 17, 17, EQ_CFG, execute=execute,
+    )
+    lowering = lower(plan, EQ_CFG, cache=None)
+    progs = [p for group in lowering.groups for p in group]
+    kernels = (
+        [k for group in lowering.kernels for k in group]
+        if lowering.kernels is not None else None
+    )
+
+    def fresh_gm():
+        if execute == "cycles":
+            return None
+        gm = GlobalMemory()
+        gm.add("x", x)
+        oh, ow = plan.out_hw
+        gm.zeros("out", plan.num_slices * oh * ow * FLOAT16.c0, FLOAT16)
+        return gm
+
+    return progs, kernels, fresh_gm
+
+
+def _eq_cases():
+    from repro.sim import BitFlip, Crash, FaultPlan, RetryPolicy
+
+    silent = FaultPlan((BitFlip(tile=2, offset=7, bit=3, detected=False),))
+    crash = FaultPlan((
+        Crash(tile=1, core=1, at_instruction=2),
+        Crash(tile=4, at_instruction=0, attempts=(0, 1)),
+    ))
+    cases = []
+    for model in ("serial", "pipelined"):
+        for execute in ("numeric", "cycles", "jit"):
+            cases.append(pytest.param(
+                execute, model, {}, id=f"{execute}-{model}"
+            ))
+        cases.append(pytest.param(
+            "jit", model, {"faults": silent}, id=f"jit-silent-{model}"
+        ))
+        for execute in ("numeric", "cycles"):
+            cases.append(pytest.param(
+                execute, model, {"faults": crash, "retry": RetryPolicy()},
+                id=f"{execute}-crash-retry-{model}",
+            ))
+    cases.append(pytest.param(
+        "numeric", "serial", {"sanitize": True}, id="numeric-sanitize"
+    ))
+    return cases
+
+
+class TestFlatGroupedEquivalence:
+    @pytest.mark.parametrize("execute,model,extra", _eq_cases())
+    def test_run_tiles_equals_single_tile_groups(self, execute, model, extra):
+        progs, kernels, fresh_gm = _pool_tiles(execute)
+        runs = []
+        for grouped in (False, True):
+            gm = fresh_gm()
+            chip = Chip(EQ_CFG, FLOAT16)
+            kwargs = dict(extra, execute=execute, model=model)
+            if grouped:
+                if kernels is not None:
+                    kwargs["compiled"] = [[k] for k in kernels]
+                res = chip.run_tile_groups([[p] for p in progs], gm, **kwargs)
+            else:
+                if kernels is not None:
+                    kwargs["compiled"] = kernels
+                res = chip.run_tiles(progs, gm, **kwargs)
+            runs.append((res, gm))
+        (flat, flat_gm), (grouped, grouped_gm) = runs
+        assert flat.tiles == grouped.tiles == len(progs)
+        assert flat.cycles == grouped.cycles
+        assert flat.per_core_cycles == grouped.per_core_cycles
+        assert flat.cores_used == grouped.cores_used
+        assert (flat.resilience is None) == (grouped.resilience is None)
+        if flat.resilience is not None:
+            assert flat.resilience.to_dict() == grouped.resilience.to_dict()
+        assert flat.sanitizer == grouped.sanitizer
+        if "retry" in extra:
+            assert flat.resilience.retries > 0
+        if flat_gm is not None:
+            assert flat_gm.tensors.keys() == grouped_gm.tensors.keys()
+            for name, arr in flat_gm.tensors.items():
+                assert arr.tobytes() == grouped_gm.tensors[name].tobytes()
+
+    def test_reassigned_group_stays_on_one_core(self):
+        from repro.sim import Crash, FaultPlan
+
+        progs, _, fresh_gm = _pool_tiles("numeric")
+        # Group 0 (tiles 0-2) is dealt to core 0; tile 1 crashes there
+        # and moves to core 1, dragging tile 2 with it.
+        groups = [progs[:3], progs[3:]]
+        res = Chip(EQ_CFG, FLOAT16).run_tile_groups(
+            groups, fresh_gm(),
+            faults=FaultPlan((Crash(tile=1, core=0, at_instruction=1),)),
+        )
+        rep = res.resilience
+        assert rep.retries == 1 and rep.reassignments == 1
+        assert [f.core for f in rep.failures] == [0]
+        cost = [r.cycles + EQ_CFG.cost.tile_launch_cycles
+                for r in res.per_tile]
+        assert res.per_core_cycles[0] == cost[0]
+        assert res.per_core_cycles[1] == sum(cost[1:]) + rep.backoff_cycles
+        assert res.per_core_cycles[2:] == (0, 0)

@@ -27,7 +27,13 @@ from ..expr import Axis, TensorDecl
 from ..isa.operand import MemRef
 from ..isa.scu import Im2ColParams
 from ..plan import TileGeom
-from ..plan.planner import ExecutionPlan, dispatch, lower, resolve_plan
+from ..plan.planner import (
+    ExecutionPlan,
+    check_tensors,
+    dispatch,
+    lower,
+    resolve_plan,
+)
 from ..sim import (
     PROGRAM_CACHE,
     ChipRunResult,
@@ -427,28 +433,12 @@ def run_backward(
     check_execute(execute, LayoutError)
     dtype = dtype_of(grad)
     _validate_input(grad, dtype)
-    n, c1_total, oh, ow, c0 = grad.shape
-    full = spec.with_image(ih, iw)
-    if full.out_hw() != (oh, ow):
-        raise LayoutError(
-            f"gradient grid {(oh, ow)} does not match geometry "
-            f"{full.out_hw()}"
-        )
-    if impl.op == "max":
-        if mask is None:
-            raise LayoutError("MaxPool backward requires the Argmax mask")
-        expect = (n, c1_total, spec.kh, spec.kw, oh, ow, c0)
-        if mask.shape != expect:
-            raise LayoutError(
-                f"mask shape {mask.shape} does not match {expect}"
-            )
-    elif mask is not None:
-        raise LayoutError("AvgPool backward takes no mask")
-
+    n, c1_total = grad.shape[:2]
     resolved, timing, impl = resolve_plan(
         plan, "bwd", impl, spec, dtype, n, c1_total, ih, iw, config,
         execute=execute, model=model, serialize_slices=serialize_slices,
     )
+    check_tensors(resolved, grad=grad, mask=mask)
     lowering = lower(
         resolved, config, cache=cache, collect_trace=collect_trace,
         timing=timing, impl=impl,

@@ -31,8 +31,13 @@ from ..fractal.im2col import col2im_nc1hwc0, im2col_nc1hwc0
 from ..isa.cube import Mmad
 from ..isa.operand import MemRef
 from ..isa.scu import Col2ImStore, Im2ColLoad
-from ..plan.planner import dispatch_programs
-from ..sim import ChipRunResult, ExecutionModel, GlobalMemory, resolve_model
+from ..sim import (
+    Chip,
+    ChipRunResult,
+    ExecutionModel,
+    GlobalMemory,
+    resolve_model,
+)
 from ..tik import KernelBuilder
 from .spec import PoolSpec
 
@@ -207,9 +212,8 @@ def conv2d(
             )
             programs.append(b.program)
 
-    result = dispatch_programs(
-        config, dtype, programs, gm, collect_trace=collect_trace,
-        model=model,
+    result = Chip(config, dtype).run_tiles(
+        programs, gm, collect_trace=collect_trace, model=model
     )
     y = gm.read("y", (n, cout1, oh, ow, FRACTAL_ROWS))
     return ConvRunResult(
@@ -366,9 +370,8 @@ def conv2d_input_grad(
             )
             programs.append(b.program)
 
-    result = dispatch_programs(
-        config, dtype, programs, gm, collect_trace=collect_trace,
-        model=model,
+    result = Chip(config, dtype).run_tiles(
+        programs, gm, collect_trace=collect_trace, model=model
     )
     dx = gm.read("dx", (n, c1_total, ih, iw, c0))
     return ConvRunResult(

@@ -38,7 +38,6 @@ from .planner import (
     ExecutionPlan,
     Lowering,
     dispatch,
-    dispatch_programs,
     lower,
     plan_cycles,
     plan_default,
@@ -70,7 +69,6 @@ __all__ = [
     "resolve_plan",
     "lower",
     "dispatch",
-    "dispatch_programs",
     "plan_cycles",
     "Workload",
     "SearchResult",

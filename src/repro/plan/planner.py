@@ -23,10 +23,10 @@ of the Indirect Convolution Algorithm (arXiv 1907.02129):
   :class:`~repro.sim.ProgramCache` by the plan
   (:func:`repro.sim.progcache.plan_key`), one entry per unique tile
   geometry, relocated clones per ``(N, C1)`` slice.
-* **dispatch** -- :func:`dispatch` is the one shared driver: global
-  memory setup, flat/grouped chip execution, cache/faults/retry/
-  sanitize/compiled threading and result read-back, written exactly
-  once for forward and backward.
+* **dispatch** -- :func:`dispatch` is the one shared driver: the
+  tensor-vs-plan check, global memory setup, one grouped chip run,
+  cache/faults/retry/sanitize/compiled threading and result read-back,
+  written exactly once for forward and backward.
 
 The autotuner (:mod:`repro.plan.autotune`) searches the plan space
 with :func:`plan_cycles`, which costs a candidate through the
@@ -44,13 +44,12 @@ import numpy as np
 
 from ..config import ChipConfig
 from ..dtypes import DType, dtype_by_name
-from ..errors import LayoutError, PlanError
+from ..errors import LayoutError, PlanError, ReproError
 from ..isa.operand import MemRef
 from ..isa.program import Program
 from ..isa.scu import Im2ColParams
 from ..sim import (
     Chip,
-    ChipRunResult,
     ExecutionModel,
     GlobalMemory,
     ProgramCache,
@@ -204,11 +203,11 @@ class ExecutionPlan:
             )
         try:
             dtype_by_name(self.dtype)
-        except Exception:
+        except (ReproError, TypeError):
             raise PlanError(f"unknown dtype {self.dtype!r}") from None
         try:
             resolve_model(self.model)
-        except Exception:
+        except (ReproError, TypeError):
             raise PlanError(
                 f"unknown timing model {self.model!r}"
             ) from None
@@ -276,7 +275,7 @@ def _impl_for_plan(plan: ExecutionPlan) -> "PoolingImpl":
         if plan.kind == "fwd":
             return forward_impl(plan.impl, plan.op, plan.with_mask)
         return backward_impl(plan.impl, plan.op)
-    except Exception as exc:
+    except ReproError as exc:
         raise PlanError(
             f"plan names an unusable implementation "
             f"{plan.impl!r}: {exc}"
@@ -315,42 +314,31 @@ def resolve_plan(
     working) and ``impl`` is the implementation instance to lower.
     """
     if isinstance(plan, str):
-        if plan == "default":
-            timing = resolve_model(model)
-            return (
-                plan_default(
-                    kind, impl, spec, dtype, n, c1, ih, iw, config,
-                    execute=execute, model=timing,
-                    serialize_slices=serialize_slices,
-                ),
-                timing,
-                impl,
-            )
         if plan == "autotuned":
             from .autotune import tuned_plan
 
-            tuned = tuned_plan(
+            # An untuned workload falls through to the default plan.
+            plan = tuned_plan(
                 kind=kind, impl=impl, spec=spec, dtype=dtype,
                 n=n, c1=c1, ih=ih, iw=iw, config=config,
                 execute=execute, serialize_slices=serialize_slices,
-            )
-            if tuned is None:
-                timing = resolve_model(model)
-                return (
-                    plan_default(
-                        kind, impl, spec, dtype, n, c1, ih, iw, config,
-                        execute=execute, model=timing,
-                        serialize_slices=serialize_slices,
-                    ),
-                    timing,
-                    impl,
-                )
-            plan = tuned
-        else:
+            ) or "default"
+        elif plan != "default":
             raise PlanError(
                 f"unknown plan {plan!r}; expected 'default', "
                 "'autotuned' or an ExecutionPlan"
             )
+    if isinstance(plan, str):  # "default", or an untuned "autotuned"
+        timing = resolve_model(model)
+        return (
+            plan_default(
+                kind, impl, spec, dtype, n, c1, ih, iw, config,
+                execute=execute, model=timing,
+                serialize_slices=serialize_slices,
+            ),
+            timing,
+            impl,
+        )
     if not isinstance(plan, ExecutionPlan):
         raise PlanError(
             f"plan must be a string or ExecutionPlan, got "
@@ -514,14 +502,18 @@ def _slice_deltas(plan: ExecutionPlan, slice_idx: int) -> dict[str, int]:
 
 @dataclass
 class Lowering:
-    """The lowered form of one plan: programs per slice, plus the
-    cache-shared summaries and compiled kernels when a cache is used.
+    """The lowered form of one plan: programs in dispatch shape, plus
+    the cache-shared summaries and compiled kernels when a cache is
+    used.
 
-    ``groups[s][t]`` is slice ``s``'s tile-``t`` program.  Under
-    ``execute="cycles"`` with a cache the groups alias the base
-    programs (cycle-identical clones need not be materialised);
-    otherwise each slice holds relocated clones (or, uncached, fresh
-    per-slice builds).
+    ``groups`` is what :meth:`~repro.sim.Chip.run_tile_groups` takes:
+    one group per ``(N, C1)`` slice when ``plan.serialize_slices`` pins
+    each slice to one core, otherwise one single-tile group per tile.
+    Either way tiles appear slice-major, and ``summaries``/``kernels``
+    mirror ``groups``.  Under ``execute="cycles"`` with a cache the
+    groups alias the base programs (cycle-identical clones need not be
+    materialised); otherwise each slice holds relocated clones (or,
+    uncached, fresh per-slice builds).
     """
 
     plan: ExecutionPlan
@@ -530,18 +522,14 @@ class Lowering:
     summaries: list[list[RunResult]] | None = None
     kernels: list[list] | None = None
 
-    def flat_programs(self) -> list[Program]:
-        return [prog for group in self.groups for prog in group]
 
-    def flat_summaries(self) -> list[RunResult] | None:
-        if self.summaries is None:
-            return None
-        return [s for group in self.summaries for s in group]
-
-    def flat_kernels(self) -> list | None:
-        if self.kernels is None:
-            return None
-        return [k for group in self.kernels for k in group]
+def _dispatch_shape(plan: ExecutionPlan, per_slice) -> list[list]:
+    """Nest per-slice tile lists as dispatch groups (see
+    :class:`Lowering`): one group per slice under
+    ``serialize_slices``, else one group per tile, order unchanged."""
+    if plan.serialize_slices:
+        return [list(row) for row in per_slice]
+    return [[item] for row in per_slice for item in row]
 
 
 def lower(
@@ -575,7 +563,7 @@ def lower(
     num_slices = plan.num_slices
 
     if cache is None:
-        groups = [
+        groups = _dispatch_shape(plan, (
             [
                 _build_tile_program(
                     plan, impl, slice_idx, tile_idx, geom, config, dtype
@@ -583,7 +571,7 @@ def lower(
                 for tile_idx, geom in enumerate(tiles)
             ]
             for slice_idx in range(num_slices)
-        ]
+        ))
         kernels = (
             [[compile_program(p, config) for p in group] for group in groups]
             if execute == "jit"
@@ -592,7 +580,8 @@ def lower(
         return Lowering(plan=plan, tiles=tiles, groups=groups,
                         kernels=kernels)
 
-    base: list[tuple[Program, RunResult]] = []
+    base: list[Program] = []
+    base_summaries: list[RunResult] = []
     base_kernels: list = []
     for tile_idx, geom in enumerate(tiles):
         key = plan_key(plan, geom, config)
@@ -602,64 +591,90 @@ def lower(
                 plan, impl, 0, t, g, config, dtype
             ),
         )
-        base.append(
-            (
-                prog,
-                cache.summary(key, prog, config, collect_trace, model=m),
-            )
+        base.append(prog)
+        base_summaries.append(
+            cache.summary(key, prog, config, collect_trace, model=m)
         )
         if execute == "jit":
             base_kernels.append(cache.compiled(key, prog, config))
-    kernels = (
-        [list(base_kernels) for _ in range(num_slices)]
-        if execute == "jit"
-        else None
-    )
     if execute == "cycles":
         # Cycle-identical clones need not even be materialised.
-        groups = [[prog for prog, _ in base] for _ in range(num_slices)]
+        per_slice = (base for _ in range(num_slices))
     else:
-        groups = []
+        per_slice = []
         for slice_idx in range(num_slices):
             deltas = _slice_deltas(plan, slice_idx)
-            groups.append(
-                [
-                    prog.relocate(
-                        deltas,
-                        name=(
-                            f"{impl.describe()}"
-                            f"-s{slice_idx}-t{tile_idx}"
-                        ),
-                    )
-                    for tile_idx, (prog, _) in enumerate(base)
-                ]
-            )
-    summaries = [[summ for _, summ in base] for _ in range(num_slices)]
-    return Lowering(plan=plan, tiles=tiles, groups=groups,
-                    summaries=summaries, kernels=kernels)
+            per_slice.append([
+                prog.relocate(
+                    deltas, name=f"{impl.describe()}-s{slice_idx}-t{tile_idx}"
+                )
+                for tile_idx, prog in enumerate(base)
+            ])
+    return Lowering(
+        plan=plan,
+        tiles=tiles,
+        groups=_dispatch_shape(plan, per_slice),
+        summaries=_dispatch_shape(
+            plan, (base_summaries for _ in range(num_slices))
+        ),
+        kernels=(
+            _dispatch_shape(plan, (base_kernels for _ in range(num_slices)))
+            if execute == "jit"
+            else None
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Dispatch.
 # ---------------------------------------------------------------------------
 
-def dispatch_programs(
-    config: ChipConfig,
-    dtype: DType,
-    programs: list[Program],
-    gm: GlobalMemory | None,
-    collect_trace: bool = True,
-    execute: str = "numeric",
-    model: "str | ExecutionModel | None" = None,
-) -> ChipRunResult:
-    """Run a flat program list on a fresh chip -- the low-level shared
-    dispatch used by the convolution drivers (:mod:`repro.ops.conv2d`),
-    which build their programs directly rather than through plans."""
-    chip = Chip(config, dtype)
-    return chip.run_tiles(
-        programs, gm, collect_trace=collect_trace, execute=execute,
-        model=resolve_model(model),
-    )
+def check_tensors(
+    plan: ExecutionPlan,
+    x: np.ndarray | None = None,
+    grad: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> None:
+    """Raise :class:`~repro.errors.LayoutError` unless the tensors fit
+    the plan.
+
+    Forward plans read ``x`` of shape ``(n, c1, ih, iw, C0)``; backward
+    plans read ``grad`` of shape ``(n, c1, oh, ow, C0)`` and, for
+    MaxPool only, the Argmax ``mask`` of shape
+    ``(n, c1, kh, kw, oh, ow, C0)``.  Data tensors carry the plan's
+    dtype; a mask passed to any other plan is rejected.  The check runs
+    in every execute mode, with one exemption: a cycles-only plan
+    dispatched with no tensors at all (the autotuner's costing call).
+    """
+    if plan.execute == "cycles" and all(t is None for t in (x, grad, mask)):
+        return
+    dtype = dtype_by_name(plan.dtype)
+    ih, iw, oh, ow = plan.image
+    lead = (plan.n, plan.c1)
+    if plan.kind == "fwd":
+        reads = [("input", x, lead + (ih, iw, dtype.c0))]
+    else:
+        reads = [("gradient", grad, lead + (oh, ow, dtype.c0))]
+    if plan.kind == "bwd" and plan.op == "max":
+        spec = plan.spec
+        mask_shape = lead + (spec.kh, spec.kw, oh, ow, dtype.c0)
+        reads.append(("Argmax mask", mask, mask_shape))
+    elif mask is not None:
+        raise LayoutError(f"{plan.kind} plan {plan.describe!r} takes no mask")
+    for name, tensor, shape in reads:
+        if tensor is None:
+            raise LayoutError(f"dispatch requires the {name} tensor")
+        if tensor.shape != shape:
+            raise LayoutError(
+                f"{name} shape {tensor.shape} does not match the plan's "
+                f"{shape}"
+            )
+    name, data, _ = reads[0]
+    if data.dtype != dtype.np_dtype:
+        raise LayoutError(
+            f"{name} dtype {data.dtype} does not match the plan's "
+            f"{plan.dtype}"
+        )
 
 
 def dispatch(
@@ -677,15 +692,18 @@ def dispatch(
 ) -> "PoolRunResult":
     """Execute a lowered plan (stage three): the one shared driver.
 
-    Global-memory setup, grouped-vs-flat chip execution, resilience /
-    sanitizer / compiled-kernel threading and result read-back happen
-    here exactly once for both directions.  Under
-    ``execute="cycles"`` no global memory exists and the result carries
-    ``output=None`` (and ``mask=None``); numeric and JIT runs read the
-    outputs back from simulated global memory.
+    The tensors are checked against the plan (:func:`check_tensors`),
+    then global-memory setup, one grouped chip run (the lowering is
+    already in dispatch shape), resilience / sanitizer /
+    compiled-kernel threading and result read-back happen here exactly
+    once for both directions.  Under ``execute="cycles"`` no global
+    memory exists and the result carries ``output=None`` (and
+    ``mask=None``); numeric and JIT runs read the outputs back from
+    simulated global memory.
     """
     from ..ops.base import PoolRunResult
 
+    check_tensors(plan, x=x, grad=grad, mask=mask)
     m = resolve_model(plan.model if timing is None else timing)
     dtype = dtype_by_name(plan.dtype)
     execute = plan.execute
@@ -699,10 +717,6 @@ def dispatch(
     else:
         gm = GlobalMemory()
         if plan.kind == "fwd":
-            if x is None:
-                raise LayoutError(
-                    "forward dispatch requires the input tensor"
-                )
             gm.add("x", x)
             gm.zeros("out", num_slices * oh * ow * c0, dtype)
             if plan.with_mask:
@@ -712,42 +726,23 @@ def dispatch(
                     dtype,
                 )
         else:
-            if grad is None:
-                raise LayoutError(
-                    "backward dispatch requires the gradient tensor"
-                )
             gm.add("grad", grad)
             if mask is not None:
                 gm.add("mask", mask)
             gm.zeros("dx", num_slices * ih * iw * c0, dtype)
 
-    chip = Chip(config, dtype)
-    if plan.serialize_slices:
-        result = chip.run_tile_groups(
-            lowering.groups,
-            gm,
-            collect_trace=collect_trace,
-            execute=execute,
-            summaries=lowering.summaries,
-            model=m,
-            faults=faults,
-            retry=retry,
-            sanitize=sanitize,
-            compiled=lowering.kernels,
-        )
-    else:
-        result = chip.run_tiles(
-            lowering.flat_programs(),
-            gm,
-            collect_trace=collect_trace,
-            execute=execute,
-            summaries=lowering.flat_summaries(),
-            model=m,
-            faults=faults,
-            retry=retry,
-            sanitize=sanitize,
-            compiled=lowering.flat_kernels(),
-        )
+    result = Chip(config, dtype).run_tile_groups(
+        lowering.groups,
+        gm,
+        collect_trace=collect_trace,
+        execute=execute,
+        summaries=lowering.summaries,
+        model=m,
+        faults=faults,
+        retry=retry,
+        sanitize=sanitize,
+        compiled=lowering.kernels,
+    )
 
     if execute == "cycles":
         return PoolRunResult(

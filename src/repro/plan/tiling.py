@@ -37,7 +37,7 @@ from typing import Callable
 
 from ..config import ChipConfig
 from ..dtypes import DType
-from ..errors import TilingError
+from ..errors import LayoutError, TilingError
 from ..isa.scu import Im2ColParams
 
 #: Maps a tile geometry to required bytes per buffer, e.g.
@@ -247,7 +247,7 @@ def tiling_threshold(
     def fits(size: int) -> bool:
         try:
             params = make_params(size)
-        except Exception:
+        except LayoutError:
             return False
         need = footprint(params, dtype)
         specs = config.buffer_specs()

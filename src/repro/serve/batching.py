@@ -196,10 +196,11 @@ def geometry_key(request: PoolRequest) -> Hashable:
     Two requests with equal keys exercise the same cached programs,
     summaries and compiled kernels inside a worker -- only the tensor
     *values* differ -- so routing them to the same worker turns the
-    second request into pure cache hits.  Mirrors
-    :func:`repro.sim.progcache.program_key` minus the chip config
-    (one service serves one config) plus the request kind/mask flags
-    the api layer folds into the impl ``describe()`` string.
+    second request into pure cache hits.  Mirrors the workload part of
+    :func:`repro.sim.progcache.plan_key` -- no chip config (one service
+    serves one config) and no tile geometry (one request lowers all its
+    tiles) -- plus the request kind/mask flags the api layer folds into
+    the impl ``describe()`` string.
     """
     return (
         request.kind,

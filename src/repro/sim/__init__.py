@@ -68,7 +68,6 @@ from .progcache import (
     CacheStats,
     ProgramCache,
     plan_key,
-    program_key,
 )
 from .sanitizer import (
     POISON_VALUE,
@@ -107,7 +106,6 @@ __all__ = [
     "PROGRAM_CACHE",
     "CacheStats",
     "ProgramCache",
-    "program_key",
     "plan_key",
     "CompileContext",
     "CompiledKernel",

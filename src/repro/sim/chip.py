@@ -16,9 +16,11 @@ global-memory writes, graceful degradation (cached summary -> fresh
 accounting, pipelined -> serial timing) and a tile-coverage ledger
 auditing that every output tile completes exactly once.  Everything
 the layer did is recorded in the attached
-:class:`~repro.sim.faults.ResilienceReport`.  With neither supplied
-(the default), the historical dispatch loop runs unchanged: the
-resilience machinery is zero-cost when idle.
+:class:`~repro.sim.faults.ResilienceReport`.  Both share one dispatch
+loop (:meth:`Chip.run_tile_groups`; ``run_tiles`` deals one-tile
+groups), which picks per work item between the plain run and the
+resilient one.  With neither supplied (the default), every item takes
+the plain run: the resilience machinery is zero-cost when idle.
 
 Scratch-pad reuse between tiles is **intentional**: ``_run_one`` resets
 each core's allocators before a tile but deliberately never calls
@@ -55,6 +57,7 @@ from .faults import (
     RetryPolicy,
     apply_silent_flips_to_gm,
     resolve_injector,
+    written_gm_tensors,
 )
 from .memory import GlobalMemory
 from .modes import check_modes
@@ -143,8 +146,7 @@ class _ResilientDispatch:
 
     Owns the mutable recovery state (per-core failure counts, the
     quarantine set, the coverage ledger and every report counter) for
-    the duration of a single :meth:`Chip.run_tiles` /
-    :meth:`Chip.run_tile_groups` call.
+    the duration of a single :meth:`Chip.run_tile_groups` call.
     """
 
     def __init__(
@@ -318,21 +320,9 @@ class _ResilientDispatch:
         model: ExecutionModel,
         inj: Injection | None,
     ) -> RunResult:
-        core = self.chip.cores[core_id]
-        if self.execute == "numeric":
-            core.reset_allocations()
-            return core.run(
-                prog,
-                self.gm,
-                collect_trace=self.collect_trace,
-                execute="numeric",
-                summary=summary,
-                model=model,
-                injection=inj,
-            )
         # Cycles mode has no data pass: crash/detected-corruption faults
         # fail the attempt up front (the tile never completes).
-        if inj is not None:
+        if inj is not None and self.execute == "cycles":
             n = len(prog)
             if inj.crash_at is not None:
                 raise CoreFailure(
@@ -348,13 +338,9 @@ class _ResilientDispatch:
                         f"{min(b.at_instruction, n)}/{n} of {prog.name!r} "
                         f"(attempt {inj.attempt})"
                     )
-        return core.run(
-            prog,
-            None,
-            collect_trace=self.collect_trace,
-            execute="cycles",
-            summary=summary,
-            model=model,
+        return self.chip._run_one(
+            self.chip.cores[core_id], prog, self.gm, self.collect_trace,
+            self.execute, summary, model, injection=inj,
         )
 
     # -- rollback -------------------------------------------------------
@@ -367,15 +353,9 @@ class _ResilientDispatch:
         retry starts from clean state.
         """
         assert self.gm is not None
-        names: set[str] = set()
-        for instr in prog.instructions:
-            for r in instr.writes():
-                if r.buffer not in self._scratch_names:
-                    names.add(r.buffer)
         return {
             nm: self.gm.tensors[nm].copy()
-            for nm in sorted(names)
-            if nm in self.gm.tensors
+            for nm in written_gm_tensors(prog, self.gm, self._scratch_names)
         }
 
     def _restore(self, snapshot: dict[str, np.ndarray]) -> None:
@@ -438,14 +418,14 @@ class Chip:
         ]
 
     def _dispatch(self, index: int) -> tuple[int, AICore]:
-        """Round-robin deal: ``(core_id, core)`` for work item ``index``.
+        """Round-robin deal: ``(core_id, core)`` for group ``index``.
 
-        The single place mapping work items to cores -- both
-        :meth:`run_tiles` (per tile) and :meth:`run_tile_groups` (per
-        group) route through it, so the dealing policy and the
-        ``per_core_cycles`` accounting can never drift apart.  Bounds
-        are validated here so a bad index surfaces as a clear
-        :class:`~repro.errors.SimulationError` instead of a raw
+        The single place mapping work items to cores: the one dispatch
+        loop in :meth:`run_tile_groups` deals every group through it
+        (:meth:`run_tiles`' one-tile groups included), so the dealing
+        policy and the ``per_core_cycles`` accounting can never drift
+        apart.  Bounds are validated here so a bad index surfaces as a
+        clear :class:`~repro.errors.SimulationError` instead of a raw
         ``IndexError`` deep in the accounting.
         """
         if index < 0:
@@ -469,6 +449,7 @@ class Chip:
         model,
         sanitizer: "Sanitizer | None" = None,
         kernel=None,
+        injection: Injection | None = None,
     ) -> RunResult:
         # Note: allocators are reset per tile but the scratch-pad
         # *contents* are deliberately not cleared -- see the module
@@ -482,33 +463,9 @@ class Chip:
             execute=execute,
             summary=summary,
             model=model,
+            injection=injection,
             sanitize=sanitizer,
             compiled=kernel,
-        )
-
-    def _result(
-        self,
-        per_core_cycles: list[int],
-        tiles: int,
-        results: list[RunResult],
-        resilience: ResilienceReport | None = None,
-        sanitizers: "list[Sanitizer] | None" = None,
-    ) -> ChipRunResult:
-        busy = [c for c in per_core_cycles if c > 0]
-        report = None
-        if sanitizers is not None:
-            report = SanitizerReport()
-            for s in sanitizers:
-                report.merge(s.report)
-        return ChipRunResult(
-            cycles=max(per_core_cycles),
-            total_work_cycles=sum(per_core_cycles),
-            tiles=tiles,
-            cores_used=len(busy),
-            per_tile=tuple(results),
-            per_core_cycles=tuple(per_core_cycles),
-            resilience=resilience,
-            sanitizer=report,
         )
 
     def run_tiles(
@@ -529,7 +486,10 @@ class Chip:
         Tiles assigned to one core run serially on it; distinct cores
         run (logically) in parallel, so the chip's cycle count is the
         slowest core's total.  Each tile pays the block-dispatch
-        overhead ``tile_launch_cycles``.
+        overhead ``tile_launch_cycles``.  This is
+        :meth:`run_tile_groups` with every program its own one-tile
+        group; ``summaries`` and ``compiled`` are flat, one (possibly
+        ``None``) entry per program.
 
         ``execute``, ``summaries`` and ``model`` forward to
         :meth:`AICore.run`: ``execute="cycles"`` skips data execution
@@ -559,73 +519,17 @@ class Chip:
         """
         if not programs:
             raise SimulationError("run_tiles called with no tile programs")
-        if summaries is not None and len(summaries) != len(programs):
-            raise SimulationError(
-                f"run_tiles got {len(summaries)} summaries for "
-                f"{len(programs)} tile programs; summaries must "
-                "correspond 1:1 with tiles"
-            )
-        if compiled is not None and len(compiled) != len(programs):
-            raise SimulationError(
-                f"run_tiles got {len(compiled)} compiled kernels for "
-                f"{len(programs)} tile programs; kernels must "
-                "correspond 1:1 with tiles"
-            )
-        check_modes(
-            execute, sanitize=sanitize, faults=faults, retry=retry,
-            compiled=compiled,
-        )
-        sanitizers = (
-            [Sanitizer(self.config) for _ in self.cores] if sanitize else None
-        )
-        injector = resolve_injector(faults)
-        launch = self.config.cost.tile_launch_cycles
-        silent_jit = injector is not None and execute == "jit"
-        scratch = (
-            frozenset(self.config.buffer_specs()) if silent_jit else None
-        )
-        if retry is None and (injector is None or silent_jit):
-            per_core_cycles = [0] * len(self.cores)
-            results: list[RunResult] = []
-            for t, prog in enumerate(programs):
-                core_id, core = self._dispatch(t)
-                res = self._run_one(
-                    core, prog, gm, collect_trace, execute,
-                    summaries[t] if summaries is not None else None, model,
-                    sanitizers[core_id] if sanitizers is not None else None,
-                    compiled[t] if compiled is not None else None,
-                )
-                results.append(res)
-                per_core_cycles[core_id] += res.cycles + launch
-                if silent_jit:
-                    inj = injector.injection(t, core_id, 0)
-                    if inj is not None:
-                        apply_silent_flips_to_gm(gm, prog, inj, scratch)
-            return self._result(
-                per_core_cycles, len(programs), results,
-                resilience=ResilienceReport(
-                    plan_faults=len(injector.plan),
-                    attempts=len(programs),
-                ) if silent_jit else None,
-                sanitizers=sanitizers,
-            )
-
-        dispatch = _ResilientDispatch(
-            self, injector, retry or RetryPolicy(), gm, collect_trace,
-            execute, model,
-        )
-        results = []
-        for t, prog in enumerate(programs):
-            core_id, _ = self._dispatch(t)
-            _, res = dispatch.run_item(
-                t, core_id, prog,
-                summaries[t] if summaries is not None else None,
-            )
-            results.append(res)
-        dispatch.ledger.audit(len(programs))
-        return self._result(
-            dispatch.per_core_cycles, len(programs), results,
-            dispatch.report(),
+        return self.run_tile_groups(
+            [[prog] for prog in programs],
+            gm,
+            collect_trace=collect_trace,
+            execute=execute,
+            summaries=_one_per_tile(summaries, programs, "summaries"),
+            model=model,
+            faults=faults,
+            retry=retry,
+            sanitize=sanitize,
+            compiled=_one_per_tile(compiled, programs, "compiled kernels"),
         )
 
     def run_tile_groups(
@@ -643,36 +547,31 @@ class Chip:
     ) -> ChipRunResult:
         """Execute groups of tiles; each group stays on one core.
 
-        Used when tiles within a group must be serialised -- e.g. the
-        row-chunked backward tiles of one (N, C1) slice, whose
-        accumulate-DMA stores overlap and may not race across cores.
-        Groups are dealt round-robin to cores.  ``execute``,
-        ``summaries`` (nested to mirror ``groups``) and ``model`` behave
-        as in :meth:`run_tiles`.  Under the resilient dispatcher
-        (``faults`` / ``retry``), a reassigned tile drags the rest of
-        its group to the new core, preserving the group's one-core
-        serialisation invariant.  ``sanitize`` and ``compiled`` (nested
-        to mirror ``groups``) behave as in :meth:`run_tiles`.
+        The one dispatch loop: groups are dealt round-robin to cores
+        (:meth:`_dispatch`) and a group's tiles run serially on its
+        core.  Multi-tile groups serve tiles that must be serialised --
+        e.g. the row-chunked backward tiles of one (N, C1) slice, whose
+        accumulate-DMA stores overlap and may not race across cores;
+        :meth:`run_tiles` passes one-tile groups.  ``summaries`` and
+        ``compiled`` are nested to mirror ``groups``; every other
+        argument behaves as in :meth:`run_tiles`.  Under the resilient
+        dispatcher (``faults`` / ``retry``), a reassigned tile drags the
+        rest of its group to the new core, preserving the group's
+        one-core serialisation invariant.
         """
-        if not groups or any(not g for g in groups):
+        if not groups or not all(groups):
             raise SimulationError("run_tile_groups needs non-empty groups")
-        if summaries is not None and (
-            len(summaries) != len(groups)
-            or any(len(s) != len(g) for s, g in zip(summaries, groups))
+        sizes = list(map(len, groups))
+        for nested, name, item in (
+            (summaries, "summaries", "summary"),
+            (compiled, "compiled kernels", "kernel"),
         ):
-            raise SimulationError(
-                "summaries do not mirror groups: need one (possibly None) "
-                "summary per tile program, nested exactly like the groups"
-            )
-        if compiled is not None and (
-            len(compiled) != len(groups)
-            or any(len(c) != len(g) for c, g in zip(compiled, groups))
-        ):
-            raise SimulationError(
-                "compiled kernels do not mirror groups: need one "
-                "(possibly None) kernel per tile program, nested exactly "
-                "like the groups"
-            )
+            if nested is not None and list(map(len, nested)) != sizes:
+                raise SimulationError(
+                    f"{name} do not mirror groups: need one (possibly "
+                    f"None) {item} per tile program, nested exactly like "
+                    "the groups"
+                )
         check_modes(
             execute, sanitize=sanitize, faults=faults, retry=retry,
             compiled=compiled,
@@ -681,59 +580,81 @@ class Chip:
             [Sanitizer(self.config) for _ in self.cores] if sanitize else None
         )
         injector = resolve_injector(faults)
-        launch = self.config.cost.tile_launch_cycles
         silent_jit = injector is not None and execute == "jit"
+        resilient = None
+        if retry is not None or (injector is not None and not silent_jit):
+            resilient = _ResilientDispatch(
+                self, injector, retry or RetryPolicy(), gm, collect_trace,
+                execute, model,
+            )
+        per_core_cycles = (
+            resilient.per_core_cycles if resilient is not None
+            else [0] * len(self.cores)
+        )
         scratch = (
             frozenset(self.config.buffer_specs()) if silent_jit else None
         )
-        if retry is None and (injector is None or silent_jit):
-            per_core_cycles = [0] * len(self.cores)
-            results: list[RunResult] = []
-            tiles = 0
-            for gidx, group in enumerate(groups):
-                core_id, core = self._dispatch(gidx)
-                for pidx, prog in enumerate(group):
-                    res = self._run_one(
-                        core, prog, gm, collect_trace, execute,
-                        summaries[gidx][pidx] if summaries is not None
-                        else None,
-                        model,
-                        sanitizers[core_id] if sanitizers is not None
-                        else None,
-                        compiled[gidx][pidx] if compiled is not None
-                        else None,
-                    )
-                    results.append(res)
-                    per_core_cycles[core_id] += res.cycles + launch
-                    if silent_jit:
-                        inj = injector.injection(tiles, core_id, 0)
-                        if inj is not None:
-                            apply_silent_flips_to_gm(gm, prog, inj, scratch)
-                    tiles += 1
-            return self._result(
-                per_core_cycles, tiles, results,
-                resilience=ResilienceReport(
-                    plan_faults=len(injector.plan), attempts=tiles
-                ) if silent_jit else None,
-                sanitizers=sanitizers,
-            )
-
-        dispatch = _ResilientDispatch(
-            self, injector, retry or RetryPolicy(), gm, collect_trace,
-            execute, model,
-        )
-        results = []
-        tiles = 0
+        launch = self.config.cost.tile_launch_cycles
+        results: list[RunResult] = []
         for gidx, group in enumerate(groups):
-            core_id, _ = self._dispatch(gidx)
+            core_id, core = self._dispatch(gidx)
             for pidx, prog in enumerate(group):
-                core_id, res = dispatch.run_item(
-                    tiles, core_id, prog,
-                    summaries[gidx][pidx] if summaries is not None else None,
-                )
+                tile = len(results)
+                summary = summaries[gidx][pidx] if summaries else None
+                if resilient is not None:
+                    core_id, res = resilient.run_item(
+                        tile, core_id, prog, summary
+                    )
+                else:
+                    res = self._run_one(
+                        core, prog, gm, collect_trace, execute, summary,
+                        model,
+                        sanitizers[core_id] if sanitizers else None,
+                        compiled[gidx][pidx] if compiled else None,
+                    )
+                    per_core_cycles[core_id] += res.cycles + launch
+                    inj = (
+                        injector.injection(tile, core_id, 0)
+                        if silent_jit else None
+                    )
+                    if inj is not None:
+                        apply_silent_flips_to_gm(gm, prog, inj, scratch)
                 results.append(res)
-                tiles += 1
-        dispatch.ledger.audit(tiles)
-        return self._result(
-            dispatch.per_core_cycles, tiles, results, dispatch.report()
+
+        if resilient is not None:
+            resilient.ledger.audit(len(results))
+            resilience = resilient.report()
+        elif silent_jit:
+            resilience = ResilienceReport(
+                plan_faults=len(injector.plan), attempts=len(results)
+            )
+        else:
+            resilience = None
+        sanitizer = None
+        if sanitizers is not None:
+            sanitizer = SanitizerReport()
+            for s in sanitizers:
+                sanitizer.merge(s.report)
+        return ChipRunResult(
+            cycles=max(per_core_cycles),
+            total_work_cycles=sum(per_core_cycles),
+            tiles=len(results),
+            cores_used=sum(1 for c in per_core_cycles if c > 0),
+            per_tile=tuple(results),
+            per_core_cycles=tuple(per_core_cycles),
+            resilience=resilience,
+            sanitizer=sanitizer,
         )
+
+
+def _one_per_tile(items: list | None, programs: list[Program], what: str):
+    """Flat per-program ``items`` as one-tile groups (``None`` stays
+    ``None``), rejecting a count that does not match ``programs``."""
+    if items is None:
+        return None
+    if len(items) != len(programs):
+        raise SimulationError(
+            f"run_tiles got {len(items)} {what} for {len(programs)} tile "
+            f"programs; {what} must correspond 1:1 with tiles"
+        )
+    return [[item] for item in items]

@@ -36,7 +36,7 @@ Design constraints, in order:
   global-memory refs are *anchored* at compile time (instruction index,
   field name, base offset) and the per-call delta is read off the
   clone, so a kernel cached under a slice-independent
-  :func:`~repro.sim.progcache.program_key` runs any slice.
+  :func:`~repro.sim.progcache.plan_key` runs any slice.
 
 * **Interpreter fallback.**  Instructions that do not implement
   :meth:`~repro.isa.instruction.Instruction.compile` -- or whose

@@ -408,6 +408,21 @@ class FaultInjector:
         )
 
 
+def written_gm_tensors(program: "Program", gm, scratch_names) -> list[str]:
+    """Sorted names of the global-memory tensors ``program`` writes.
+
+    Every ``instr.writes()`` buffer outside ``scratch_names`` that ``gm``
+    holds -- what a failed attempt's rollback snapshots and what a
+    silent JIT bit flip may land on.
+    """
+    return sorted({
+        r.buffer
+        for instr in program.instructions
+        for r in instr.writes()
+        if r.buffer not in scratch_names and r.buffer in gm.tensors
+    })
+
+
 def apply_silent_flips_to_gm(
     gm,
     program: "Program",
@@ -421,8 +436,8 @@ def apply_silent_flips_to_gm(
     modelled by its observable effect instead -- one bit of one element
     of a global-memory tensor the program writes, flipped after the
     kernel completes.  Targeting is deterministic: the written GM
-    tensors (``instr.writes()`` minus ``scratch_names``) are sorted by
-    name and their elements concatenated into one flat index space;
+    tensors (:func:`written_gm_tensors`) are taken in name order and
+    their elements concatenated into one flat index space;
     ``offset`` picks the element modulo its total size and ``bit`` the
     bit modulo the element width, mirroring the scratch-pad rule so one
     plan is valid for any geometry.
@@ -440,12 +455,10 @@ def apply_silent_flips_to_gm(
             f"detected_flips="
             f"{[b for b in injection.bitflips if b.detected]}"
         )
-    names: set[str] = set()
-    for instr in program.instructions:
-        for r in instr.writes():
-            if r.buffer not in scratch_names and r.buffer in gm.tensors:
-                names.add(r.buffer)
-    targets = [gm.tensors[nm] for nm in sorted(names)]
+    targets = [
+        gm.tensors[nm]
+        for nm in written_gm_tensors(program, gm, scratch_names)
+    ]
     total = sum(t.size for t in targets)
     if not total:
         raise FaultInjectionError(

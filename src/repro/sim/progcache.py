@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from ..config import ChipConfig
-from ..dtypes import DType
 from ..isa.program import Program
 from .aicore import RunResult, summarize
 from .scheduler import ExecutionModel, resolve_model
@@ -57,48 +56,25 @@ from .scheduler import ExecutionModel, resolve_model
 ProgramKey = Hashable
 
 
-def program_key(
-    kind: str,
-    impl: str,
-    spec: Hashable,
-    geom: Hashable,
-    dtype: DType,
-    image: tuple[int, ...],
-    config: ChipConfig,
-    model: "str | ExecutionModel | None" = None,
-) -> ProgramKey:
-    """Cache key of one tile program.
-
-    ``kind`` distinguishes driver direction ("fwd"/"bwd"), ``impl`` is
-    the implementation's ``describe()`` string (op, variant, mask),
-    ``spec``/``geom`` are the frozen pooling spec and tile geometry,
-    ``image`` carries the full-tensor extents that are baked into
-    global-memory offsets (``ih, iw, oh, ow``), and ``config`` -- a
-    frozen dataclass -- fingerprints both the program shape (buffer
-    capacities, ``max_repeat``) and the cost model the summary depends
-    on.  ``model`` is the timing model's name (default serial): cached
-    summaries are schedule-dependent, so distinct models never alias.
-    Slice index is deliberately *absent*: that is the whole point.
-    """
-    return (
-        kind, impl, spec, geom, dtype.name, image, config,
-        resolve_model(model).name,
-    )
-
-
 def plan_key(plan, geom: Hashable, config: ChipConfig) -> ProgramKey:
-    """Cache key of one tile program, derived from an
+    """Cache key of one tile program of an
     :class:`~repro.plan.planner.ExecutionPlan`.
 
-    Produces *exactly* the tuple :func:`program_key` would for the same
-    lowering -- plans and ad-hoc drivers share one key space, so a plan
-    lowered through :func:`repro.plan.planner.lower` hits entries a
-    pre-refactor driver populated and vice versa.  Duck-typed (reads
-    ``kind``/``describe``/``spec``/``dtype``/``image``/``model``
-    attributes) so this module never imports :mod:`repro.plan`.  A
-    plan's ``model`` is already a resolved model *name* (possibly of a
-    custom :class:`~repro.sim.scheduler.ExecutionModel` instance not in
-    the registry), so it is used verbatim rather than re-resolved.
+    The key is ``(kind, describe, spec, geom, dtype, image, config,
+    model)``: the driver direction ("fwd"/"bwd"), the implementation's
+    ``describe()`` string (op, variant, mask), the frozen pooling spec
+    and tile geometry, the dtype name, the full-tensor extents baked
+    into global-memory offsets (``ih, iw, oh, ow``), the chip config --
+    a frozen dataclass fingerprinting both the program shape (buffer
+    capacities, ``max_repeat``) and the cost model the summary depends
+    on -- and the timing-model name, since cached summaries are
+    schedule-dependent.  Slice index is deliberately *absent*: that is
+    the whole point.  Duck-typed (reads ``kind``/``describe``/``spec``/
+    ``dtype``/``image``/``model`` attributes) so this module never
+    imports :mod:`repro.plan`.  A plan's ``model`` is already a
+    resolved model *name* (possibly of a custom
+    :class:`~repro.sim.scheduler.ExecutionModel` instance not in the
+    registry), so it is used verbatim rather than re-resolved.
     """
     return (
         plan.kind, plan.describe, plan.spec, geom, plan.dtype,
@@ -165,7 +141,7 @@ class _Entry:
         #: One kernel serves every relocated clone -- relocation deltas
         #: are derived per call from the clone's anchored global-memory
         #: operands -- so, like summaries, the kernel is keyed only by
-        #: the slice-independent :func:`program_key`.
+        #: the slice-independent :func:`plan_key`.
         self.kernel = None
 
 
@@ -175,7 +151,7 @@ class ProgramCache:
     One module-level instance (:data:`PROGRAM_CACHE`) is shared by the
     operator drivers; tests can construct private instances or
     :meth:`clear` the shared one.  The cache is keyed by
-    :func:`program_key`, so distinct chip configurations (including cost
+    :func:`plan_key`, so distinct chip configurations (including cost
     models) never alias.
 
     All public methods are atomic under one internal
@@ -271,8 +247,8 @@ class ProgramCache:
         per-instruction timed trace.  With ``collect_trace=False`` an
         empty-trace variant is returned (and separately memoized) so
         callers that asked for no trace do not receive one.  Summaries
-        are memoized per ``(model, collect_trace)``; callers that also
-        fold the model into :func:`program_key` get fully disjoint
+        are memoized per ``(model, collect_trace)``; keys that also fold
+        the model in (as :func:`plan_key` does) get fully disjoint
         entries per model.
 
         If the entry was evicted -- or the key now maps to a *different*

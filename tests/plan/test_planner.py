@@ -15,6 +15,7 @@ Three properties carry the whole pipeline:
 
 from __future__ import annotations
 
+import json
 import pickle
 from dataclasses import replace
 
@@ -23,11 +24,17 @@ import pytest
 
 from repro.config import ASCEND910
 from repro.dtypes import FLOAT16, FLOAT32
-from repro.errors import PlanError
+from repro.errors import LayoutError, PlanError
 from repro.ops import PoolSpec
 from repro.ops.base import run_backward, run_forward
 from repro.ops.registry import backward_impl, forward_impl
-from repro.plan import ExecutionPlan, plan_default, resolve_plan
+from repro.plan import (
+    ExecutionPlan,
+    dispatch,
+    lower,
+    plan_default,
+    resolve_plan,
+)
 from repro.sim import ProgramCache
 from repro.workloads import make_gradient, make_input
 
@@ -223,3 +230,115 @@ class TestDefaultPlanEquivalence:
         assert np.array_equal(explicit.output, implicit.output)
         assert explicit.cycles == implicit.cycles
         assert explicit.plan == implicit.plan
+
+
+class TestPlanErrorsStayNarrow:
+    """``repro.plan`` turns its own errors into :class:`PlanError` and
+    lets genuine bugs propagate."""
+
+    def test_registry_bug_propagates_out_of_resolve_plan(self, monkeypatch):
+        import repro.ops.registry as registry
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("registry bug")
+
+        monkeypatch.setattr(registry, "forward_impl", broken)
+        plan = replace(fwd_plan(), impl="im2col")
+        with pytest.raises(RuntimeError, match="registry bug"):
+            TestResolvePlan().call(plan)
+
+    def test_unknown_impl_is_still_a_plan_error(self):
+        plan = replace(fwd_plan(), impl="no-such-variant")
+        with pytest.raises(PlanError, match="unusable implementation"):
+            TestResolvePlan().call(plan)
+
+    @pytest.mark.parametrize("field", ["model", "dtype"])
+    def test_malformed_json_values_are_plan_errors(self, field):
+        payload = fwd_plan().to_dict()
+        payload[field] = [payload[field]]
+        plan = ExecutionPlan.from_json(json.dumps(payload))
+        with pytest.raises(PlanError, match="unknown"):
+            plan.validate()
+
+
+class TestDispatchChecksTensors:
+    """:func:`repro.plan.dispatch` rejects tensors that do not fit the
+    plan, in every execute mode, with :class:`LayoutError`."""
+
+    SPEC = PoolSpec.square(3, 2)
+
+    def plan(self, kind="fwd", op="max", execute="numeric", c1=2):
+        impl = (
+            forward_impl("im2col", op) if kind == "fwd"
+            else backward_impl("col2im", op)
+        )
+        return plan_default(
+            kind, impl, self.SPEC, FLOAT16, 2, c1, 17, 17, ASCEND910,
+            execute=execute,
+        )
+
+    def run(self, plan, **tensors):
+        lowering = lower(plan, ASCEND910, cache=ProgramCache(),
+                         collect_trace=False)
+        return dispatch(plan, lowering, ASCEND910, collect_trace=False,
+                        **tensors)
+
+    def x(self, n=2, c1=2, dtype=np.float16):
+        return make_input(17, 17, 16 * c1, n=n, seed=0).astype(dtype)
+
+    def test_matching_input_runs(self):
+        res = self.run(self.plan(), x=self.x())
+        assert res.output.shape == (2, 2, 8, 8, 16)
+
+    @pytest.mark.parametrize("execute", ["numeric", "cycles", "jit"])
+    def test_extra_slices_rejected(self, execute):
+        with pytest.raises(LayoutError, match="input shape"):
+            self.run(self.plan(execute=execute), x=self.x(n=4))
+
+    def test_wrong_channel_blocks_rejected(self):
+        with pytest.raises(LayoutError, match="input shape"):
+            self.run(self.plan(c1=1), x=self.x(n=1, c1=2))
+
+    def test_too_few_slices_rejected(self):
+        with pytest.raises(LayoutError, match="input shape"):
+            self.run(self.plan(), x=self.x(n=1))
+
+    def test_dtype_rejected(self):
+        with pytest.raises(LayoutError, match="dtype"):
+            self.run(self.plan(), x=self.x(dtype=np.float32))
+
+    def test_missing_input_rejected(self):
+        with pytest.raises(LayoutError, match="requires the input"):
+            self.run(self.plan())
+
+    def test_maxpool_backward_requires_mask(self):
+        plan = self.plan("bwd")
+        oh, ow = plan.out_hw
+        grad = make_gradient(2, oh, ow, n=2, seed=1)
+        with pytest.raises(LayoutError, match="Argmax mask"):
+            self.run(plan, grad=grad)
+        with pytest.raises(LayoutError, match="Argmax mask shape"):
+            self.run(plan, grad=grad, mask=np.zeros((2, 2), np.float16))
+
+    @pytest.mark.parametrize("execute", ["numeric", "cycles"])
+    def test_avgpool_backward_rejects_mask(self, execute):
+        plan = self.plan("bwd", op="avg", execute=execute)
+        oh, ow = plan.out_hw
+        grad = make_gradient(2, oh, ow, n=2, seed=1)
+        mask = np.zeros((2, 2, 3, 3, oh, ow, 16), np.float16)
+        with pytest.raises(LayoutError, match="takes no mask"):
+            self.run(plan, grad=grad, mask=mask)
+
+    def test_tensorless_cycles_costing_still_runs(self):
+        res = self.run(self.plan(execute="cycles"))
+        assert res.output is None and res.cycles > 0
+
+    def test_run_backward_checks_before_lowering(self):
+        cache = ProgramCache()
+        plan = self.plan("bwd")
+        oh, ow = plan.out_hw
+        grad = make_gradient(2, oh, ow, n=2, seed=1)
+        impl = backward_impl("col2im", "max")
+        with pytest.raises(LayoutError, match="Argmax mask"):
+            run_backward(grad, self.SPEC, impl, 17, 17, cache=cache)
+        assert len(cache) == 0

@@ -26,12 +26,13 @@ from repro.ops import PoolSpec
 from repro.ops.base import run_backward, run_forward
 from repro.ops.reference import maxpool_argmax_ref
 from repro.ops.registry import backward_impl, forward_impl
+from repro.plan import ExecutionPlan
 from repro.sim import (
     PROGRAM_CACHE,
     AICore,
     GlobalMemory,
     ProgramCache,
-    program_key,
+    plan_key,
 )
 from repro.workloads import make_gradient, make_input
 
@@ -142,12 +143,14 @@ class TestProgramRelocate:
 # The cache proper.
 # ---------------------------------------------------------------------------
 
+_KEY_PLAN = ExecutionPlan(
+    kind="fwd", impl="im2col", op="max", with_mask=False, dtype=DT.name,
+    spec=PoolSpec.square(3, 2), n=1, c1=1, ih=20, iw=20, chunk=9,
+)
+
+
 def _key(i: int = 0):
-    geom = ("geom", i)
-    return program_key(
-        "fwd", "maxpool-im2col", PoolSpec.square(3, 2), geom, DT,
-        (20, 20, 9, 9), ASCEND910,
-    )
+    return plan_key(_KEY_PLAN, ("geom", i), ASCEND910)
 
 
 class TestProgramCache:

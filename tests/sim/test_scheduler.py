@@ -239,29 +239,36 @@ class TestCacheModelSeparation:
         p.emit(VADD(d, d, s, Mask.full(), 2))
         return p
 
-    def test_program_key_folds_model(self):
-        from repro.sim import program_key
+    def _plan(self):
+        from repro.plan import plan_default
 
-        base = dict(
-            kind="fwd", impl="i", spec=(1,), geom=(2,),
-            dtype=FLOAT16, image=(8, 8, 4, 4), config=ASCEND910,
+        return plan_default(
+            "fwd", forward_impl("im2col", "max"), PoolSpec.square(2, 2),
+            FLOAT16, 1, 1, 8, 8, ASCEND910,
         )
-        assert program_key(**base) == program_key(**base, model="serial")
-        assert program_key(**base) != program_key(
-            **base, model="pipelined"
-        )
+
+    def test_plan_key_folds_model(self):
+        from dataclasses import replace
+
+        from repro.sim import plan_key
+
+        plan = self._plan()
+        base = plan_key(plan, (2,), ASCEND910)
+        pipelined = replace(plan, model="pipelined")
+        assert plan_key(replace(plan, model="serial"), (2,), ASCEND910) == base
+        assert plan_key(pipelined, (2,), ASCEND910) != base
 
     def test_summaries_memoized_per_model(self):
-        from repro.sim import ProgramCache, program_key
+        from dataclasses import replace
+
+        from repro.sim import ProgramCache, plan_key
 
         cache = ProgramCache()
         prog = self._program()
+        plan = self._plan()
         results = {}
         for model in ("serial", "pipelined"):
-            key = program_key(
-                "fwd", "i", (1,), (2,), FLOAT16, (8, 8, 4, 4),
-                ASCEND910, model=model,
-            )
+            key = plan_key(replace(plan, model=model), (2,), ASCEND910)
             got = cache.get_or_build(key, lambda: prog)
             results[model] = cache.summary(
                 key, got, ASCEND910, model=model

@@ -499,9 +499,9 @@ class Chip:
         accounting, and ``model`` selects the timing model.
 
         ``faults`` / ``retry`` switch on the resilient dispatcher (see
-        the module docstring); both ``None`` (the default) runs the
-        historical loop unchanged and leaves
-        :attr:`ChipRunResult.resilience` as ``None``.
+        the module docstring); both ``None`` (the default) runs every
+        tile plainly and leaves :attr:`ChipRunResult.resilience` as
+        ``None``.
 
         ``sanitize=True`` runs every tile in strict memory-checking
         mode (:mod:`repro.sim.sanitizer`) with one persistent
@@ -613,12 +613,10 @@ class Chip:
                         compiled[gidx][pidx] if compiled else None,
                     )
                     per_core_cycles[core_id] += res.cycles + launch
-                    inj = (
-                        injector.injection(tile, core_id, 0)
-                        if silent_jit else None
-                    )
-                    if inj is not None:
-                        apply_silent_flips_to_gm(gm, prog, inj, scratch)
+                    if silent_jit:
+                        inj = injector.injection(tile, core_id, 0)
+                        if inj is not None:
+                            apply_silent_flips_to_gm(gm, prog, inj, scratch)
                 results.append(res)
 
         if resilient is not None:

@@ -78,6 +78,14 @@ class TestPlanIdentity:
         with pytest.raises(PlanError, match="malformed plan JSON"):
             ExecutionPlan.from_json("{not json")
 
+    @pytest.mark.parametrize("field", ["model", "dtype"])
+    def test_malformed_json_values_fail_validation(self, field):
+        payload = fwd_plan().to_dict()
+        payload[field] = [payload[field]]
+        plan = ExecutionPlan.from_json(json.dumps(payload))
+        with pytest.raises(PlanError, match="unknown"):
+            plan.validate()
+
     def test_equal_plans_share_cache_entries(self):
         x = make_input(28, 28, 16, n=1, seed=0)
         impl = forward_impl("standard", "max")
@@ -187,6 +195,23 @@ class TestResolvePlan:
         assert resolved_plan is plan
         assert resolved_impl.name == "im2col"
 
+    def test_unknown_impl_is_a_plan_error(self):
+        plan = replace(fwd_plan(), impl="no-such-variant")
+        with pytest.raises(PlanError, match="unusable implementation"):
+            self.call(plan)
+
+    def test_registry_bug_propagates(self, monkeypatch):
+        # Only the registry's own errors become PlanError; a genuine
+        # bug surfaces as itself.
+        import repro.ops.registry as registry
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("registry bug")
+
+        monkeypatch.setattr(registry, "forward_impl", broken)
+        with pytest.raises(RuntimeError, match="registry bug"):
+            self.call(replace(fwd_plan(), impl="im2col"))
+
 
 class TestDefaultPlanEquivalence:
     """``plan="default"`` is the reified historical heuristic."""
@@ -230,35 +255,6 @@ class TestDefaultPlanEquivalence:
         assert np.array_equal(explicit.output, implicit.output)
         assert explicit.cycles == implicit.cycles
         assert explicit.plan == implicit.plan
-
-
-class TestPlanErrorsStayNarrow:
-    """``repro.plan`` turns its own errors into :class:`PlanError` and
-    lets genuine bugs propagate."""
-
-    def test_registry_bug_propagates_out_of_resolve_plan(self, monkeypatch):
-        import repro.ops.registry as registry
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("registry bug")
-
-        monkeypatch.setattr(registry, "forward_impl", broken)
-        plan = replace(fwd_plan(), impl="im2col")
-        with pytest.raises(RuntimeError, match="registry bug"):
-            TestResolvePlan().call(plan)
-
-    def test_unknown_impl_is_still_a_plan_error(self):
-        plan = replace(fwd_plan(), impl="no-such-variant")
-        with pytest.raises(PlanError, match="unusable implementation"):
-            TestResolvePlan().call(plan)
-
-    @pytest.mark.parametrize("field", ["model", "dtype"])
-    def test_malformed_json_values_are_plan_errors(self, field):
-        payload = fwd_plan().to_dict()
-        payload[field] = [payload[field]]
-        plan = ExecutionPlan.from_json(json.dumps(payload))
-        with pytest.raises(PlanError, match="unknown"):
-            plan.validate()
 
 
 class TestDispatchChecksTensors:

@@ -7,7 +7,18 @@ from repro.config import ASCEND910, ChipConfig
 from repro.errors import SimulationError
 from repro.isa import Mask, MemRef, Program, VectorDup, VectorOperand
 from repro.dtypes import FLOAT16
-from repro.sim import Chip, GlobalMemory
+from repro.ops import PoolSpec
+from repro.ops.registry import forward_impl
+from repro.plan import lower, plan_default
+from repro.sim import (
+    BitFlip,
+    Chip,
+    Crash,
+    FaultPlan,
+    GlobalMemory,
+    RetryPolicy,
+)
+from repro.workloads import make_input
 
 
 def tile_program(repeat=1, offset=0):
@@ -235,11 +246,6 @@ def _pool_tiles(execute):
     """Real forward MaxPool tile programs (6 tiles over 4 cores), their
     JIT kernels under ``execute="jit"``, and a global memory to run them
     against (``None`` in cycles mode)."""
-    from repro.ops import PoolSpec
-    from repro.ops.registry import forward_impl
-    from repro.plan import lower, plan_default
-    from repro.workloads import make_input
-
     x = make_input(17, 17, 48, n=1, seed=3)
     plan = plan_default(
         "fwd", forward_impl("im2col", "max"), PoolSpec.square(3, 2),
@@ -265,8 +271,6 @@ def _pool_tiles(execute):
 
 
 def _eq_cases():
-    from repro.sim import BitFlip, Crash, FaultPlan, RetryPolicy
-
     silent = FaultPlan((BitFlip(tile=2, offset=7, bit=3, detected=False),))
     crash = FaultPlan((
         Crash(tile=1, core=1, at_instruction=2),
@@ -327,8 +331,6 @@ class TestFlatGroupedEquivalence:
                 assert arr.tobytes() == grouped_gm.tensors[name].tobytes()
 
     def test_reassigned_group_stays_on_one_core(self):
-        from repro.sim import Crash, FaultPlan
-
         progs, _, fresh_gm = _pool_tiles("numeric")
         # Group 0 (tiles 0-2) is dealt to core 0; tile 1 crashes there
         # and moves to core 1, dragging tile 2 with it.

@@ -27,7 +27,12 @@ from repro.dtypes import FLOAT16, FLOAT32
 from repro.errors import LayoutError, PlanError
 from repro.ops import PoolSpec
 from repro.ops.base import run_backward, run_forward
-from repro.ops.registry import backward_impl, forward_impl
+from repro.ops.registry import (
+    backward_impl,
+    backward_variants,
+    forward_impl,
+    forward_variants,
+)
 from repro.plan import (
     ExecutionPlan,
     dispatch,
@@ -255,6 +260,39 @@ class TestDefaultPlanEquivalence:
         assert np.array_equal(explicit.output, implicit.output)
         assert explicit.cycles == implicit.cycles
         assert explicit.plan == implicit.plan
+
+
+class TestCachedLoweringMatchesUncached:
+    """Relocated cache clones equal fresh per-slice builds, instruction
+    by instruction: each tile's global-memory windows and the per-slice
+    relocation deltas describe the same layout."""
+
+    SPEC = PoolSpec(kh=3, kw=3, sh=2, sw=2, pt=1, pb=1, pl=0, pr=1)
+
+    @staticmethod
+    def flat(lowering):
+        return [prog for group in lowering.groups for prog in group]
+
+    @pytest.mark.parametrize(
+        "kind, name, op, with_mask",
+        [("fwd", *variant) for variant in forward_variants()]
+        + [("bwd", name, op, False) for name, op in backward_variants()],
+    )
+    def test_programs_agree(self, kind, name, op, with_mask):
+        impl = (
+            forward_impl(name, op, with_mask) if kind == "fwd"
+            else backward_impl(name, op)
+        )
+        plan = plan_default(
+            kind, impl, self.SPEC, FLOAT16, 2, 2, 23, 19, ASCEND910,
+        )
+        assert len(plan.tiles) > 1  # row-chunked
+        uncached = self.flat(lower(plan, ASCEND910, cache=None))
+        cached = self.flat(lower(plan, ASCEND910, cache=ProgramCache()))
+        assert [p.name for p in cached] == [p.name for p in uncached]
+        assert [p.instructions for p in cached] == [
+            p.instructions for p in uncached
+        ]
 
 
 class TestDispatchChecksTensors:

@@ -345,10 +345,11 @@ def run_forward(
     ``sanitize=`` and ``faults=``/``retry=``, which instrument the
     interpreter loop the JIT skips.
 
-    ``model`` selects the timing model ("serial"/"pipelined", an
-    :class:`~repro.sim.scheduler.ExecutionModel`, or ``None`` for the
-    default serial accounting).  It only shapes cycle counts; numeric
-    outputs are bit-identical across models.
+    ``model`` selects the timing model ("serial"/"pipelined", a
+    registered :class:`~repro.sim.scheduler.ExecutionModel`, or ``None``
+    for the default serial accounting); the plan records its name.  It
+    only shapes cycle counts; numeric outputs are bit-identical across
+    models.
 
     ``faults`` / ``retry`` switch on the chip's resilient dispatcher
     (deterministic fault injection, bounded retry with reassignment and
@@ -370,17 +371,14 @@ def run_forward(
     dtype = dtype_of(x)
     _validate_input(x, dtype)
     n, c1_total, ih, iw, c0 = x.shape
-    resolved, timing, impl = resolve_plan(
+    resolved = resolve_plan(
         plan, "fwd", impl, spec, dtype, n, c1_total, ih, iw, config,
         execute=execute, model=model,
     )
-    lowering = lower(
-        resolved, config, cache=cache, collect_trace=collect_trace,
-        timing=timing, impl=impl,
-    )
+    lowering = lower(resolved, config, cache, collect_trace)
     return dispatch(
         resolved, lowering, config, x=x, collect_trace=collect_trace,
-        timing=timing, faults=faults, retry=retry, sanitize=sanitize,
+        faults=faults, retry=retry, sanitize=sanitize,
     )
 
 
@@ -405,46 +403,31 @@ def run_backward(
     """Run a backward pooling implementation.
 
     ``grad`` is ``(N, C1, Oh, Ow, C0)``; for MaxPool, ``mask`` is the
-    rank-7 Argmax mask the forward pass saved.  Returns the input
-    gradient ``(N, C1, Ih, Iw, C0)``.
+    rank-7 ``(N, C1, Kh, Kw, Oh, Ow, C0)`` Argmax mask the forward pass
+    saved (AvgPool takes none).  Returns the input gradient
+    ``(N, C1, Ih, Iw, C0)``.
 
-    Row-chunked tiles of one slice write overlapping input rows; their
-    stores use the accumulate-DMA mode, so by default they run on
-    different cores like forward tiles (the atomic-add path AKG uses for
-    multi-core reductions).  ``serialize_slices=True`` instead keeps each
-    ``(N, C1)`` slice's chunks on one core, giving a bit-deterministic
-    accumulation order at the cost of parallelism.
-
-    ``execute``, ``cache``, ``model``, ``faults``, ``retry`` and
-    ``plan`` behave exactly as in :func:`run_forward`: the driver is
-    the same plan -> lower -> dispatch composition, tile programs are
-    lowered once per unique geometry and relocated per slice,
-    ``execute="cycles"`` skips the data pass (``output`` is ``None``),
-    ``model`` selects the timing model without affecting numeric
-    results, and ``faults``/``retry`` enable the resilient dispatcher
-    (a failed attempt's partial accumulate-DMA stores are rolled back
-    before the retry, so recovered outputs stay bit-identical).
-    ``sanitize=True`` enables the strict memory-checking mode exactly
-    as in :func:`run_forward`.  ``execute="jit"`` likewise mirrors
-    :func:`run_forward`: the data pass runs through compiled batch
-    kernels (one per unique tile geometry, shared by every relocated
-    slice clone) with bit-identical gradients and cycle counts.
+    Row-chunked tiles of one slice write overlapping input rows through
+    accumulate-DMA stores, so by default they run on different cores
+    like forward tiles; ``serialize_slices=True`` keeps each
+    ``(N, C1)`` slice's chunks on one core for a bit-deterministic
+    accumulation order.  Under ``faults``/``retry`` a failed attempt's
+    partial accumulate stores are rolled back before the retry, so
+    recovered gradients stay bit-identical.  Every other argument
+    behaves as in :func:`run_forward`.
     """
     check_execute(execute, LayoutError)
     dtype = dtype_of(grad)
     _validate_input(grad, dtype)
     n, c1_total = grad.shape[:2]
-    resolved, timing, impl = resolve_plan(
+    resolved = resolve_plan(
         plan, "bwd", impl, spec, dtype, n, c1_total, ih, iw, config,
         execute=execute, model=model, serialize_slices=serialize_slices,
     )
     check_tensors(resolved, grad=grad, mask=mask)
-    lowering = lower(
-        resolved, config, cache=cache, collect_trace=collect_trace,
-        timing=timing, impl=impl,
-    )
+    lowering = lower(resolved, config, cache, collect_trace)
     return dispatch(
         resolved, lowering, config, grad=grad, mask=mask,
-        collect_trace=collect_trace, timing=timing, faults=faults,
-        retry=retry, sanitize=sanitize,
+        collect_trace=collect_trace, faults=faults, retry=retry,
+        sanitize=sanitize,
     )

@@ -265,10 +265,10 @@ def search(
     if cache is None:
         cache = ProgramCache()
 
-    def cost(plan: ExecutionPlan, impl: "PoolingImpl") -> int:
-        return plan_cycles(plan, config, cache=cache, impl=impl).cycles
+    def cost(plan: ExecutionPlan) -> int:
+        return plan_cycles(plan, config, cache=cache).cycles
 
-    baseline_cycles = cost(baseline, requested)
+    baseline_cycles = cost(baseline)
     best, best_cycles = baseline, baseline_cycles
     evaluated = 1
     seen = {(baseline.impl, baseline.chunk, baseline.model)}
@@ -305,7 +305,7 @@ def search(
                     baseline, impl=impl_name, chunk=chunk, model=model,
                     with_mask=impl.with_mask,
                 )
-                cycles = cost(plan, impl)
+                cycles = cost(plan)
                 evaluated += 1
                 if cycles < best_cycles:
                     best, best_cycles = plan, cycles
@@ -365,7 +365,7 @@ class AutotuneTable:
             raise PlanError(
                 f"malformed autotune table {path}: {exc}"
             ) from None
-        entries = payload.get("entries")
+        entries = payload.get("entries") if isinstance(payload, dict) else None
         if not isinstance(entries, dict):
             raise PlanError(
                 f"malformed autotune table {path}: no 'entries' mapping"
@@ -430,9 +430,12 @@ def tuned_plan(
         kind, impl, spec, dtype, n, c1, ih, iw,
         serialize_slices=serialize_slices,
     )
-    entry = table.lookup(workload.key(config))
+    key = workload.key(config)
+    entry = table.lookup(key)
     if entry is None:
         return None
+    if not isinstance(entry, dict) or "plan" not in entry:
+        raise PlanError(f"malformed autotune entry {key}: no 'plan'")
     plan = ExecutionPlan.from_dict(entry["plan"])
     return replace(plan, execute=execute)
 

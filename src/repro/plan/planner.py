@@ -37,8 +37,9 @@ touched during search.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+import math
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from ..isa.program import Program
 from ..isa.scu import Im2ColParams
 from ..sim import (
     Chip,
-    ExecutionModel,
     GlobalMemory,
     ProgramCache,
     RunResult,
@@ -65,10 +65,60 @@ from .tiling import TileGeom, plan_chunk, tiles_for_chunk
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ops.base import PoolingImpl, PoolRunResult
     from ..ops.spec import PoolSpec
-    from ..sim import FaultInjector, FaultPlan, RetryPolicy
+    from ..sim import ExecutionModel, FaultInjector, FaultPlan, RetryPolicy
 
 #: Plan directions: forward pooling and backward (input-gradient).
 PLAN_KINDS = ("fwd", "bwd")
+#: Plan fields whose type :meth:`ExecutionPlan.validate` checks exactly
+#: (so ``bool`` is not an ``int``); the other fields are checked by
+#: membership, and the spec by comparison with the workload's.
+FIELD_TYPES = {
+    "impl": str, "n": int, "c1": int, "ih": int, "iw": int, "chunk": int,
+    "with_mask": bool, "serialize_slices": bool,
+}
+
+
+class GMTensor(NamedTuple):
+    """One global-memory tensor of a plan (:attr:`ExecutionPlan.tensors`)."""
+
+    #: GM buffer name: ``x``/``out``/``mask``/``grad``/``dx``.
+    name: str
+    #: What error messages call it.
+    label: str
+    #: The :class:`~repro.ops.base.TileContext` field its tile window fills.
+    field: str
+    #: Written by the tile programs (else read from the caller's array).
+    written: bool
+    #: ``(n, c1, *planes, rows, cols, C0)``; only the mask has planes.
+    shape: tuple[int, ...]
+    #: Rows index the patch (output) grid rather than the image.
+    grid_rows: bool
+
+    @property
+    def slice_elems(self) -> int:
+        """Elements per ``(N, C1)`` slice: the relocation stride."""
+        return math.prod(self.shape[2:])
+
+    def window(self, slice_idx: int, geom: TileGeom, dtype: DType):
+        """The tile's rows of this tensor in one slice: a
+        :class:`MemRef`, or for the mask a list of them, one per
+        ``(kh, kw)`` plane, row-major."""
+        *_, rows, cols, c0 = self.shape
+        r0, nrows = (
+            (geom.oh0, geom.out_rows) if self.grid_rows
+            else (geom.ih0, geom.in_rows)
+        )
+        planes = math.prod(self.shape[2:-3])
+        refs = [
+            MemRef(
+                self.name,
+                ((slice_idx * planes + p) * rows + r0) * cols * c0,
+                nrows * cols * c0,
+                dtype,
+            )
+            for p in range(planes)
+        ]
+        return refs if len(self.shape) > 5 else refs[0]
 
 
 @dataclass(frozen=True)
@@ -137,6 +187,38 @@ class ExecutionPlan:
         """The tile geometries this plan's chunk produces."""
         return tuple(tiles_for_chunk(self.full_params, self.chunk))
 
+    @property
+    def tensors(self) -> tuple[GMTensor, ...]:
+        """The global-memory tensors this plan reads and writes, in
+        setup order -- the one description of its GM layout.  Each
+        tile's operands, the per-slice relocation deltas, the
+        tensor-vs-plan check, GM setup and read-back all derive from it.
+        """
+        ih, iw, oh, ow = self.image
+        c0 = dtype_by_name(self.dtype).c0
+        lead = (self.n, self.c1)
+        image, grid = lead + (ih, iw, c0), lead + (oh, ow, c0)
+        fwd = self.kind == "fwd"
+        mask = (
+            (GMTensor(
+                "mask", "Argmax mask", "gm_mask_planes", fwd,
+                lead + (self.spec.kh, self.spec.kw, oh, ow, c0), True,
+            ),)
+            if self.with_mask or (not fwd and self.op == "max")
+            else ()
+        )
+        if fwd:
+            return (
+                GMTensor("x", "input", "gm_in", False, image, False),
+                GMTensor("out", "output", "gm_out", True, grid, True),
+                *mask,
+            )
+        return (
+            GMTensor("grad", "gradient", "gm_grad", False, grid, True),
+            *mask,
+            GMTensor("dx", "input gradient", "gm_dx", True, image, False),
+        )
+
     def to_dict(self) -> dict:
         """JSON-serializable form (see :meth:`from_dict`)."""
         s = self.spec
@@ -161,12 +243,10 @@ class ExecutionPlan:
     def from_dict(cls, data: dict) -> "ExecutionPlan":
         from ..ops.spec import PoolSpec
 
-        fields = dict(data)
-        fields["spec"] = PoolSpec(**fields["spec"])
         try:
-            return cls(**fields)
-        except TypeError as exc:
-            raise PlanError(f"malformed plan payload: {exc}") from None
+            return cls(**{**data, "spec": PoolSpec(**data["spec"])})
+        except (KeyError, TypeError, ReproError) as exc:
+            raise PlanError(f"malformed plan payload: {exc!r}") from None
 
     def to_json(self) -> str:
         """Canonical JSON encoding (sorted keys, no whitespace drift)."""
@@ -182,6 +262,13 @@ class ExecutionPlan:
 
     def validate(self) -> None:
         """Raise :class:`~repro.errors.PlanError` on malformed fields."""
+        for name, expected in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if type(value) is not expected:
+                raise PlanError(
+                    f"plan field {name} must be {expected.__name__}, "
+                    f"got {value!r}"
+                )
         if self.kind not in PLAN_KINDS:
             raise PlanError(
                 f"unknown plan kind {self.kind!r}; expected one of "
@@ -238,14 +325,10 @@ def plan_default(
     """
     timing = resolve_model(model)
     full = spec.with_image(ih, iw)
-    num_slices = n * c1
-    if kind == "fwd":
-        min_tiles = -(-config.num_cores // num_slices)
-    else:
-        min_tiles = (
-            1 if serialize_slices
-            else -(-config.num_cores // num_slices)
-        )
+    min_tiles = (
+        1 if kind == "bwd" and serialize_slices
+        else -(-config.num_cores // (n * c1))
+    )
     chunk = plan_chunk(
         full, impl.footprint, config, dtype, min_tiles=min_tiles
     )
@@ -296,7 +379,7 @@ def resolve_plan(
     execute: str = "numeric",
     model: "str | ExecutionModel | None" = None,
     serialize_slices: bool = False,
-) -> tuple[ExecutionPlan, ExecutionModel, "PoolingImpl"]:
+) -> ExecutionPlan:
     """Resolve a driver's ``plan=`` argument into a concrete plan.
 
     ``"default"`` (the default) reproduces the historical heuristic
@@ -306,12 +389,8 @@ def resolve_plan(
     An explicit :class:`ExecutionPlan` is validated against the workload
     (direction, spec, dtype, extents, op/mask must match -- the plan's
     implementation variant, chunk, execute mode and timing model win
-    over the call's arguments).
-
-    Returns ``(plan, timing, impl)`` where ``timing`` is the resolved
-    :class:`~repro.sim.ExecutionModel` (the caller's possibly-custom
-    model object for ``"default"`` plans, so instance-based models keep
-    working) and ``impl`` is the implementation instance to lower.
+    over the call's arguments; an unusable variant is a
+    :class:`~repro.errors.PlanError`).
     """
     if isinstance(plan, str):
         if plan == "autotuned":
@@ -329,15 +408,9 @@ def resolve_plan(
                 "'autotuned' or an ExecutionPlan"
             )
     if isinstance(plan, str):  # "default", or an untuned "autotuned"
-        timing = resolve_model(model)
-        return (
-            plan_default(
-                kind, impl, spec, dtype, n, c1, ih, iw, config,
-                execute=execute, model=timing,
-                serialize_slices=serialize_slices,
-            ),
-            timing,
-            impl,
+        return plan_default(
+            kind, impl, spec, dtype, n, c1, ih, iw, config,
+            execute=execute, model=model, serialize_slices=serialize_slices,
         )
     if not isinstance(plan, ExecutionPlan):
         raise PlanError(
@@ -372,35 +445,14 @@ def resolve_plan(
             f"not match the requested {impl.op!r} "
             f"(mask={impl.with_mask})"
         )
-    resolved = impl if plan.impl == impl.name else _impl_for_plan(plan)
-    return plan, resolve_model(plan.model), resolved
+    if plan.impl != impl.name:
+        _impl_for_plan(plan)  # a PlanError for an unusable variant
+    return plan
 
 
 # ---------------------------------------------------------------------------
 # Lowering.
 # ---------------------------------------------------------------------------
-
-def _mask_plane_refs(
-    geom: TileGeom,
-    spec: "PoolSpec",
-    slice_idx: int,
-    oh_full: int,
-    ow: int,
-    c0: int,
-    dtype: DType,
-    name: str = "mask",
-) -> list[MemRef]:
-    """GM regions of each (kh, kw) plane's rows [oh0, oh1) for a tile."""
-    refs = []
-    rows = geom.out_rows * ow * c0
-    for i in range(spec.kh):
-        for j in range(spec.kw):
-            base = (
-                ((slice_idx * spec.kh + i) * spec.kw + j) * oh_full + geom.oh0
-            ) * ow * c0
-            refs.append(MemRef(name, base, rows, dtype))
-    return refs
-
 
 def _build_tile_program(
     plan: ExecutionPlan,
@@ -415,89 +467,19 @@ def _build_tile_program(
 
     This is the only place :class:`~repro.tik.KernelBuilder` runs for
     pooling; the forward/backward distinction collapses to which
-    global-memory operands get wired into the
+    global-memory operands :attr:`ExecutionPlan.tensors` wires into the
     :class:`~repro.ops.base.TileContext`.
     """
     from ..ops.base import TileContext
 
-    ih, iw, oh, ow = plan.image
-    c0 = dtype.c0
-    spec = plan.spec
     b = KernelBuilder(
-        config,
-        dtype,
-        name=f"{impl.describe()}-s{slice_idx}-t{tile_idx}",
+        config, dtype, name=f"{plan.describe}-s{slice_idx}-t{tile_idx}"
     )
-    needs_mask = plan.with_mask or (plan.kind == "bwd" and plan.op == "max")
-    mask_planes = (
-        _mask_plane_refs(geom, spec, slice_idx, oh, ow, c0, dtype)
-        if needs_mask
-        else None
-    )
-    if plan.kind == "fwd":
-        ctx = TileContext(
-            builder=b,
-            geom=geom,
-            spec=spec,
-            dtype=dtype,
-            gm_in=MemRef(
-                "x",
-                (slice_idx * ih + geom.ih0) * iw * c0,
-                geom.in_rows * iw * c0,
-                dtype,
-            ),
-            gm_out=MemRef(
-                "out",
-                (slice_idx * oh + geom.oh0) * ow * c0,
-                geom.out_rows * ow * c0,
-                dtype,
-            ),
-            gm_mask_planes=mask_planes,
-        )
-    else:
-        ctx = TileContext(
-            builder=b,
-            geom=geom,
-            spec=spec,
-            dtype=dtype,
-            gm_grad=MemRef(
-                "grad",
-                (slice_idx * oh + geom.oh0) * ow * c0,
-                geom.out_rows * ow * c0,
-                dtype,
-            ),
-            gm_dx=MemRef(
-                "dx",
-                (slice_idx * ih + geom.ih0) * iw * c0,
-                geom.in_rows * iw * c0,
-                dtype,
-            ),
-            gm_mask_planes=mask_planes,
-        )
-    impl.build_tile(ctx)
+    impl.build_tile(TileContext(
+        builder=b, geom=geom, spec=plan.spec, dtype=dtype,
+        **{t.field: t.window(slice_idx, geom, dtype) for t in plan.tensors},
+    ))
     return b.program
-
-
-def _slice_deltas(plan: ExecutionPlan, slice_idx: int) -> dict[str, int]:
-    """Relocation deltas of one ``(N, C1)`` slice's GM operands."""
-    ih, iw, oh, ow = plan.image
-    c0 = dtype_by_name(plan.dtype).c0
-    spec = plan.spec
-    if plan.kind == "fwd":
-        deltas = {
-            "x": slice_idx * ih * iw * c0,
-            "out": slice_idx * oh * ow * c0,
-        }
-        if plan.with_mask:
-            deltas["mask"] = slice_idx * spec.kh * spec.kw * oh * ow * c0
-    else:
-        deltas = {
-            "grad": slice_idx * oh * ow * c0,
-            "dx": slice_idx * ih * iw * c0,
-        }
-        if plan.op == "max":
-            deltas["mask"] = slice_idx * spec.kh * spec.kw * oh * ow * c0
-    return deltas
 
 
 @dataclass
@@ -537,32 +519,25 @@ def lower(
     config: ChipConfig,
     cache: ProgramCache | None = None,
     collect_trace: bool = True,
-    timing: "str | ExecutionModel | None" = None,
-    impl: "PoolingImpl | None" = None,
 ) -> Lowering:
     """Lower a plan to tile programs (stage two of the pipeline).
 
     With a cache, one program is lowered per unique tile geometry --
     keyed by :func:`repro.sim.progcache.plan_key`, so two equal plans
-    share entries -- with memoized summaries (and, under
-    ``execute="jit"``, memoized compiled kernels) and relocated clones
-    per ``(N, C1)`` slice.  ``cache=None`` restores the uncached
-    per-tile lowering the equivalence tests compare against.
-
-    ``timing`` defaults to the plan's model name; drivers pass their
-    resolved (possibly instance-based) model through so summaries are
-    produced under the exact object that will dispatch.  ``impl``
-    likewise defaults to a registry instantiation of ``plan.impl``.
+    share entries -- with memoized summaries under the plan's timing
+    model (and, under ``execute="jit"``, memoized compiled kernels) and
+    relocated clones per ``(N, C1)`` slice.  The implementation is
+    instantiated from the registry only when a program is built (a
+    cache miss).  ``cache=None`` restores the uncached per-tile lowering
+    the equivalence tests compare against.
     """
-    if impl is None:
-        impl = _impl_for_plan(plan)
-    m = resolve_model(plan.model if timing is None else timing)
     dtype = dtype_by_name(plan.dtype)
     execute = plan.execute
     tiles = plan.tiles
     num_slices = plan.num_slices
 
     if cache is None:
+        impl = _impl_for_plan(plan)
         groups = _dispatch_shape(plan, (
             [
                 _build_tile_program(
@@ -580,6 +555,7 @@ def lower(
         return Lowering(plan=plan, tiles=tiles, groups=groups,
                         kernels=kernels)
 
+    m = resolve_model(plan.model)
     base: list[Program] = []
     base_summaries: list[RunResult] = []
     base_kernels: list = []
@@ -588,7 +564,7 @@ def lower(
         prog = cache.get_or_build(
             key,
             lambda t=tile_idx, g=geom: _build_tile_program(
-                plan, impl, 0, t, g, config, dtype
+                plan, _impl_for_plan(plan), 0, t, g, config, dtype
             ),
         )
         base.append(prog)
@@ -601,12 +577,13 @@ def lower(
         # Cycle-identical clones need not even be materialised.
         per_slice = (base for _ in range(num_slices))
     else:
+        strides = {t.name: t.slice_elems for t in plan.tensors}
         per_slice = []
         for slice_idx in range(num_slices):
-            deltas = _slice_deltas(plan, slice_idx)
+            deltas = {name: slice_idx * n for name, n in strides.items()}
             per_slice.append([
                 prog.relocate(
-                    deltas, name=f"{impl.describe()}-s{slice_idx}-t{tile_idx}"
+                    deltas, name=f"{plan.describe}-s{slice_idx}-t{tile_idx}"
                 )
                 for tile_idx, prog in enumerate(base)
             ])
@@ -634,47 +611,44 @@ def check_tensors(
     x: np.ndarray | None = None,
     grad: np.ndarray | None = None,
     mask: np.ndarray | None = None,
-) -> None:
+) -> tuple[GMTensor, ...]:
     """Raise :class:`~repro.errors.LayoutError` unless the tensors fit
-    the plan.
+    the plan, and return its tensor table (:attr:`ExecutionPlan.tensors`).
 
-    Forward plans read ``x`` of shape ``(n, c1, ih, iw, C0)``; backward
-    plans read ``grad`` of shape ``(n, c1, oh, ow, C0)`` and, for
-    MaxPool only, the Argmax ``mask`` of shape
-    ``(n, c1, kh, kw, oh, ow, C0)``.  Data tensors carry the plan's
-    dtype; a mask passed to any other plan is rejected.  The check runs
-    in every execute mode, with one exemption: a cycles-only plan
-    dispatched with no tensors at all (the autotuner's costing call).
+    Every tensor the plan reads must be given with the table's shape
+    and the plan's dtype: ``x`` for forward plans, ``grad`` and (MaxPool
+    only) the Argmax ``mask`` for backward ones.  A tensor the plan
+    does not read is rejected.  The check runs in every execute mode,
+    with one exemption: a cycles-only plan dispatched with no tensors
+    at all (the autotuner's costing call).
     """
-    if plan.execute == "cycles" and all(t is None for t in (x, grad, mask)):
-        return
-    dtype = dtype_by_name(plan.dtype)
-    ih, iw, oh, ow = plan.image
-    lead = (plan.n, plan.c1)
-    if plan.kind == "fwd":
-        reads = [("input", x, lead + (ih, iw, dtype.c0))]
-    else:
-        reads = [("gradient", grad, lead + (oh, ow, dtype.c0))]
-    if plan.kind == "bwd" and plan.op == "max":
-        spec = plan.spec
-        mask_shape = lead + (spec.kh, spec.kw, oh, ow, dtype.c0)
-        reads.append(("Argmax mask", mask, mask_shape))
-    elif mask is not None:
-        raise LayoutError(f"{plan.kind} plan {plan.describe!r} takes no mask")
-    for name, tensor, shape in reads:
-        if tensor is None:
-            raise LayoutError(f"dispatch requires the {name} tensor")
-        if tensor.shape != shape:
+    table = plan.tensors
+    if plan.execute == "cycles" and all(
+        t is None for t in (x, grad, mask)
+    ):
+        return table
+    np_dtype = dtype_by_name(plan.dtype).np_dtype
+    reads = {t.name: t for t in table if not t.written}
+    for name, array in (("x", x), ("grad", grad), ("mask", mask)):
+        t = reads.get(name)
+        if t is None:
+            if array is not None:
+                raise LayoutError(
+                    f"{plan.kind} plan {plan.describe!r} takes no {name}"
+                )
+        elif array is None:
+            raise LayoutError(f"dispatch requires the {t.label} tensor")
+        elif array.shape != t.shape:
             raise LayoutError(
-                f"{name} shape {tensor.shape} does not match the plan's "
-                f"{shape}"
+                f"{t.label} shape {array.shape} does not match the "
+                f"plan's {t.shape}"
             )
-    name, data, _ = reads[0]
-    if data.dtype != dtype.np_dtype:
-        raise LayoutError(
-            f"{name} dtype {data.dtype} does not match the plan's "
-            f"{plan.dtype}"
-        )
+        elif array.dtype != np_dtype:
+            raise LayoutError(
+                f"{t.label} dtype {array.dtype} does not match the "
+                f"plan's {plan.dtype}"
+            )
+    return table
 
 
 def dispatch(
@@ -685,7 +659,6 @@ def dispatch(
     grad: np.ndarray | None = None,
     mask: np.ndarray | None = None,
     collect_trace: bool = True,
-    timing: "str | ExecutionModel | None" = None,
     faults: "FaultPlan | FaultInjector | None" = None,
     retry: "RetryPolicy | None" = None,
     sanitize: bool = False,
@@ -693,79 +666,51 @@ def dispatch(
     """Execute a lowered plan (stage three): the one shared driver.
 
     The tensors are checked against the plan (:func:`check_tensors`),
-    then global-memory setup, one grouped chip run (the lowering is
-    already in dispatch shape), resilience / sanitizer /
-    compiled-kernel threading and result read-back happen here exactly
-    once for both directions.  Under ``execute="cycles"`` no global
-    memory exists and the result carries ``output=None`` (and
-    ``mask=None``); numeric and JIT runs read the outputs back from
-    simulated global memory.
+    then global-memory setup from the plan's tensor table, one grouped
+    chip run under the plan's timing model (the lowering is already in
+    dispatch shape), resilience / sanitizer / compiled-kernel threading
+    and result read-back happen here exactly once for both directions.
+    Under ``execute="cycles"`` no global memory exists and the result
+    carries ``output=None`` (and ``mask=None``); numeric and JIT runs
+    read the written tensors back from simulated global memory.
     """
     from ..ops.base import PoolRunResult
 
-    check_tensors(plan, x=x, grad=grad, mask=mask)
-    m = resolve_model(plan.model if timing is None else timing)
+    table = check_tensors(plan, x=x, grad=grad, mask=mask)
     dtype = dtype_by_name(plan.dtype)
-    execute = plan.execute
-    ih, iw, oh, ow = plan.image
-    c0 = dtype.c0
-    num_slices = plan.num_slices
-    spec = plan.spec
-
-    if execute == "cycles":
-        gm = None
-    else:
+    gm = None
+    if plan.execute != "cycles":
         gm = GlobalMemory()
-        if plan.kind == "fwd":
-            gm.add("x", x)
-            gm.zeros("out", num_slices * oh * ow * c0, dtype)
-            if plan.with_mask:
-                gm.zeros(
-                    "mask",
-                    num_slices * spec.kh * spec.kw * oh * ow * c0,
-                    dtype,
-                )
-        else:
-            gm.add("grad", grad)
-            if mask is not None:
-                gm.add("mask", mask)
-            gm.zeros("dx", num_slices * ih * iw * c0, dtype)
+        given = {"x": x, "grad": grad, "mask": mask}
+        for t in table:
+            if t.written:
+                gm.zeros(t.name, math.prod(t.shape), dtype)
+            else:
+                gm.add(t.name, given[t.name])
 
     result = Chip(config, dtype).run_tile_groups(
         lowering.groups,
         gm,
         collect_trace=collect_trace,
-        execute=execute,
+        execute=plan.execute,
         summaries=lowering.summaries,
-        model=m,
+        model=resolve_model(plan.model),
         faults=faults,
         retry=retry,
         sanitize=sanitize,
         compiled=lowering.kernels,
     )
 
-    if execute == "cycles":
-        return PoolRunResult(
-            output=None, mask=None, chip=result, tiles=lowering.tiles,
-            timing_model=m.name, plan=plan,
-        )
-    if plan.kind == "fwd":
-        out = gm.read("out", (plan.n, plan.c1, oh, ow, c0))
-        out_mask = (
-            gm.read(
-                "mask", (plan.n, plan.c1, spec.kh, spec.kw, oh, ow, c0)
-            )
-            if plan.with_mask
-            else None
-        )
-        return PoolRunResult(
-            output=out, mask=out_mask, chip=result, tiles=lowering.tiles,
-            timing_model=m.name, plan=plan,
-        )
-    dx = gm.read("dx", (plan.n, plan.c1, ih, iw, c0))
+    output = out_mask = None
+    if gm is not None:
+        written = {
+            t.name: gm.read(t.name, t.shape) for t in table if t.written
+        }
+        out_mask = written.pop("mask", None)
+        (output,) = written.values()
     return PoolRunResult(
-        output=dx, mask=None, chip=result, tiles=lowering.tiles,
-        timing_model=m.name, plan=plan,
+        output=output, mask=out_mask, chip=result, tiles=lowering.tiles,
+        timing_model=plan.model, plan=plan,
     )
 
 
@@ -773,7 +718,6 @@ def plan_cycles(
     plan: ExecutionPlan,
     config: ChipConfig,
     cache: ProgramCache | None = None,
-    impl: "PoolingImpl | None" = None,
 ) -> "PoolRunResult":
     """Cost a plan through the analytic cycles-only fast path.
 
@@ -784,7 +728,5 @@ def plan_cycles(
     execution of the same plan would report.
     """
     costed = replace(plan, execute="cycles")
-    lowering = lower(
-        costed, config, cache=cache, collect_trace=False, impl=impl
-    )
+    lowering = lower(costed, config, cache=cache, collect_trace=False)
     return dispatch(costed, lowering, config, collect_trace=False)

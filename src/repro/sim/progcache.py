@@ -71,10 +71,8 @@ def plan_key(plan, geom: Hashable, config: ChipConfig) -> ProgramKey:
     schedule-dependent.  Slice index is deliberately *absent*: that is
     the whole point.  Duck-typed (reads ``kind``/``describe``/``spec``/
     ``dtype``/``image``/``model`` attributes) so this module never
-    imports :mod:`repro.plan`.  A plan's ``model`` is already a
-    resolved model *name* (possibly of a custom
-    :class:`~repro.sim.scheduler.ExecutionModel` instance not in the
-    registry), so it is used verbatim rather than re-resolved.
+    imports :mod:`repro.plan`.  A plan's ``model`` is already a model
+    *name*, so it is used verbatim rather than re-resolved.
     """
     return (
         plan.kind, plan.describe, plan.spec, geom, plan.dtype,

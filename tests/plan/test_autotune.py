@@ -136,6 +136,18 @@ class TestTable:
         bad.write_text('{"version": 1}')
         with pytest.raises(PlanError, match="no 'entries'"):
             AutotuneTable.load(bad)
+        bad.write_text("[1, 2]")
+        with pytest.raises(PlanError, match="no 'entries'"):
+            AutotuneTable.load(bad)
+        # An entry without a usable plan fails the lookup, not later.
+        key = fwd_workload().key(ASCEND910)
+        impl = forward_impl("standard", "max")
+        for entry in ({"cycles": 1}, {"plan": {}}):
+            with pytest.raises(PlanError, match="malformed"):
+                tuned_plan(
+                    "fwd", impl, SPEC, FLOAT16, 1, 1, 28, 28, ASCEND910,
+                    table=AutotuneTable({key: entry}),
+                )
 
     def test_tuned_plan_hit_and_miss(self):
         w = fwd_workload()

@@ -82,13 +82,32 @@ class TestPlanIdentity:
             ExecutionPlan.from_dict(bad)
         with pytest.raises(PlanError, match="malformed plan JSON"):
             ExecutionPlan.from_json("{not json")
+        # Payloads from an on-disk autotune table: no spec, a
+        # non-object payload or spec, an unknown spec key.
+        for payload in (
+            {}, [good], "plan", {**good, "spec": [3, 3, 2, 2]},
+            {**good, "spec": {**good["spec"], "kz": 3}},
+        ):
+            with pytest.raises(PlanError, match="malformed plan payload"):
+                ExecutionPlan.from_json(json.dumps(payload))
 
-    @pytest.mark.parametrize("field", ["model", "dtype"])
-    def test_malformed_json_values_fail_validation(self, field):
+    @pytest.mark.parametrize("field, value, match", [
+        pytest.param("model", ["serial"], "unknown", id="model"),
+        pytest.param("dtype", ["float16"], "unknown", id="dtype"),
+        pytest.param("chunk", 2.5, "chunk must be int", id="chunk-float"),
+        pytest.param("chunk", True, "chunk must be int", id="chunk-bool"),
+        pytest.param("n", "1", "n must be int", id="n-str"),
+        pytest.param("impl", ["im2col"], "impl must be str", id="impl-list"),
+        pytest.param(
+            "serialize_slices", "yes", "serialize_slices must be bool",
+            id="flag-str",
+        ),
+    ])
+    def test_malformed_json_values_fail_validation(self, field, value, match):
         payload = fwd_plan().to_dict()
-        payload[field] = [payload[field]]
+        payload[field] = value
         plan = ExecutionPlan.from_json(json.dumps(payload))
-        with pytest.raises(PlanError, match="unknown"):
+        with pytest.raises(PlanError, match=match):
             plan.validate()
 
     def test_equal_plans_share_cache_entries(self):
@@ -194,11 +213,11 @@ class TestResolvePlan:
 
     def test_impl_swap_resolves_through_registry(self):
         # A plan naming a different bit-exact variant wins over the
-        # call's impl argument: the resolved impl is the plan's.
+        # call's impl argument: the plan lowers the registry's im2col.
         plan = replace(fwd_plan(), impl="im2col")
-        resolved_plan, _timing, resolved_impl = self.call(plan)
+        resolved_plan = self.call(plan)
         assert resolved_plan is plan
-        assert resolved_impl.name == "im2col"
+        assert resolved_plan.describe == "maxpool-im2col"
 
     def test_unknown_impl_is_a_plan_error(self):
         plan = replace(fwd_plan(), impl="no-such-variant")
@@ -362,6 +381,26 @@ class TestDispatchChecksTensors:
         mask = np.zeros((2, 2, 3, 3, oh, ow, 16), np.float16)
         with pytest.raises(LayoutError, match="takes no mask"):
             self.run(plan, grad=grad, mask=mask)
+
+    @pytest.mark.parametrize("case, match", [
+        ("bwd-given-x", "takes no x"),
+        ("fwd-given-grad", "takes no grad"),
+        ("mask-float32", "Argmax mask dtype"),
+        ("mask-int8", "Argmax mask dtype"),
+    ])
+    def test_unread_or_mistyped_tensor_rejected(self, case, match):
+        bwd = self.plan("bwd")
+        oh, ow = bwd.out_hw
+        grad = make_gradient(2, oh, ow, n=2, seed=1)
+        mask = np.zeros((2, 2, 3, 3, oh, ow, 16), np.float16)
+        plan, tensors = {
+            "bwd-given-x": (bwd, dict(grad=grad, mask=mask, x=np.zeros(9))),
+            "fwd-given-grad": (self.plan(), dict(x=self.x(), grad=grad)),
+            "mask-float32": (bwd, dict(grad=grad, mask=mask.astype("f4"))),
+            "mask-int8": (bwd, dict(grad=grad, mask=mask.astype("i1"))),
+        }[case]
+        with pytest.raises(LayoutError, match=match):
+            self.run(plan, **tensors)
 
     def test_tensorless_cycles_costing_still_runs(self):
         res = self.run(self.plan(execute="cycles"))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from typing import ClassVar, Mapping, Protocol
 
 import numpy as np
@@ -112,30 +114,33 @@ class Instruction:
             "supports_compile()/compile(ctx) to opt into the NumPy JIT"
         )
 
-    # -- relocation -----------------------------------------------------
+    # -- operands -------------------------------------------------------
     #
-    # Concrete instructions are frozen dataclasses whose only mutable
-    # state is *where* their operands point.  Relocation produces a copy
-    # with the global-memory operands rebased, enabling one lowered tile
-    # program to be cheaply re-targeted at every (N, C1) slice of a
-    # workload (see ``repro.sim.progcache``).
+    # Concrete instructions are frozen dataclasses whose memory operands
+    # are their ``MemRef`` / ``VectorOperand`` fields.  Which fields those
+    # are, and which of them are written, is a property of the class:
+    # :func:`operand_table` computes it once per class, and every
+    # operand consumer -- ``buffers``, ``reads``/``writes``,
+    # ``relocate``, the sanitizer's generic accesses and the JIT's
+    # relocation anchors -- reads that table instead of walking fields.
+    # Whether a written operand is also *read* stays per instance
+    # (``rmw_fields``): ``Mmad.init`` and ``DataMove.accumulate`` decide
+    # it.
+
+    def operands(self) -> list[tuple[str, MemRef | VectorOperand, bool]]:
+        """``(field name, operand, written)`` per memory operand, in
+        field declaration order."""
+        return [
+            (name, getattr(self, name), written)
+            for name, written in operand_table(type(self))
+        ]
 
     def buffers(self) -> frozenset[str]:
         """Names of every buffer this instruction's operands touch."""
-        out: set[str] = set()
-        for f in dataclasses.fields(self):  # type: ignore[arg-type]
-            v = getattr(self, f.name)
-            if isinstance(v, MemRef):
-                out.add(v.buffer)
-            elif isinstance(v, VectorOperand):
-                out.add(v.ref.buffer)
-        return frozenset(out)
+        return frozenset(v.buffer for _, v, _ in self.operands())
 
     # -- region introspection -------------------------------------------
     #
-    # ``reads()``/``writes()`` reuse the same dataclass-field walk as
-    # ``buffers()``/``relocate()``: any MemRef / VectorOperand field is
-    # an operand, classified by ``write_fields`` and ``rmw_fields()``.
     # The pipelined scheduler consumes these to gate cross-unit overlap
     # on read-after-write / write-after-read hazards.
 
@@ -149,40 +154,38 @@ class Instruction:
         """
         return frozenset()
 
-    def _operand_region(
-        self, value: MemRef | VectorOperand, repeat: int
-    ) -> Region:
-        if isinstance(value, MemRef):
-            return Region(value.buffer, value.offset, value.end)
-        start, stop = value.extent(repeat)
-        return Region(value.ref.buffer, start, stop)
+    def accesses(self) -> tuple[tuple[Region, ...], tuple[Region, ...]]:
+        """``(reads, writes)``: the buffer regions this instruction reads
+        (incl. read-modify-write destinations) and writes, in one pass
+        over the operand table."""
+        repeat = int(getattr(self, "repeat", 1))
+        rmw = self.rmw_fields()
+        reads: list[Region] = []
+        writes: list[Region] = []
+        for name, written in operand_table(type(self)):
+            v = getattr(self, name)
+            region = Region(v.buffer, *v.extent(repeat))
+            if written:
+                writes.append(region)
+            if not written or name in rmw:
+                reads.append(region)
+        return tuple(reads), tuple(writes)
 
     def reads(self) -> tuple[Region, ...]:
         """Buffer regions this instruction reads (incl. read-modify-write
         destinations)."""
-        repeat = int(getattr(self, "repeat", 1))
-        rmw = self.rmw_fields()
-        out: list[Region] = []
-        for f in dataclasses.fields(self):  # type: ignore[arg-type]
-            v = getattr(self, f.name)
-            if not isinstance(v, (MemRef, VectorOperand)):
-                continue
-            if f.name in self.write_fields and f.name not in rmw:
-                continue
-            out.append(self._operand_region(v, repeat))
-        return tuple(out)
+        return self.accesses()[0]
 
     def writes(self) -> tuple[Region, ...]:
         """Buffer regions this instruction writes."""
-        repeat = int(getattr(self, "repeat", 1))
-        out: list[Region] = []
-        for f in dataclasses.fields(self):  # type: ignore[arg-type]
-            v = getattr(self, f.name)
-            if not isinstance(v, (MemRef, VectorOperand)):
-                continue
-            if f.name in self.write_fields:
-                out.append(self._operand_region(v, repeat))
-        return tuple(out)
+        return self.accesses()[1]
+
+    # -- relocation -----------------------------------------------------
+    #
+    # An instruction's only mutable state is *where* its operands point.
+    # Relocation produces a copy with the global-memory operands rebased,
+    # enabling one lowered tile program to be cheaply re-targeted at
+    # every (N, C1) slice of a workload (see ``repro.sim.progcache``).
 
     def relocate(self, deltas: Mapping[str, int]) -> "Instruction":
         """Copy with operands rebased per ``deltas`` (buffer -> elems).
@@ -194,15 +197,30 @@ class Instruction:
         freshly lowered one.
         """
         changes: dict[str, object] = {}
-        for f in dataclasses.fields(self):  # type: ignore[arg-type]
-            v = getattr(self, f.name)
-            if isinstance(v, (MemRef, VectorOperand)):
-                nv = v.relocate(deltas)
-                if nv is not v:
-                    changes[f.name] = nv
+        for name, v, _ in self.operands():
+            nv = v.relocate(deltas)
+            if nv is not v:
+                changes[name] = nv
         if not changes:
             return self
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
+
+
+@functools.cache
+def operand_table(cls: type[Instruction]) -> tuple[tuple[str, bool], ...]:
+    """``(field name, written)`` for every ``MemRef`` / ``VectorOperand``
+    field of the instruction dataclass ``cls``, in declaration order.
+
+    Read off the field annotations, so it is computed once per class
+    and never looks at an instance; ``written`` is membership in the
+    class's ``write_fields``.
+    """
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, f.name in cls.write_fields)
+        for f in dataclasses.fields(cls)
+        if hints[f.name] in (MemRef, VectorOperand)
+    )
 
 
 def check_repeat(repeat: int) -> None:

@@ -48,6 +48,11 @@ class MemRef:
         """One past the last element index."""
         return self.offset + self.size
 
+    def extent(self, repeat: int = 1) -> tuple[int, int]:
+        """``(start, stop)`` element span; a plain region's span does not
+        depend on ``repeat`` (cf. :meth:`VectorOperand.extent`)."""
+        return self.offset, self.offset + self.size
+
     def slice(self, start: int, size: int) -> "MemRef":
         """Sub-region, with bounds checking against this region."""
         if start < 0 or start + size > self.size:
@@ -92,6 +97,14 @@ class VectorOperand:
     def __post_init__(self) -> None:
         if self.blk_stride < 0 or self.rep_stride < 0:
             raise IsaError("vector operand strides must be non-negative")
+
+    @property
+    def buffer(self) -> str:
+        return self.ref.buffer
+
+    @property
+    def offset(self) -> int:
+        return self.ref.offset
 
     def relocate(self, deltas: Mapping[str, int]) -> "VectorOperand":
         """Rebase the underlying region (see :meth:`MemRef.relocate`)."""

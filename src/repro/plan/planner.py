@@ -523,10 +523,11 @@ def lower(
     """Lower a plan to tile programs (stage two of the pipeline).
 
     With a cache, one program is lowered per unique tile geometry --
-    keyed by :func:`repro.sim.progcache.plan_key`, so two equal plans
-    share entries -- with memoized summaries under the plan's timing
-    model (and, under ``execute="jit"``, memoized compiled kernels) and
-    relocated clones per ``(N, C1)`` slice.  The implementation is
+    keyed by :func:`repro.sim.progcache.plan_key`, so two plans that
+    differ at most in timing model share entries -- with memoized
+    summaries under the plan's timing model (and, under
+    ``execute="jit"``, memoized compiled kernels shared by every model)
+    and relocated clones per ``(N, C1)`` slice.  The implementation is
     instantiated from the registry only when a program is built (a
     cache miss).  ``cache=None`` restores the uncached per-tile lowering
     the equivalence tests compare against.

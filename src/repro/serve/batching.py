@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import LayoutError, ServeError
 from ..ops.spec import PoolSpec
 from ..sim import check_execute
-from ..sim.scheduler import resolve_model
+from ..sim.scheduler import MODELS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ops.base import PoolRunResult
@@ -134,6 +134,8 @@ class PoolRequest:
                 f"{KINDS}"
             )
         check_execute(self.execute, ServeError)
+        if self.model not in (None, *MODELS):
+            raise ServeError(f"unknown timing model {self.model!r}")
         if self.plan not in _PLAN_POLICIES:
             raise ServeError(
                 f"unknown plan policy {self.plan!r}; expected one of "
@@ -200,7 +202,10 @@ def geometry_key(request: PoolRequest) -> Hashable:
     :func:`repro.sim.progcache.plan_key` -- no chip config (one service
     serves one config) and no tile geometry (one request lowers all its
     tiles) -- plus the request kind/mask flags the api layer folds into
-    the impl ``describe()`` string.
+    the impl ``describe()`` string.  Like ``plan_key`` it carries no
+    timing model: one cached program and kernel serve every model, so
+    requests that differ only in ``model`` route to the worker that
+    already holds them.
     """
     return (
         request.kind,
@@ -211,7 +216,6 @@ def geometry_key(request: PoolRequest) -> Hashable:
         str(request.x.dtype),
         (request.ih, request.iw),
         request.execute,
-        resolve_model(request.model).name,
         request.plan,
     )
 

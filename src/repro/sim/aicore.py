@@ -96,15 +96,19 @@ def summarize(
     computed statically under ``model`` (default serial).
 
     Exact, not an estimate: the cost model is data-independent, so the
-    cycle count and the timed trace equal what execution records.
+    cycle count and the timed trace equal what execution records.  A
+    traced summary schedules the program once and reads both off that
+    one :class:`~repro.sim.scheduler.Schedule`.
     """
     m = resolve_model(model)
-    cost = config.cost
-    trace = (
-        m.trace(program, cost) if collect_trace else Trace(collected=False)
-    )
+    if collect_trace:
+        sched = m.schedule(program, config.cost)
+        cycles, trace = sched.makespan, sched.trace(program)
+    else:
+        cycles = m.program_cycles(program, config.cost)
+        trace = Trace(collected=False)
     return RunResult(
-        cycles=m.program_cycles(program, cost),
+        cycles=cycles,
         instructions=len(program),
         trace=trace,
         program_name=_canonical_name(program.name),

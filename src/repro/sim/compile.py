@@ -48,7 +48,6 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,7 +56,7 @@ import numpy as np
 from ..config import ChipConfig
 from ..dtypes import FRACTAL_ROWS
 from ..errors import CompileError, IsaError, SimulationError
-from ..isa.operand import MemRef, VectorOperand
+from ..isa.operand import MemRef
 from ..isa.program import Program
 from .aicore import _canonical_name
 
@@ -801,8 +800,7 @@ class CompiledKernel:
         """Per-buffer relocation deltas of ``program`` vs. the template."""
         out: dict[str, int] = {}
         for buf, (idx, fname, base) in self.anchors.items():
-            v = getattr(program.instructions[idx], fname)
-            off = v.offset if isinstance(v, MemRef) else v.ref.offset
+            off = getattr(program.instructions[idx], fname).offset
             if off != base:
                 out[buf] = off - base
         return out
@@ -836,16 +834,9 @@ def _anchors(
     clone (relocation preserves instruction order and fields)."""
     anchors: dict[str, tuple[int, str, int]] = {}
     for idx, instr in enumerate(program.instructions):
-        for f in dataclasses.fields(instr):  # type: ignore[arg-type]
-            v = getattr(instr, f.name)
-            if isinstance(v, MemRef):
-                buf, off = v.buffer, v.offset
-            elif isinstance(v, VectorOperand):
-                buf, off = v.ref.buffer, v.ref.offset
-            else:
-                continue
-            if buf not in scratch and buf not in anchors:
-                anchors[buf] = (idx, f.name, off)
+        for name, v, _ in instr.operands():
+            if v.buffer not in scratch and v.buffer not in anchors:
+                anchors[v.buffer] = (idx, name, v.offset)
     return anchors
 
 

@@ -60,23 +60,23 @@ def plan_key(plan, geom: Hashable, config: ChipConfig) -> ProgramKey:
     """Cache key of one tile program of an
     :class:`~repro.plan.planner.ExecutionPlan`.
 
-    The key is ``(kind, describe, spec, geom, dtype, image, config,
-    model)``: the driver direction ("fwd"/"bwd"), the implementation's
+    The key is ``(kind, describe, spec, geom, dtype, image, config)``:
+    the driver direction ("fwd"/"bwd"), the implementation's
     ``describe()`` string (op, variant, mask), the frozen pooling spec
     and tile geometry, the dtype name, the full-tensor extents baked
-    into global-memory offsets (``ih, iw, oh, ow``), the chip config --
-    a frozen dataclass fingerprinting both the program shape (buffer
+    into global-memory offsets (``ih, iw, oh, ow``) and the chip config
+    -- a frozen dataclass fingerprinting both the program shape (buffer
     capacities, ``max_repeat``) and the cost model the summary depends
-    on -- and the timing-model name, since cached summaries are
-    schedule-dependent.  Slice index is deliberately *absent*: that is
-    the whole point.  Duck-typed (reads ``kind``/``describe``/``spec``/
-    ``dtype``/``image``/``model`` attributes) so this module never
-    imports :mod:`repro.plan`.  A plan's ``model`` is already a model
-    *name*, so it is used verbatim rather than re-resolved.
+    on.  Slice index is deliberately *absent*: that is the whole point.
+    So is the timing model: a tile program is a function of geometry
+    alone, so one entry holds one program (and one compiled kernel) for
+    every model, and :class:`_Entry` memoizes summaries per model.
+    Duck-typed (reads ``kind``/``describe``/``spec``/``dtype``/``image``
+    attributes) so this module never imports :mod:`repro.plan`.
     """
     return (
         plan.kind, plan.describe, plan.spec, geom, plan.dtype,
-        plan.image, config, plan.model,
+        plan.image, config,
     )
 
 
@@ -131,15 +131,17 @@ class _Entry:
     def __init__(self, program: Program) -> None:
         self.program = program
         #: Memoized run summaries keyed by ``(model_name, collect_trace)``
-        #: -- schedules differ across timing models, so summaries are
-        #: memoized per model and never cross-contaminate.
+        #: -- the program is shared by every timing model, but schedules
+        #: differ across models, so summaries are memoized per model and
+        #: never cross-contaminate.
         self.summaries: dict[tuple[str, bool], RunResult] = {}
         #: Memoized :class:`~repro.sim.compile.CompiledKernel` for this
         #: program (``None`` until the first ``execute="jit"`` run).
         #: One kernel serves every relocated clone -- relocation deltas
         #: are derived per call from the clone's anchored global-memory
-        #: operands -- so, like summaries, the kernel is keyed only by
-        #: the slice-independent :func:`plan_key`.
+        #: operands -- and every timing model, so unlike summaries the
+        #: kernel is keyed only by the slice- and model-independent
+        #: :func:`plan_key`.
         self.kernel = None
 
 
@@ -150,7 +152,8 @@ class ProgramCache:
     operator drivers; tests can construct private instances or
     :meth:`clear` the shared one.  The cache is keyed by
     :func:`plan_key`, so distinct chip configurations (including cost
-    models) never alias.
+    models) never alias, while timing models share one program and one
+    kernel per key and differ only in their memoized summaries.
 
     All public methods are atomic under one internal
     :class:`threading.RLock` (see the module docstring): the cache may
@@ -245,9 +248,9 @@ class ProgramCache:
         per-instruction timed trace.  With ``collect_trace=False`` an
         empty-trace variant is returned (and separately memoized) so
         callers that asked for no trace do not receive one.  Summaries
-        are memoized per ``(model, collect_trace)``; keys that also fold
-        the model in (as :func:`plan_key` does) get fully disjoint
-        entries per model.
+        are memoized per ``(model, collect_trace)`` on the key's one
+        entry, so every model shares the program (:func:`plan_key`
+        carries no model) yet no two models share a summary.
 
         If the entry was evicted -- or the key now maps to a *different*
         build of the program -- between :meth:`get_or_build` and this

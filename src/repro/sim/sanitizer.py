@@ -66,7 +66,7 @@ from ..dtypes import FRACTAL_ROWS, VECTOR_BYTES_PER_REPEAT
 from ..errors import SanitizerError
 from ..isa.cube import Mmad
 from ..isa.instruction import Instruction, Region
-from ..isa.operand import MemRef, VectorOperand
+from ..isa.operand import MemRef
 from ..isa.scu import Col2ImStore, Im2ColLoad, _plane_indices
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -240,8 +240,8 @@ def _precise_accesses(instr: Instruction) -> list[_Access]:
 
     Special-cases the SCU gather/scatter instructions (whose MemRef
     regions over-approximate the touched elements); every other
-    instruction is handled by the same dataclass-field walk that powers
-    :meth:`Instruction.reads`/``writes`` -- MemRef operands are
+    instruction is handled by the same per-class operand table that
+    powers :meth:`Instruction.reads`/``writes`` -- MemRef operands are
     contiguous spans, VectorOperand operands enumerate
     :meth:`~repro.isa.operand.VectorOperand.element_indices` under the
     instruction's mask.
@@ -320,23 +320,17 @@ def _precise_accesses(instr: Instruction) -> list[_Access]:
                 instr.c.offset, instr.c.offset + fr,
             ),
         ]
-    # Generic path: the reads()/writes() dataclass-field walk with
-    # mask-precise indices for vector operands.
-    import dataclasses as _dc
-
+    # Generic path: the class operand table behind reads()/writes(),
+    # with mask-precise indices for vector operands.
     repeat = int(getattr(instr, "repeat", 1))
     mask = getattr(instr, "mask", None)
     rmw = instr.rmw_fields()
     out: list[_Access] = []
-    for f in _dc.fields(instr):  # type: ignore[arg-type]
-        v = getattr(instr, f.name)
-        if not isinstance(v, (MemRef, VectorOperand)):
-            continue
-        is_write = f.name in instr.write_fields
-        is_read = not is_write or f.name in rmw
+    for name, v, is_write in instr.operands():
+        is_read = not is_write or name in rmw
         if isinstance(v, MemRef):
             out.append(
-                _Access(f.name, v.buffer, is_read, is_write, v.offset, v.end)
+                _Access(name, v.buffer, is_read, is_write, v.offset, v.end)
             )
             continue
         dt = v.ref.dtype
@@ -350,7 +344,7 @@ def _precise_accesses(instr: Instruction) -> list[_Access]:
         lo = int(idx.min()) if idx.size else v.ref.offset
         hi = int(idx.max()) + 1 if idx.size else v.ref.offset
         out.append(
-            _Access(f.name, v.ref.buffer, is_read, is_write, lo, hi, idx)
+            _Access(name, v.ref.buffer, is_read, is_write, lo, hi, idx)
         )
     return out
 

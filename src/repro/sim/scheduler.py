@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
@@ -86,18 +87,41 @@ class Schedule:
             u: busy / self.makespan for u, busy in self.unit_busy.items()
         }
 
+    def trace(self, program: "Program") -> Trace:
+        """The timed trace of ``program`` under this schedule.
+
+        Record order is program order; ``issue_at``/``retire_at`` carry
+        the schedule.  Data-independent, so one trace stands in for
+        every relocated clone of a tile program.
+        """
+        return Trace(
+            [
+                TraceRecord(
+                    opcode=i.opcode,
+                    unit=i.unit,
+                    cycles=t.cycles,
+                    repeat=int(getattr(i, "repeat", 1)),
+                    lane_utilization=i.lane_utilization(),
+                    issue_at=t.issue,
+                    retire_at=t.retire,
+                )
+                for i, t in zip(program.instructions, self.timings)
+            ]
+        )
+
 
 class ExecutionModel(ABC):
     """How a program's instruction stream maps to time.
 
     Implementations must be stateless (safe to share and to embed in
     cache keys by :attr:`name`).  ``program_cycles`` defaults to the
-    schedule's makespan; :class:`SerialModel` overrides it with the
-    closed-form sum so the hot cycles-only path never materialises
-    timings.
+    schedule's makespan; both shipped models override it so the hot
+    cycles-only path never materialises timings (:class:`SerialModel`
+    with the closed-form sum, :class:`PipelinedModel` with a
+    makespan-only issue loop).
     """
 
-    #: Stable identifier -- CLI value, cache-key component, export field.
+    #: Stable identifier -- CLI value, summary-memo key, export field.
     name: ClassVar[str]
 
     @abstractmethod
@@ -123,27 +147,9 @@ class ExecutionModel(ABC):
         return out
 
     def trace(self, program: "Program", cost: CostModel) -> Trace:
-        """The timed trace the program would record under this model.
-
-        Record order is program order; ``issue_at``/``retire_at`` carry
-        the schedule.  Data-independent, so one trace stands in for
-        every relocated clone of a tile program.
-        """
-        sched = self.schedule(program, cost)
-        return Trace(
-            [
-                TraceRecord(
-                    opcode=i.opcode,
-                    unit=i.unit,
-                    cycles=t.cycles,
-                    repeat=int(getattr(i, "repeat", 1)),
-                    lane_utilization=i.lane_utilization(),
-                    issue_at=t.issue,
-                    retire_at=t.retire,
-                )
-                for i, t in zip(program.instructions, sched.timings)
-            ]
-        )
+        """The timed trace the program would record under this model
+        (see :meth:`Schedule.trace`)."""
+        return self.schedule(program, cost).trace(program)
 
 
 class SerialModel(ExecutionModel):
@@ -234,22 +240,41 @@ class PipelinedModel(ExecutionModel):
     By construction the makespan never exceeds :class:`SerialModel`'s:
     every constraint is an earlier instruction's retire time, which is
     bounded by its serial prefix sum.
+
+    :meth:`program_cycles` runs the same issue loop as :meth:`schedule`
+    but keeps only the makespan: it builds no
+    :class:`InstructionTiming` tuple and makes no ``unit_busy`` pass.
     """
 
     name: ClassVar[str] = "pipelined"
 
     def schedule(self, program: "Program", cost: CostModel) -> Schedule:
-        unit_free: dict[str, int] = {}
-        write_logs: dict[str, _HazardLog] = {}
-        read_logs: dict[str, _HazardLog] = {}
         timings: list[InstructionTiming] = []
+        return Schedule(
+            makespan=self._issue(program, cost, timings),
+            timings=tuple(timings),
+            unit_busy=self.unit_cycles(program, cost),
+        )
+
+    def program_cycles(self, program: "Program", cost: CostModel) -> int:
+        return self._issue(program, cost, None)
+
+    @staticmethod
+    def _issue(
+        program: "Program",
+        cost: CostModel,
+        timings: "list[InstructionTiming] | None",
+    ) -> int:
+        """Issue every instruction and return the makespan, appending
+        each instruction's timing to ``timings`` unless it is ``None``."""
+        unit_free: dict[str, int] = {}
+        write_logs: defaultdict[str, _HazardLog] = defaultdict(_HazardLog)
+        read_logs: defaultdict[str, _HazardLog] = defaultdict(_HazardLog)
         makespan = 0
         for idx, instr in enumerate(program.instructions):
-            c = instr.cycles(cost)
             unit = instr.unit
             ready = unit_free.get(unit, 0)
-            reads = instr.reads()
-            writes = instr.writes()
+            reads, writes = instr.accesses()
             for r in reads:  # RAW
                 log = write_logs.get(r.buffer)
                 if log is not None:
@@ -261,17 +286,14 @@ class PipelinedModel(ExecutionModel):
                 log = read_logs.get(w.buffer)
                 if log is not None:
                     ready = log.latest_conflict(w.start, w.stop, ready)
-            retire = ready + c
+            retire = ready + instr.cycles(cost)
             unit_free[unit] = retire
             for w in writes:
-                write_logs.setdefault(w.buffer, _HazardLog()).record(
-                    w.start, w.stop, retire
-                )
+                write_logs[w.buffer].record(w.start, w.stop, retire)
             for r in reads:
-                read_logs.setdefault(r.buffer, _HazardLog()).record(
-                    r.start, r.stop, retire
-                )
-            timings.append(InstructionTiming(idx, unit, ready, retire))
+                read_logs[r.buffer].record(r.start, r.stop, retire)
+            if timings is not None:
+                timings.append(InstructionTiming(idx, unit, ready, retire))
             if retire > makespan:
                 makespan = retire
         if program.scalar_loop_trips:
@@ -280,11 +302,7 @@ class PipelinedModel(ExecutionModel):
                 + program.scalar_loop_trips * cost.loop_cycles
             )
             makespan = max(makespan, scalar_end)
-        return Schedule(
-            makespan=makespan,
-            timings=tuple(timings),
-            unit_busy=self.unit_cycles(program, cost),
-        )
+        return makespan
 
 
 #: Shared stateless instances.

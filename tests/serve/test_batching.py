@@ -27,6 +27,10 @@ class TestRequestValidation:
         with pytest.raises(ServeError):
             PoolRequest(kind="maxpool", x=_x(), spec=SPEC, execute="fused")
 
+    def test_unknown_model(self):
+        with pytest.raises(ServeError, match="unknown timing model"):
+            PoolRequest(kind="maxpool", x=_x(), spec=SPEC, model="eager")
+
     def test_unknown_plan_policy(self):
         with pytest.raises(ServeError, match="unknown plan policy"):
             PoolRequest(kind="maxpool", x=_x(), spec=SPEC, plan="greedy")
@@ -94,13 +98,21 @@ class TestGeometryKey:
             ),
             PoolRequest(kind="maxpool", x=_x(), spec=SPEC, execute="cycles"),
             PoolRequest(kind="maxpool", x=_x(), spec=SPEC,
-                        model="pipelined"),
-            PoolRequest(kind="maxpool", x=_x(), spec=SPEC,
                         plan="autotuned"),
         ]
         keys = {geometry_key(v) for v in variants}
         assert geometry_key(base) not in keys
         assert len(keys) == len(variants)
+
+    def test_model_does_not_affect_key(self):
+        # One cached program and kernel serve every timing model, so
+        # the key, like plan_key, carries no model.
+        keys = {
+            geometry_key(PoolRequest(kind="maxpool", x=_x(), spec=SPEC,
+                                     model=model))
+            for model in (None, "serial", "pipelined")
+        }
+        assert len(keys) == 1
 
     def test_tenant_does_not_affect_key(self):
         a = PoolRequest(kind="maxpool", x=_x(), spec=SPEC, tenant="a")

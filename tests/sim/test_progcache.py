@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import ASCEND910, ChipConfig
+from repro.config import ASCEND910, ASCEND910_SINGLE_CORE, ChipConfig
 from repro.dtypes import FLOAT16
 from repro.isa.mask import Mask
 from repro.isa.operand import MemRef, VectorOperand
@@ -459,6 +459,49 @@ class TestDriverCaching:
         )
         assert res.output is None and res.mask is None
         assert res.cycles > 0
+
+    def test_one_build_and_kernel_per_geometry_across_models(
+        self, monkeypatch
+    ):
+        """A tile program depends on geometry alone: a fixed call set of
+        one maxpool+mask (Im2col) and one maxpool-backward (Col2im)
+        geometry, under both timing models, in cycles and jit mode,
+        lowers and compiles each geometry once and summarizes it once
+        per model."""
+        import repro.plan.planner as planner
+        import repro.sim.compile as compile_mod
+        import repro.sim.progcache as progcache
+        from repro.ops.api import maxpool, maxpool_backward
+
+        counts = {"build": 0, "summary": 0, "compile": 0}
+
+        def counting(name, target, attr):
+            real = getattr(target, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(target, attr, wrapper)
+
+        spec = PoolSpec.square(2, 2)
+        x = make_input(8, 8, 16, seed=0)
+        mask = maxpool(x, spec, with_mask=True, cache=None).mask
+        grad = make_gradient(1, 4, 4, seed=1)
+        counting("build", planner, "_build_tile_program")
+        counting("summary", progcache, "summarize")
+        counting("compile", compile_mod, "compile_program")
+        cache = ProgramCache()
+        for execute in ("cycles", "jit"):
+            for model in ("serial", "pipelined"):
+                kw = dict(
+                    execute=execute, model=model, cache=cache,
+                    collect_trace=False, config=ASCEND910_SINGLE_CORE,
+                )
+                maxpool(x, spec, with_mask=True, **kw)
+                maxpool_backward(mask, grad, spec, 8, 8, **kw)
+        assert len(cache) == 2  # one tile geometry per operator
+        assert counts == {"build": 2, "summary": 4, "compile": 2}
 
     def test_bad_execute_mode_rejected(self):
         from repro.errors import LayoutError

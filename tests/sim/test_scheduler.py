@@ -230,7 +230,7 @@ class TestMakespanInvariant:
 
 
 class TestCacheModelSeparation:
-    """Distinct timing models never alias in the program cache."""
+    """Timing models share a cached program but never a summary."""
 
     def _program(self):
         p = Program("k")
@@ -247,16 +247,27 @@ class TestCacheModelSeparation:
             FLOAT16, 1, 1, 8, 8, ASCEND910,
         )
 
-    def test_plan_key_folds_model(self):
+    def test_models_share_program_not_summary(self):
         from dataclasses import replace
 
-        from repro.sim import plan_key
+        from repro.sim import ProgramCache, plan_key
 
+        cache = ProgramCache()
         plan = self._plan()
-        base = plan_key(plan, (2,), ASCEND910)
-        pipelined = replace(plan, model="pipelined")
-        assert plan_key(replace(plan, model="serial"), (2,), ASCEND910) == base
-        assert plan_key(pipelined, (2,), ASCEND910) != base
+        builds = []
+        programs, summaries = {}, {}
+        for model in ("serial", "pipelined"):
+            key = plan_key(replace(plan, model=model), (2,), ASCEND910)
+            programs[model] = cache.get_or_build(
+                key, lambda: builds.append(model) or self._program()
+            )
+            summaries[model] = cache.summary(
+                key, programs[model], ASCEND910, model=model
+            )
+        assert builds == ["serial"] and len(cache) == 1
+        assert programs["serial"] is programs["pipelined"]
+        assert summaries["serial"] is not summaries["pipelined"]
+        assert summaries["serial"].cycles != summaries["pipelined"].cycles
 
     def test_summaries_memoized_per_model(self):
         from dataclasses import replace
@@ -281,6 +292,24 @@ class TestCacheModelSeparation:
 
 
 class TestSummarizeHelper:
+    def test_traced_pipelined_summary_schedules_once(self, monkeypatch):
+        calls = []
+        real = PipelinedModel.schedule
+
+        def counting(self, program, cost):
+            calls.append(program)
+            return real(self, program, cost)
+
+        monkeypatch.setattr(PipelinedModel, "schedule", counting)
+        p = Program("k")
+        d, s = vops(offset=16384)
+        p.emit(dma_in(ub_offset=0))
+        p.emit(VADD(d, d, s, Mask.full(), 2))
+        res = summarize(p, ASCEND910, model="pipelined", collect_trace=True)
+        assert calls == [p]
+        assert res.cycles == max(r.retire_at for r in res.trace.records)
+        assert res.cycles == p.static_cycles(COST, model="pipelined")
+
     def test_summarize_matches_models(self):
         p = Program("k")
         d, s = vops(offset=16384)

@@ -1,10 +1,11 @@
-"""Assert BENCH_sim_throughput.json's cycle fields match the committed copy.
+"""Assert the BENCH exports' cycle fields match the committed copies.
 
-``benchmarks/test_sim_throughput.py`` rewrites the export on every run.
-Only its wall-clock fields (``seed_seconds``, ``fast_seconds``,
-``speedup``) are machine-dependent; every other field is a simulated
-cycle count or a workload descriptor and must be byte-identical to the
-version at ``HEAD``.  Run from the repository root after the benchmark:
+``benchmarks/test_sim_throughput.py`` and
+``benchmarks/test_jit_throughput.py`` rewrite ``BENCH_sim_throughput.json``
+and ``BENCH_jit.json`` on every run.  Only their wall-clock fields are
+machine-dependent; every other field is a simulated cycle count or a
+workload descriptor and must be byte-identical to the version at
+``HEAD``.  Run from the repository root after either benchmark:
 
     python benchmarks/check_bench_cycles.py
 """
@@ -14,22 +15,36 @@ from __future__ import annotations
 import json
 import subprocess
 
-EXPORT = "BENCH_sim_throughput.json"
-WALLCLOCK = {"seed_seconds", "fast_seconds", "speedup"}
+#: Each export and its machine-dependent wall-clock fields, stripped at
+#: any nesting depth (``BENCH_jit.json`` times every entry).
+EXPORTS = {
+    "BENCH_sim_throughput.json": {"seed_seconds", "fast_seconds", "speedup"},
+    "BENCH_jit.json": {
+        "interpreter_seconds", "jit_seconds", "speedup", "median_speedup",
+    },
+}
 
 
-def _strip(export: dict) -> dict:
-    return {k: v for k, v in export.items() if k not in WALLCLOCK}
+def _strip(node, wallclock: set[str]):
+    if isinstance(node, dict):
+        return {
+            k: _strip(v, wallclock)
+            for k, v in node.items() if k not in wallclock
+        }
+    if isinstance(node, list):
+        return [_strip(v, wallclock) for v in node]
+    return node
 
 
 def main() -> None:
-    with open(EXPORT) as fh:
-        current = _strip(json.load(fh))
-    committed = _strip(json.loads(
-        subprocess.check_output(["git", "show", f"HEAD:{EXPORT}"])
-    ))
-    assert current == committed, (current, committed)
-    print("BENCH cycle fields byte-identical")
+    for export, wallclock in EXPORTS.items():
+        with open(export) as fh:
+            current = _strip(json.load(fh), wallclock)
+        committed = _strip(json.loads(
+            subprocess.check_output(["git", "show", f"HEAD:{export}"])
+        ), wallclock)
+        assert current == committed, (export, current, committed)
+        print(f"{export}: cycle fields byte-identical")
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ class Mask:
                 f"{count} elements of {dtype.name} do not fit one repeat "
                 f"({dtype.lanes_per_repeat} lanes)"
             )
-        return cls(_element_bits_cached(count, dtype.lanes_per_repeat))
+        return _element_mask(count, dtype.lanes_per_repeat)
 
     @property
     def popcount(self) -> int:
@@ -78,17 +78,19 @@ class Mask:
 
 
 @lru_cache(maxsize=256)
-def _element_bits_cached(count: int, lanes_per_repeat: int) -> int:
-    """Mask bits enabling the first ``count`` element lanes.
+def _element_mask(count: int, lanes_per_repeat: int) -> Mask:
+    """The mask enabling the first ``count`` element lanes.
 
     For fp32 each lane spans 2 mask bits; the simulator only needs
-    lane-granular masks, so positions are scaled to bits.
+    lane-granular masks, so positions are scaled to bits.  One shared
+    (immutable) instance per pattern: lowering emits a mask per vector
+    instruction, and cached programs hold hundreds of thousands.
     """
     scale = VECTOR_MASK_BITS // lanes_per_repeat
     bits = 0
     for lane in range(count):
         bits |= 1 << (lane * scale)
-    return bits
+    return Mask(bits)
 
 
 @lru_cache(maxsize=512)

@@ -115,7 +115,11 @@ class PoolingImpl(abc.ABC):
 
     @abc.abstractmethod
     def footprint(self, params: Im2ColParams, dtype: DType) -> dict[str, int]:
-        """Scratch-pad bytes a tile of this geometry requires."""
+        """Scratch-pad bytes a tile of this geometry requires.
+
+        Must read nothing of the instance but ``op`` and ``with_mask``:
+        the planner memoizes the chunk it picks per class on those.
+        """
 
     @abc.abstractmethod
     def build_tile(self, ctx: TileContext) -> None:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -300,6 +301,31 @@ class ExecutionPlan:
             ) from None
 
 
+@lru_cache(maxsize=1024)
+def _heuristic_chunk(
+    impl_cls: "type[PoolingImpl]",
+    op: str,
+    with_mask: bool,
+    spec: "PoolSpec",
+    ih: int,
+    iw: int,
+    config: ChipConfig,
+    dtype: DType,
+    min_tiles: int,
+) -> int:
+    """:func:`~repro.plan.tiling.plan_chunk` for one variant, memoized.
+
+    The key is everything a footprint reads, so two instances of one
+    variant share an entry and repeated calls skip the binary search
+    over tile footprints.
+    """
+    impl = impl_cls(op, with_mask)
+    return plan_chunk(
+        spec.with_image(ih, iw), impl.footprint, config, dtype,
+        min_tiles=min_tiles,
+    )
+
+
 def plan_default(
     kind: str,
     impl: "PoolingImpl",
@@ -320,17 +346,19 @@ def plan_default(
     row chunk that fits the scratch-pads (:func:`~repro.plan.tiling.
     plan_chunk`), shrunk so every core gets work -- forward always,
     backward unless ``serialize_slices`` pins each slice to one core.
-    A plan produced here lowers and dispatches byte-identically to the
+    The chunk is a pure function of the variant, geometry, config and
+    dtype, so it is memoized (:func:`_heuristic_chunk`).  A plan
+    produced here lowers and dispatches byte-identically to the
     pre-refactor monolithic drivers.
     """
     timing = resolve_model(model)
-    full = spec.with_image(ih, iw)
     min_tiles = (
         1 if kind == "bwd" and serialize_slices
         else -(-config.num_cores // (n * c1))
     )
-    chunk = plan_chunk(
-        full, impl.footprint, config, dtype, min_tiles=min_tiles
+    chunk = _heuristic_chunk(
+        type(impl), impl.op, impl.with_mask, spec, ih, iw, config, dtype,
+        min_tiles,
     )
     return ExecutionPlan(
         kind=kind,

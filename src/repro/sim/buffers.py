@@ -11,6 +11,7 @@ capacity and alignment the real hardware would silently require.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,15 +27,26 @@ class ScratchBuffer:
 
     The backing store is typed with the kernel's element dtype; kernels
     in this reproduction are single-dtype (fp16), matching the paper.
+
+    Storage is allocated, zero-filled, on the first read of
+    :attr:`data` and kept for the buffer's lifetime.  Cycles-mode runs
+    never read it, and numeric or JIT runs touch only the buffers their
+    programs name on the cores that receive tiles, so a chip costs
+    nothing per scratch-pad it does not use.  Observably the store
+    still starts zeroed and is never cleared behind a kernel's back.
     """
 
     spec: BufferSpec
     dtype: DType
-    data: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        elems = self.spec.capacity_bytes // self.dtype.itemsize
-        self.data = np.zeros(elems, dtype=self.dtype.np_dtype)
+    @cached_property
+    def data(self) -> np.ndarray:
+        return np.zeros(self.capacity_elems, dtype=self.dtype.np_dtype)
+
+    @property
+    def allocated(self) -> bool:
+        """Whether :attr:`data` has been read (its storage exists)."""
+        return "data" in self.__dict__
 
     @property
     def name(self) -> str:
@@ -42,10 +54,11 @@ class ScratchBuffer:
 
     @property
     def capacity_elems(self) -> int:
-        return self.data.size
+        return self.spec.capacity_bytes // self.dtype.itemsize
 
     def clear(self) -> None:
-        self.data.fill(0)
+        if self.allocated:  # unallocated storage reads as zeros already
+            self.data.fill(0)
 
     def poison(self, value: float) -> None:
         """Fill the whole backing store with a sentinel value.

@@ -29,7 +29,9 @@ not zero a scratch-pad between kernels, and a correct kernel
 initializes everything it reads, so clearing would only add cost and
 hide bugs.  The consequence is that a *buggy* kernel can silently read
 the previous tile's data (and, because :class:`ScratchBuffer` happens
-to zero-init at construction, a freshly built chip can mask even that).
+to zero-init on first use, a freshly built chip can mask even that).
+First use also means a chip pays for no scratch-pad its run never
+touches: cycles mode allocates none.
 Strict mode (``sanitize=True``) closes the hole: buffers are
 poison-filled at each tile start and the shadow state flags any read of
 freed or never-written elements (see :mod:`repro.sim.sanitizer`).

@@ -54,6 +54,12 @@ class TestForElements:
         m = Mask.for_elements(3, FLOAT32)
         assert np.array_equal(m.lanes(FLOAT32), np.arange(3))
 
+    def test_one_shared_instance_per_pattern(self):
+        m = Mask.for_elements(16, FLOAT16)
+        assert m is Mask.for_elements(16, FLOAT16)
+        assert m == Mask.first(16)
+        assert Mask.for_elements(16, FLOAT32) != m
+
     def test_count_bounds(self):
         with pytest.raises(MaskError):
             Mask.for_elements(0, FLOAT16)

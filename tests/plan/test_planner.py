@@ -22,9 +22,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config import ASCEND910
+from repro.config import ASCEND910, ASCEND910_SINGLE_CORE
 from repro.dtypes import FLOAT16, FLOAT32
-from repro.errors import LayoutError, PlanError
+from repro.errors import LayoutError, PlanError, ReproError
 from repro.ops import PoolSpec
 from repro.ops.base import run_backward, run_forward
 from repro.ops.registry import (
@@ -37,9 +37,11 @@ from repro.plan import (
     ExecutionPlan,
     dispatch,
     lower,
+    plan_chunk,
     plan_default,
     resolve_plan,
 )
+from repro.plan.planner import _heuristic_chunk
 from repro.sim import ProgramCache
 from repro.workloads import make_gradient, make_input
 
@@ -415,3 +417,104 @@ class TestDispatchChecksTensors:
         with pytest.raises(LayoutError, match="Argmax mask"):
             run_backward(grad, self.SPEC, impl, 17, 17, cache=cache)
         assert len(cache) == 0
+
+
+def _memo_geometries():
+    """``(spec, n, c1, ih, iw)`` of every Table-1 layer and every
+    Figure 8 input size."""
+    from repro.bench.figures import FIG8_IMPLS, fig8_sizes
+    from repro.workloads.cnn_configs import CNN_MAXPOOL_LAYERS
+
+    out = [
+        (layer.spec, 1, -(-layer.c // FLOAT16.c0), layer.h, layer.w)
+        for layers in CNN_MAXPOOL_LAYERS.values()
+        for layer in layers
+    ]
+    for stride in FIG8_IMPLS:
+        out += [
+            (PoolSpec.square(3, stride), 1, 1, s, s)
+            for s in fig8_sizes(stride)
+        ]
+    return out
+
+
+def _memo_impls():
+    return [
+        ("fwd", forward_impl(*v)) for v in forward_variants()
+    ] + [
+        ("bwd", backward_impl(*v)) for v in backward_variants()
+    ]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ReproError as exc:  # untileable geometries fail both ways
+        return type(exc), str(exc)
+
+
+class TestChunkMemo:
+    """The heuristic's row chunk is memoized on what footprints read."""
+
+    @pytest.mark.parametrize(
+        "config", [ASCEND910, ASCEND910_SINGLE_CORE],
+        ids=["32-core", "1-core"],
+    )
+    @pytest.mark.parametrize("serialize", [False, True])
+    def test_memoized_chunk_equals_direct_search(self, config, serialize):
+        for spec, n, c1, ih, iw in _memo_geometries():
+            for kind, impl in _memo_impls():
+                min_tiles = (
+                    1 if kind == "bwd" and serialize
+                    else -(-config.num_cores // (n * c1))
+                )
+                direct = _outcome(lambda: plan_chunk(
+                    spec.with_image(ih, iw), impl.footprint, config,
+                    FLOAT16, min_tiles=min_tiles,
+                ))
+                memo = _outcome(lambda: plan_default(
+                    kind, impl, spec, FLOAT16, n, c1, ih, iw, config,
+                    execute="cycles", serialize_slices=serialize,
+                ).chunk)
+                assert memo == direct, (kind, impl.describe(), ih, iw)
+
+    def test_instances_of_one_variant_share_an_entry(self):
+        _heuristic_chunk.cache_clear()
+        plans = [
+            plan_default(
+                "fwd", forward_impl("im2col", "max", True), SPEC, FLOAT16,
+                1, 4, 35, 35, ASCEND910,
+            )
+            for _ in range(2)
+        ]
+        info = _heuristic_chunk.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert plans[0] == plans[1]
+
+    def test_autotune_table_change_is_honoured(self, tmp_path, monkeypatch):
+        """The memo sits below the table lookup: a table installed after
+        the heuristic was memoized still wins, and removing it falls
+        back to the memoized heuristic."""
+        from repro.plan import AutotuneTable, Workload, set_default_table
+
+        impl = forward_impl("standard", "max")
+        args = ("fwd", impl, SPEC, FLOAT16, 1, 1, 28, 28, ASCEND910)
+        heuristic = plan_default(*args)
+        tuned = replace(heuristic, chunk=heuristic.chunk + 1)
+        key = Workload.of_impl(*args[:8]).key(ASCEND910)
+        path = AutotuneTable({key: {"plan": tuned.to_dict()}}).save(
+            tmp_path / "table.json"
+        )
+
+        def resolve(table_path):
+            monkeypatch.setenv("REPRO_AUTOTUNE_TABLE", str(table_path))
+            set_default_table(None)  # re-read the variable on next use
+            return resolve_plan("autotuned", *args).chunk
+
+        try:
+            assert resolve(tmp_path / "missing.json") == heuristic.chunk
+            assert resolve(path) == tuned.chunk
+            assert resolve(tmp_path / "missing.json") == heuristic.chunk
+        finally:
+            monkeypatch.undo()
+            set_default_table(None)

@@ -30,6 +30,37 @@ class TestScratchBuffer:
         assert not buf.data.any()
 
 
+class TestLazyStorage:
+    """Storage is allocated on the first ``data`` read; until then the
+    buffer behaves exactly like a zero-filled one."""
+
+    def test_construction_does_not_allocate(self):
+        buf = ScratchBuffer(BufferSpec("L1", 1 << 20), FLOAT16)
+        assert not buf.allocated
+        assert buf.capacity_elems == 1 << 19
+        buf.clear()
+        assert not buf.allocated
+
+    def test_first_read_is_zeroed_and_kept(self):
+        buf = ScratchBuffer(BufferSpec("UB", 64), FLOAT16)
+        buf.clear()
+        data = buf.data
+        assert buf.allocated
+        assert data.size == buf.capacity_elems == 32
+        assert data.dtype == np.float16
+        assert not data.any()
+        data[3] = 7
+        assert buf.data is data and buf.data[3] == 7
+
+    def test_poison_matches_a_zero_filled_buffer(self):
+        lazy = ScratchBuffer(BufferSpec("UB", 64), FLOAT16)
+        eager = ScratchBuffer(BufferSpec("UB", 64), FLOAT16)
+        eager.data  # materialize the zero fill first
+        lazy.poison(-20000.0)
+        eager.poison(-20000.0)
+        assert lazy.data.tobytes() == eager.data.tobytes()
+
+
 class TestAllocator:
     def test_sequential_allocations_disjoint(self):
         a = make_alloc()

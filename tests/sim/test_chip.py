@@ -347,3 +347,95 @@ class TestFlatGroupedEquivalence:
         assert res.per_core_cycles[0] == cost[0]
         assert res.per_core_cycles[1] == sum(cost[1:]) + rep.backoff_cycles
         assert res.per_core_cycles[2:] == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Lazy scratch-pad storage: a call pays only for the buffers it touches.
+# ---------------------------------------------------------------------------
+
+def _allocated(core):
+    return {name for name, buf in core.buffers.items() if buf.allocated}
+
+
+@pytest.fixture
+def built_chips(monkeypatch):
+    """Every :class:`Chip` the operator drivers construct, in order."""
+    import repro.plan.planner as planner
+
+    chips = []
+
+    class RecordingChip(Chip):
+        def __post_init__(self):
+            super().__post_init__()
+            chips.append(self)
+
+    monkeypatch.setattr(planner, "Chip", RecordingChip)
+    return chips
+
+
+class TestLazyScratchpads:
+    def test_construction_allocates_nothing(self):
+        chip = Chip(ASCEND910)
+        assert all(not _allocated(core) for core in chip.cores)
+
+    @pytest.mark.parametrize("impl", ["standard", "im2col"])
+    def test_cycles_mode_allocates_nothing(self, built_chips, impl):
+        from repro.ops import run_forward
+
+        run_forward(
+            make_input(35, 35, 288, n=1, seed=0), PoolSpec.square(3, 2),
+            forward_impl(impl, "max"), ASCEND910, execute="cycles",
+        )
+        (chip,) = built_chips
+        assert len(chip.cores) == 32
+        assert all(not _allocated(core) for core in chip.cores)
+
+    @pytest.mark.parametrize("execute", ["numeric", "jit"])
+    @pytest.mark.parametrize("impl, mask", [
+        ("standard", False), ("im2col", False), ("im2col", True),
+    ])
+    def test_data_modes_allocate_only_named_buffers(
+        self, built_chips, execute, impl, mask,
+    ):
+        from repro.ops import run_forward
+
+        spec = PoolSpec.square(3, 2)
+        x = make_input(16, 16, 32, n=1, seed=0)
+        res = run_forward(
+            x, spec, forward_impl(impl, "max", mask), ASCEND910,
+            execute=execute,
+        )
+        plan = plan_default(
+            "fwd", forward_impl(impl, "max", mask), spec, FLOAT16,
+            *x.shape[:4], ASCEND910,
+        )
+        scratch = set(ASCEND910.buffer_specs())
+        named = {
+            b
+            for group in lower(plan, ASCEND910, cache=None).groups
+            for prog in group
+            for ins in prog.instructions
+            for b in ins.buffers()
+        } & scratch
+        (chip,) = built_chips
+        busy = [c > 0 for c in res.chip.per_core_cycles]
+        assert 0 < sum(busy) < len(chip.cores)  # some cores stay idle
+        for core, got_tiles in zip(chip.cores, busy):
+            assert _allocated(core) == (named if got_tiles else set())
+
+    def test_bit_flip_on_untouched_buffer_matches_zero_filled(self, gm):
+        """A silent flip into a buffer no instruction names lands on
+        the same bits whether or not its storage already existed."""
+        flip = FaultPlan((BitFlip(
+            tile=0, buffer="L1", offset=5, bit=9, detected=False,
+        ),))
+        stores = []
+        for pre_touch in (False, True):
+            chip = Chip(ChipConfig(num_cores=1))
+            if pre_touch:
+                chip.cores[0].buffers["L1"].data  # zero fill up front
+            chip.run_tiles([tile_program()], GlobalMemory(), faults=flip)
+            stores.append(chip.cores[0].buffers["L1"].data)
+        lazy, eager = stores
+        assert lazy.tobytes() == eager.tobytes()
+        assert np.count_nonzero(lazy) == 1

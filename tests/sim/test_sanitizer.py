@@ -342,6 +342,18 @@ class TestStaleReadRegression:
         chip.run_tiles([self._writer(), b.program], gm)
         assert np.all(gm.view("probe") == np.float16(2.0))
 
+    def test_scratch_survives_across_tiles_under_jit(self):
+        """The same contract through compiled kernels: storage made on
+        tile A's first touch is the storage tile B reads."""
+        b = KernelBuilder(ASCEND910, FLOAT16, name="tileB-probe")
+        src = b.alloc("UB", 128, "leftover")
+        b.dma(src, MemRef("probe", 0, 128, FLOAT16))
+        gm = GlobalMemory()
+        gm.add("probe", np.zeros(128, np.float16))
+        chip = Chip(ASCEND910_SINGLE_CORE)
+        chip.run_tiles([self._writer(), b.program], gm, execute="jit")
+        assert np.all(gm.view("probe") == np.float16(2.0))
+
     def test_strict_mode_diagnoses_stale_read(self):
         gm = GlobalMemory()
         chip = Chip(ASCEND910_SINGLE_CORE)

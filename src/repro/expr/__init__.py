@@ -29,7 +29,7 @@ from .nodes import BinOp, ScalarOp, Reduce, Fill
 from .stage import Stage, reduce_stage, elementwise_stage, scatter_accumulate_stage, fill_stage
 from .vectorize import VectorPlan, plan_stage
 from .schedule import DEFAULT_SCHEDULE, NAIVE_SCHEDULE, Schedule
-from .lower import lower_stage, lower_stages, LoweringResult
+from .lower import lower_stage, LoweringResult
 
 __all__ = [
     "Axis",
@@ -51,6 +51,5 @@ __all__ = [
     "DEFAULT_SCHEDULE",
     "NAIVE_SCHEDULE",
     "lower_stage",
-    "lower_stages",
     "LoweringResult",
 ]

@@ -9,7 +9,6 @@ few) vector instruction(s).  Scalar loop management is charged through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from ..dtypes import DType
 from ..errors import LoweringError
@@ -18,7 +17,6 @@ from ..isa.mask import Mask
 from ..isa.operand import MemRef, VectorOperand
 from ..isa.program import Program
 from ..isa.vector import VectorBinary, VectorDup, VectorScalar
-from .axes import AffineExpr, Axis
 from .nodes import (
     BINOP_TO_ISA,
     REDUCE_TO_ISA,
@@ -28,7 +26,6 @@ from .nodes import (
     Load,
     Reduce,
     ScalarOp,
-    body_loads,
 )
 from .schedule import DEFAULT_SCHEDULE, Schedule
 from .stage import Stage, fill_stage
@@ -73,16 +70,13 @@ def lower_stage(
         init = fill_stage(
             stage.out, stage.axes, identity, name=f"{stage.name}.init"
         )
-        total += _lower_one(init, binding, program, dtype, max_repeat, sched)
+        total += _lower_one(
+            init, binding, program, dtype, max_repeat, sched
+        ).instructions
 
-    total += _lower_one(stage, binding, program, dtype, max_repeat, sched)
+    main = _lower_one(stage, binding, program, dtype, max_repeat, sched)
     return LoweringResult(
-        plan=plan_stage(
-            stage, dtype,
-            allow_fold=sched.allow_repeat_fold,
-            c0_only=sched.vectorize_c0_only,
-        ),
-        instructions=total,
+        plan=main.plan, instructions=total + main.instructions
     )
 
 
@@ -118,7 +112,16 @@ def _lower_one(
     dtype: DType,
     max_repeat: int,
     sched: Schedule = DEFAULT_SCHEDULE,
-) -> int:
+) -> LoweringResult:
+    """Emit one stage; the result carries the plan it was emitted under.
+
+    Everything that does not depend on the outer loop point is computed
+    once per stage: the chunk schedule, each chunk's mask and operand
+    spans, the repeat strides and the instruction constructor.  The
+    per-point work is a base offset per operand, from per-axis
+    coefficient rows, and operands repeating within the stage (the
+    same base, span and slot) are one shared, immutable object.
+    """
     plan = plan_stage(
         stage, dtype,
         allow_fold=sched.allow_repeat_fold,
@@ -129,106 +132,95 @@ def _lower_one(
     if cap is not None:
         max_repeat = min(max_repeat, cap)
 
-    out_ref = _bound_ref(binding, stage.out.name)
-    out_aff = stage.out_flat_affine()
-    load_refs = [_bound_ref(binding, ld.tensor.name) for ld in loads]
-    load_affs = [ld.flat_affine() for ld in loads]
+    # Operand slot 0 is the destination, slots 1.. the loads.
+    refs = [_bound_ref(binding, stage.out.name)]
+    refs += [_bound_ref(binding, ld.tensor.name) for ld in loads]
+    affs = [stage.out_flat_affine()] + [ld.flat_affine() for ld in loads]
 
     lpb = dtype.lanes_per_block
     lpr = dtype.lanes_per_repeat
     lanes = plan.lanes_total
+    f = plan.fold_axis
 
     # Per-operand repeat strides in 32-byte blocks.
-    if plan.wide:
-        out_rs = lpr // lpb
-        load_rs = [lpr // lpb] * len(loads)
-    elif plan.fold_axis is not None:
-        f = plan.fold_axis
-        out_rs = 0 if f in stage.raxes else lanes // lpb
-        load_rs = [aff.coeff(f) // lpb for aff in load_affs]
+    if not plan.wide and f is not None:
+        rep_strides = [0 if f in stage.raxes else lanes // lpb]
+        rep_strides += [aff.coeff(f) // lpb for aff in affs[1:]]
     else:
-        out_rs = lpr // lpb
-        load_rs = [lpr // lpb] * len(loads)
+        rep_strides = [lpr // lpb] * len(affs)
 
-    def operand(ref: MemRef, base: int, rep_stride: int, repeat: int, nlanes: int) -> VectorOperand:
-        span = max(1, (repeat - 1) * rep_stride * lpb + nlanes)
-        return VectorOperand(
-            MemRef(ref.buffer, base, span, dtype),
-            blk_stride=1,
-            rep_stride=rep_stride,
+    # The chunk schedule: per chunk, each operand's shift from the
+    # point's base, the repeat and the lane count.
+    if plan.wide:
+        full, tail = divmod(lanes, lpr)
+        schedule = [
+            ([done * lpr] * len(affs), min(max_repeat, full - done), lpr)
+            for done in range(0, full, max_repeat)
+        ]
+        if tail:
+            schedule.append(([full * lpr] * len(affs), 1, tail))
+    else:
+        advance = [aff.coeff(f) if f is not None else 0 for aff in affs]
+        repeats = plan.fold_extent
+        schedule = [
+            ([done * a for a in advance], min(max_repeat, repeats - done),
+             lanes)
+            for done in range(0, repeats, max_repeat)
+        ]
+    chunks = [
+        (
+            shifts,
+            [max(1, (rep - 1) * rs * lpb + nlanes) for rs in rep_strides],
+            Mask.for_elements(nlanes, dtype),
+            rep,
         )
+        for shifts, rep, nlanes in schedule
+    ]
 
-    def emit(bases: list[int], repeat: int, nlanes: int) -> None:
-        mask = Mask.for_elements(nlanes, dtype)
-        dst = operand(out_ref, bases[0], out_rs, repeat, nlanes)
-        srcs = [
-            operand(r, b, rs, repeat, nlanes)
-            for r, b, rs in zip(load_refs, bases[1:], load_rs)
-        ]
-        if kind == "fill":
-            program.emit(VectorDup(dst, imm, mask, repeat))
-        elif kind in ("copy", "scalarop"):
-            program.emit(VectorScalar(isa_op, dst, srcs[0], imm, mask, repeat))
-        elif kind in ("reduce", "scatter"):
-            # Accumulating ops read the destination as src0.
-            program.emit(VectorBinary(isa_op, dst, dst, srcs[0], mask, repeat))
-        elif kind == "binop":
-            program.emit(VectorBinary(isa_op, dst, srcs[0], srcs[1], mask, repeat))
-        else:  # pragma: no cover - _classify is exhaustive
-            raise LoweringError(f"unhandled kind {kind}")
+    if kind == "fill":
+        def build(ops, mask, rep):
+            return VectorDup(ops[0], imm, mask, rep)
+    elif kind in ("copy", "scalarop"):
+        def build(ops, mask, rep):
+            return VectorScalar(isa_op, ops[0], ops[1], imm, mask, rep)
+    elif kind in ("reduce", "scatter"):
+        # Accumulating ops read the destination as src0.
+        def build(ops, mask, rep):
+            return VectorBinary(isa_op, ops[0], ops[0], ops[1], mask, rep)
+    else:
+        def build(ops, mask, rep):
+            return VectorBinary(isa_op, ops[0], ops[1], ops[2], mask, rep)
 
-    emitted = 0
-    outer_ranges = [range(ax.extent) for ax in plan.outer_axes]
-    for point in product(*outer_ranges):
-        values = dict(zip(plan.outer_axes, point))
-        base0 = [out_ref.offset + out_aff.evaluate(values)]
-        base0 += [
-            r.offset + aff.evaluate(values)
-            for r, aff in zip(load_refs, load_affs)
-        ]
-        if plan.wide:
-            full, tail = divmod(lanes, lpr)
-            done = 0
-            while done < full:
-                rep = min(max_repeat, full - done)
-                emit([b + done * lpr for b in base0], rep, lpr)
-                emitted += 1
-                done += rep
-            if tail:
-                emit([b + full * lpr for b in base0], 1, tail)
-                emitted += 1
-        else:
-            repeats = plan.fold_extent
-            f = plan.fold_axis
-            done = 0
-            while done < repeats:
-                rep = min(max_repeat, repeats - done)
-                if f is None:
-                    bases = base0
-                else:
-                    advance = [out_aff.coeff(f)] + [
-                        aff.coeff(f) for aff in load_affs
-                    ]
-                    bases = [b + done * a for b, a in zip(base0, advance)]
-                emit(bases, rep, lanes)
-                emitted += 1
-                done += rep
+    # Each operand's base at every outer point, in scalar loop order
+    # (outermost axis first), grown one axis at a time.
+    bases = [[r.offset + aff.const] for r, aff in zip(refs, affs)]
+    for ax in plan.outer_axes:
+        steps = range(ax.extent)
+        for i, aff in enumerate(affs):
+            c = aff.coeff(ax)
+            bases[i] = [b + v * c for b in bases[i] for v in steps]
 
+    shared: list[dict[tuple[int, int], VectorOperand]] = [{} for _ in refs]
+    per_slot = list(zip(refs, rep_strides, shared))
+    emit = program.emit
+    for base in zip(*bases):
+        for shifts, spans, mask, rep in chunks:
+            ops = []
+            for (ref, rs, seen), b, shift, span in zip(
+                per_slot, base, shifts, spans
+            ):
+                key = (b + shift, span)
+                op = seen.get(key)
+                if op is None:
+                    op = seen[key] = VectorOperand(
+                        MemRef(ref.buffer, key[0], span, dtype), 1, rs
+                    )
+                ops.append(op)
+            emit(build(ops, mask, rep))
+
+    emitted = len(bases[0]) * len(chunks)
     if emitted > 1:
         # The instructions sit inside scalar loops in the lowered CCE C;
         # charge loop management per trip.
         program.scalar_loop_trips += emitted
-    return emitted
-
-
-def lower_stages(
-    stages: list[Stage],
-    binding: dict[str, MemRef],
-    program: Program,
-    dtype: DType,
-    max_repeat: int = HW_MAX_REPEAT,
-) -> list[LoweringResult]:
-    """Lower a pipeline of stages in order."""
-    return [
-        lower_stage(s, binding, program, dtype, max_repeat) for s in stages
-    ]
+    return LoweringResult(plan=plan, instructions=emitted)

@@ -21,7 +21,7 @@ from .instruction import Instruction, check_repeat
 from .operand import MemRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mmad(Instruction):
     """``repeat`` fractal-pair multiply-accumulates.
 

@@ -30,7 +30,7 @@ class ExecutionContext(Protocol):
         ...
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Region:
     """A half-open element span ``[start, stop)`` of one named buffer.
 
@@ -55,6 +55,12 @@ class Region:
 
 class Instruction:
     """Base class: every instruction executes data and reports cycles."""
+
+    # Concrete instructions are slotted frozen dataclasses; an empty
+    # ``__slots__`` here keeps their instances free of a ``__dict__``.
+    # Cached programs hold hundreds of thousands of instructions, so no
+    # per-instance cache (of ``accesses()``, say) is kept on them.
+    __slots__ = ()
 
     #: Which functional unit issues this instruction ("vector", "scu",
     #: "mte", "cube", "scalar").

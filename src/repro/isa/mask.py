@@ -18,7 +18,7 @@ from ..dtypes import VECTOR_MASK_BITS, DType
 from ..errors import MaskError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mask:
     """An immutable vector mask.
 

@@ -19,13 +19,16 @@ from ..dtypes import BLOCK_BYTES, VECTOR_BYTES_PER_REPEAT, DType
 from ..errors import IsaError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemRef:
     """A typed region of a named buffer.
 
     ``offset`` and ``size`` are in *elements* of ``dtype``.  ``buffer``
     is a symbolic name ("UB", "L1", ... or a global-memory tensor name)
     resolved by the simulator at execution time.
+
+    Slotted and immutable, so one region may be shared by any number of
+    operands and instructions; nothing depends on its identity.
     """
 
     buffer: str
@@ -79,7 +82,7 @@ class MemRef:
         return replace(self, offset=self.offset + delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorOperand:
     """A vector-instruction operand: base region plus addressing strides.
 
@@ -88,6 +91,10 @@ class VectorOperand:
     access of pooling).  ``rep_stride`` -- 32-byte blocks between repeat
     iterations (0 makes every repeat re-address the same data, which is
     how a reduction accumulates into a fixed destination).
+
+    Slotted and immutable, so sharing one operand between instructions
+    is safe: the lowering reuses equal operands within a stage and
+    relocation keeps every operand it does not rebase.
     """
 
     ref: MemRef

@@ -119,7 +119,7 @@ def _plane_indices(
     return idx, valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Im2ColLoad(Instruction):
     """The Im2Col load instruction (Section III-C).
 
@@ -255,7 +255,7 @@ class Im2ColLoad(Instruction):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Col2ImStore(Instruction):
     """The Col2Im vector instruction (Section III-D).
 
@@ -353,7 +353,7 @@ class Col2ImStore(Instruction):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataMove(Instruction):
     """Plain (layout-preserving) data movement between memories.
 

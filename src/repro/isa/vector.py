@@ -55,7 +55,7 @@ _SCALAR_OPS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorBinary(Instruction):
     """A two-source vector instruction (vmax, vadd, vmul, ...).
 
@@ -213,7 +213,7 @@ def VCMP_EQ(dst, src0, src1, mask, repeat=1) -> VectorBinary:
     return VectorBinary("vcmp_eq", dst, src0, src1, mask, repeat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorScalar(Instruction):
     """Vector-with-immediate instruction (vadds, vmuls)."""
 
@@ -312,7 +312,7 @@ def VectorCopy(dst, src, mask, repeat=1) -> VectorScalar:
     return VectorScalar("vadds", dst, src, 0.0, mask, repeat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorDup(Instruction):
     """Broadcast an immediate into a vector region (``vector_dup``).
 

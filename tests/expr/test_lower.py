@@ -19,10 +19,13 @@ from repro.expr import (
     elementwise_stage,
     fill_stage,
     lower_stage,
+    plan_stage,
     reduce_stage,
     scatter_accumulate_stage,
 )
+from repro.expr.vectorize import stage_max_repeat
 from repro.isa import Program
+from repro.isa.instruction import operand_table
 from repro.sim import AICore, GlobalMemory
 
 C0 = 16
@@ -336,6 +339,122 @@ class TestRepeatChunking:
         ac = Axis("c", C0)
         with pytest.raises(LoweringError):
             r.run(elementwise_stage(loose, (ac,), ta[ac]))
+
+
+def _wide_tail(r):
+    # 5*5*16 = 400 lanes: 3 full repeats + a 16-lane tail per plane.
+    a = r.tensor("a", (2, 2, 5, 5, C0))
+    o = r.tensor("o", (5, 5, C0))
+    aoh, aow, ac = Axis("oh", 5), Axis("ow", 5), Axis("c", C0)
+    rkh, rkw = Axis("kh", 2), Axis("kw", 2)
+    return reduce_stage(
+        o, (aoh, aow, ac),
+        Reduce("max", a[rkh, rkw, aoh, aow, ac], (rkh, rkw)),
+    ), 255
+
+
+def _wide_chunked(r):
+    a = r.tensor("a", (3, 20 * 128))
+    o = r.tensor("o", (3, 20 * 128))
+    ak, ai = Axis("k", 3), Axis("i", 20 * 128)
+    # The outer k axis repeats the chunk schedule at every point.
+    return elementwise_stage(o, (ak, ai), a[ak, ai]), 8
+
+
+def _narrow_fold_chunked(r):
+    # Listing 1: the strided source keeps the group at C0 and Kw folds
+    # into the repeat, chunked at max_repeat; dst repeats across Kh.
+    a = r.tensor("a", (9, 9, C0))
+    o = r.tensor("o", (4, 4, C0))
+    aoh, aow, ac = Axis("oh", 4), Axis("ow", 4), Axis("c", C0)
+    rkh, rkw = Axis("kh", 3), Axis("kw", 3)
+    return reduce_stage(
+        o, (aoh, aow, ac),
+        Reduce("max", a[aoh * 2 + rkh, aow * 2 + rkw, ac], (rkh, rkw)),
+    ), 2
+
+
+def _no_fold_scatter(r):
+    # The backward merge: overlapping windows hit one destination row
+    # from two (k, i) points.
+    m = r.tensor("m", (3, 4, C0))
+    o = r.tensor("o", (9, C0))
+    ak, ai, ac = Axis("k", 3), Axis("i", 4), Axis("c", C0)
+    return scatter_accumulate_stage(
+        o, (ai * 2 + ak, ac), (ak, ai, ac), m[ak, ai, ac]
+    ), 255
+
+
+def _fill(r):
+    o = r.tensor("o", (5, 7, C0))
+    ax = (Axis("a", 5), Axis("b", 7), Axis("c", C0))
+    return fill_stage(o, ax, 1.0), 255
+
+
+def _eq(r):
+    # vcmp cannot repeat: every 128-lane chunk is its own instruction.
+    a = r.tensor("a", (3, 9, C0))
+    b = r.tensor("b", (3, 9, C0))
+    o = r.tensor("o", (3, 9, C0))
+    ax = (Axis("i", 3), Axis("j", 9), Axis("c", C0))
+    return elementwise_stage(
+        o, ax, BinOp("eq", a[ax[0], ax[1], ax[2]], b[ax[0], ax[1], ax[2]])
+    ), 255
+
+
+PLAN_SHAPES = {
+    "wide-tail": (_wide_tail, True),
+    "wide-chunked": (_wide_chunked, False),
+    "narrow-fold-chunked": (_narrow_fold_chunked, True),
+    "no-fold-scatter": (_no_fold_scatter, True),
+    "fill": (_fill, False),
+    "eq": (_eq, False),
+}
+
+
+@pytest.mark.parametrize("shape", PLAN_SHAPES)
+def test_plan_shape_emission_and_operand_sharing(shape):
+    build, dst_repeats = PLAN_SHAPES[shape]
+    r = Runner()
+    stage, max_repeat = build(r)
+    lpr = FLOAT16.lanes_per_repeat
+
+    def per_tile(st):
+        cap = min(max_repeat, stage_max_repeat(st) or max_repeat)
+        return plan_stage(st, FLOAT16).instructions_per_tile(cap, lpr)
+
+    counts = [per_tile(stage)]
+    if isinstance(stage.body, Reduce):
+        counts.insert(0, per_tile(fill_stage(stage.out, stage.axes, 0.0)))
+    prog = Program("t")
+    res = lower_stage(stage, r.binding, prog, FLOAT16, max_repeat=max_repeat)
+    assert res.plan == plan_stage(stage, FLOAT16)
+    assert res.instructions == len(prog) == sum(counts)
+    assert prog.scalar_loop_trips == sum(n for n in counts if n > 1)
+
+    accumulates = isinstance(stage.body, Reduce) or stage.accumulate
+    start = 0
+    for idx, n in enumerate(counts):
+        instrs = prog.instructions[start:start + n]
+        start += n
+        # Within a stage, equal operands of one slot are one object.
+        for name, _ in operand_table(type(instrs[0])):
+            seen = {}
+            for ins in instrs:
+                op = getattr(ins, name)
+                assert seen.setdefault(op, op) is op
+        # No object is shared across the slots of one instruction,
+        # except an accumulating op's dst read back as src0.
+        rmw = accumulates and idx == len(counts) - 1
+        for ins in instrs:
+            ops = [v for _, v, _ in ins.operands()]
+            if rmw:
+                assert ops[1] is ops[0]
+                ops = ops[1:]
+            assert len({id(v) for v in ops}) == len(ops)
+    main = prog.instructions[-counts[-1]:]
+    dsts = [ins.dst for ins in main]
+    assert (len({id(d) for d in dsts}) < len(dsts)) == dst_repeats
 
 
 class TestLoweringProperty:

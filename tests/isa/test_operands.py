@@ -1,6 +1,10 @@
-"""The per-class operand table behind every instruction's operand view."""
+"""The per-class operand table behind every instruction's operand view,
+and the slotted, immutable ISA value classes it reads."""
 
+import copy
 import dataclasses
+import pickle
+import sys
 
 import pytest
 
@@ -62,9 +66,13 @@ def _subclasses(cls):
 
 
 def test_samples_cover_every_shipped_instruction_class():
+    # ``dataclass(slots=True)`` replaces the class it decorates, and the
+    # pre-slots class lingers in ``__subclasses__()``; a shipped class
+    # is the one its module exports under its name.
     shipped = {
         c for c in _subclasses(Instruction)
         if c.__module__.startswith("repro.")
+        and getattr(sys.modules[c.__module__], c.__name__, None) is c
     }
     assert shipped == {type(i) for i in _samples()}
 
@@ -95,3 +103,47 @@ class TestReadModifyWriteStaysPerInstance:
         assert plain.reads() == (Region("UB", 0, 64),)
         assert accumulating.reads() == (Region("UB", 0, 64), dst)
         assert plain.writes() == accumulating.writes() == (dst,)
+
+
+def _values():
+    """Every sample instruction plus one of each operand value class."""
+    d = VectorOperand(_ref("UB", 0, 128))
+    return _samples() + [d, d.ref, Region("UB", 0, 128), Mask.full()]
+
+
+def _relocatable():
+    return [v for v in _values() if not isinstance(v, (Region, Mask))]
+
+
+def _name(value):
+    return type(value).__name__
+
+
+class TestSlottedValues:
+    """ISA values are slotted and immutable, so lowering may share one
+    operand object between instructions; copies must stay equal."""
+
+    @pytest.mark.parametrize("value", _values(), ids=_name)
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("value", _values(), ids=_name)
+    def test_replace_deepcopy_and_pickle_round_trip(self, value):
+        for twin in (
+            dataclasses.replace(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert type(twin) is type(value)
+            assert twin == value
+            assert not hasattr(twin, "__dict__")
+
+    @pytest.mark.parametrize("value", _relocatable(), ids=_name)
+    def test_relocate_round_trip(self, value):
+        buffers = ("UB", "L1", "x", "L0A", "L0B", "L0C")
+        assert value.relocate({}) is value
+        moved = value.relocate({b: 32 for b in buffers})
+        assert type(moved) is type(value)
+        assert moved != value
+        assert not hasattr(moved, "__dict__")
+        assert moved.relocate({b: -32 for b in buffers}) == value

@@ -79,7 +79,7 @@ class MemRef:
         delta = deltas.get(self.buffer, 0)
         if delta == 0:
             return self
-        return replace(self, offset=self.offset + delta)
+        return MemRef(self.buffer, self.offset + delta, self.size, self.dtype)
 
 
 @dataclass(frozen=True, slots=True)

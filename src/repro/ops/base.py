@@ -325,12 +325,13 @@ def run_forward(
     against the workload and dispatched as-is (its implementation
     variant, row chunk and timing model win over the call's arguments).
 
-    Every ``(N, C1)`` slice lowers to the same tile programs up to
-    global-memory base offsets, so by default (``cache`` = the shared
+    Every ``(N, C1)`` slice, and every row window of one tile-local
+    geometry, lowers to the same tile program up to global-memory base
+    offsets, so by default (``cache`` = the shared
     :data:`repro.sim.PROGRAM_CACHE`) the driver lowers one program per
-    unique tile geometry and emits relocated clones for the remaining
-    slices, with memoized cycle/trace summaries so repeated tiles skip
-    per-instruction accounting.  ``cache=None`` restores the uncached
+    tile-local geometry and emits relocated clones for every other
+    slice and row window, with memoized cycle/trace summaries so
+    repeated tiles skip per-instruction accounting.  ``cache=None`` restores the uncached
     per-tile lowering (the reference path the equivalence tests compare
     against).
 
@@ -343,8 +344,8 @@ def run_forward(
     (:mod:`repro.sim.compile`) instead of the per-instruction
     interpreter: outputs, masks and cycle counts are bit-identical to
     ``"numeric"`` at a fraction of the dispatch cost.  With a cache,
-    one kernel is compiled per unique tile geometry and shared by every
-    relocated slice clone (memoized alongside the program, see
+    one kernel is compiled per tile-local geometry and shared by every
+    relocated clone (memoized alongside the program, see
     :meth:`repro.sim.ProgramCache.compiled`).  Incompatible with
     ``sanitize=`` and ``faults=``/``retry=``, which instrument the
     interpreter loop the JIT skips.

@@ -21,8 +21,8 @@ of the Indirect Convolution Algorithm (arXiv 1907.02129):
   place :class:`~repro.tik.KernelBuilder` runs for pooling.  Programs,
   summaries and compiled JIT kernels are keyed into the
   :class:`~repro.sim.ProgramCache` by the plan
-  (:func:`repro.sim.progcache.plan_key`), one entry per unique tile
-  geometry, relocated clones per ``(N, C1)`` slice.
+  (:func:`repro.sim.progcache.plan_key`), one entry per tile-local
+  geometry, relocated clones per ``(N, C1)`` slice and row window.
 * **dispatch** -- :func:`dispatch` is the one shared driver: the
   tensor-vs-plan check, global memory setup, one grouped chip run,
   cache/faults/retry/sanitize/compiled threading and result read-back,
@@ -100,24 +100,27 @@ class GMTensor(NamedTuple):
         """Elements per ``(N, C1)`` slice: the relocation stride."""
         return math.prod(self.shape[2:])
 
+    def offset(self, slice_idx: int, geom: TileGeom) -> int:
+        """Where the tile's window starts in one slice (in every plane):
+        also the relocation delta that moves a tile program built at
+        row 0 of slice 0 onto this slice and tile."""
+        *_, cols, c0 = self.shape
+        r0 = geom.oh0 if self.grid_rows else geom.ih0
+        return slice_idx * self.slice_elems + r0 * cols * c0
+
     def window(self, slice_idx: int, geom: TileGeom, dtype: DType):
         """The tile's rows of this tensor in one slice: a
         :class:`MemRef`, or for the mask a list of them, one per
         ``(kh, kw)`` plane, row-major."""
         *_, rows, cols, c0 = self.shape
-        r0, nrows = (
-            (geom.oh0, geom.out_rows) if self.grid_rows
-            else (geom.ih0, geom.in_rows)
-        )
-        planes = math.prod(self.shape[2:-3])
+        nrows = geom.out_rows if self.grid_rows else geom.in_rows
+        base = self.offset(slice_idx, geom)
         refs = [
             MemRef(
-                self.name,
-                ((slice_idx * planes + p) * rows + r0) * cols * c0,
-                nrows * cols * c0,
+                self.name, base + p * rows * cols * c0, nrows * cols * c0,
                 dtype,
             )
-            for p in range(planes)
+            for p in range(math.prod(self.shape[2:-3]))
         ]
         return refs if len(self.shape) > 5 else refs[0]
 
@@ -482,11 +485,23 @@ def resolve_plan(
 # Lowering.
 # ---------------------------------------------------------------------------
 
+def _tile_name(plan: ExecutionPlan, slice_idx: int, geom: TileGeom) -> str:
+    """A tile program's name: ``{describe}-s{slice}-t{rows}p{pt}x{pb}``.
+
+    The ``-t`` token names the tile-local geometry (loaded rows, local
+    top and bottom padding), not the tile's position, so every tile
+    that shares one cached program also shares its name, and
+    summaries and kernels check provenance across row windows exactly
+    as they do across slices.
+    """
+    p = geom.params
+    return f"{plan.describe}-s{slice_idx}-t{p.ih}p{p.pt}x{p.pb}"
+
+
 def _build_tile_program(
     plan: ExecutionPlan,
     impl: "PoolingImpl",
     slice_idx: int,
-    tile_idx: int,
     geom: TileGeom,
     config: ChipConfig,
     dtype: DType,
@@ -500,9 +515,7 @@ def _build_tile_program(
     """
     from ..ops.base import TileContext
 
-    b = KernelBuilder(
-        config, dtype, name=f"{plan.describe}-s{slice_idx}-t{tile_idx}"
-    )
+    b = KernelBuilder(config, dtype, name=_tile_name(plan, slice_idx, geom))
     impl.build_tile(TileContext(
         builder=b, geom=geom, spec=plan.spec, dtype=dtype,
         **{t.field: t.window(slice_idx, geom, dtype) for t in plan.tensors},
@@ -521,9 +534,10 @@ class Lowering:
     each slice to one core, otherwise one single-tile group per tile.
     Either way tiles appear slice-major, and ``summaries``/``kernels``
     mirror ``groups``.  Under ``execute="cycles"`` with a cache the
-    groups alias the base programs (cycle-identical clones need not be
-    materialised); otherwise each slice holds relocated clones (or,
-    uncached, fresh per-slice builds).
+    groups alias the base program of each tile-local geometry
+    (cycle-identical clones need not be materialised); otherwise each
+    ``(slice, tile)`` holds a clone relocated onto its row window (or,
+    uncached, a fresh build at its true position).
     """
 
     plan: ExecutionPlan
@@ -550,15 +564,19 @@ def lower(
 ) -> Lowering:
     """Lower a plan to tile programs (stage two of the pipeline).
 
-    With a cache, one program is lowered per unique tile geometry --
-    keyed by :func:`repro.sim.progcache.plan_key`, so two plans that
-    differ at most in timing model share entries -- with memoized
-    summaries under the plan's timing model (and, under
-    ``execute="jit"``, memoized compiled kernels shared by every model)
-    and relocated clones per ``(N, C1)`` slice.  The implementation is
-    instantiated from the registry only when a program is built (a
-    cache miss).  ``cache=None`` restores the uncached per-tile lowering
-    the equivalence tests compare against.
+    With a cache, one program is lowered per tile-local geometry
+    (``TileGeom.params``: loaded rows and local padding), built at row
+    0 of slice 0 and keyed by :func:`repro.sim.progcache.plan_key`, so
+    the equal middle tiles of a call -- and two plans that differ at
+    most in timing model or in a shared tile -- share one entry.  Its
+    summary under the plan's timing model (and, under
+    ``execute="jit"``, its compiled kernel, shared by every model) is
+    memoized, and every ``(slice, tile)`` is a clone relocated by
+    :meth:`GMTensor.offset`, the same way for rows as for slices.  The
+    implementation is instantiated from the registry only when a
+    program is built (a cache miss).  ``cache=None`` builds each tile
+    at its true position instead: the independent reference the
+    equivalence tests compare against.
     """
     dtype = dtype_by_name(plan.dtype)
     execute = plan.execute
@@ -569,10 +587,8 @@ def lower(
         impl = _impl_for_plan(plan)
         groups = _dispatch_shape(plan, (
             [
-                _build_tile_program(
-                    plan, impl, slice_idx, tile_idx, geom, config, dtype
-                )
-                for tile_idx, geom in enumerate(tiles)
+                _build_tile_program(plan, impl, slice_idx, geom, config, dtype)
+                for geom in tiles
             ]
             for slice_idx in range(num_slices)
         ))
@@ -585,46 +601,49 @@ def lower(
                         kernels=kernels)
 
     m = resolve_model(plan.model)
-    base: list[Program] = []
-    base_summaries: list[RunResult] = []
-    base_kernels: list = []
-    for tile_idx, geom in enumerate(tiles):
-        key = plan_key(plan, geom, config)
+    built: dict = {}  # tile-local geometry -> (program, summary, kernel)
+    for geom in tiles:
+        if geom.params in built:
+            continue
+        key = plan_key(plan, geom.params, config)
         prog = cache.get_or_build(
             key,
-            lambda t=tile_idx, g=geom: _build_tile_program(
-                plan, _impl_for_plan(plan), 0, t, g, config, dtype
+            lambda g=geom: _build_tile_program(
+                plan, _impl_for_plan(plan), 0,
+                replace(g, oh0=0, oh1=g.out_rows, ih0=0, ih1=g.in_rows),
+                config, dtype,
             ),
         )
-        base.append(prog)
-        base_summaries.append(
-            cache.summary(key, prog, config, collect_trace, model=m)
+        built[geom.params] = (
+            prog,
+            cache.summary(key, prog, config, collect_trace, model=m),
+            cache.compiled(key, prog, config) if execute == "jit" else None,
         )
-        if execute == "jit":
-            base_kernels.append(cache.compiled(key, prog, config))
+    progs, summaries, kernels = zip(*(built[g.params] for g in tiles))
     if execute == "cycles":
         # Cycle-identical clones need not even be materialised.
-        per_slice = (base for _ in range(num_slices))
+        per_slice = (progs for _ in range(num_slices))
     else:
-        strides = {t.name: t.slice_elems for t in plan.tensors}
-        per_slice = []
-        for slice_idx in range(num_slices):
-            deltas = {name: slice_idx * n for name, n in strides.items()}
-            per_slice.append([
+        tensors = plan.tensors
+        per_slice = [
+            [
                 prog.relocate(
-                    deltas, name=f"{plan.describe}-s{slice_idx}-t{tile_idx}"
+                    {t.name: t.offset(slice_idx, geom) for t in tensors},
+                    name=_tile_name(plan, slice_idx, geom),
                 )
-                for tile_idx, prog in enumerate(base)
-            ])
+                for geom, prog in zip(tiles, progs)
+            ]
+            for slice_idx in range(num_slices)
+        ]
     return Lowering(
         plan=plan,
         tiles=tiles,
         groups=_dispatch_shape(plan, per_slice),
         summaries=_dispatch_shape(
-            plan, (base_summaries for _ in range(num_slices))
+            plan, (summaries for _ in range(num_slices))
         ),
         kernels=(
-            _dispatch_shape(plan, (base_kernels for _ in range(num_slices)))
+            _dispatch_shape(plan, (kernels for _ in range(num_slices)))
             if execute == "jit"
             else None
         ),

@@ -76,9 +76,11 @@ class RunResult:
         return replace(self, trace=Trace(collected=False))
 
 
-#: Relocated per-slice clones are named ``...-s<slice>-t<tile>``; their
-#: summaries are shared, so the slice token is canonicalised before
-#: comparing a summary's provenance against a program.
+#: Tile programs are named ``...-s<slice>-t<rows>p<pt>x<pb>``, the
+#: ``-t`` token naming the tile-local geometry.  Relocated clones share
+#: their base program's summary and kernel across slices and row
+#: windows, so only the slice token is canonicalised before comparing
+#: provenance: a different tile-local geometry stays a different program.
 _SLICE_TOKEN = re.compile(r"-s\d+(?=-t\d+)")
 
 

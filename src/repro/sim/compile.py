@@ -35,8 +35,8 @@ Design constraints, in order:
   :meth:`~repro.isa.program.Program.relocate` clone of its template:
   global-memory refs are *anchored* at compile time (instruction index,
   field name, base offset) and the per-call delta is read off the
-  clone, so a kernel cached under a slice-independent
-  :func:`~repro.sim.progcache.plan_key` runs any slice.
+  clone, so a kernel cached under a position-independent
+  :func:`~repro.sim.progcache.plan_key` runs any slice and row window.
 
 * **Interpreter fallback.**  Instructions that do not implement
   :meth:`~repro.isa.instruction.Instruction.compile` -- or whose

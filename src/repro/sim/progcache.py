@@ -1,22 +1,24 @@
 """Compiled-program cache with relocation.
 
 Every ``(N, C1)`` slice of a pooling workload lowers to the *same* tile
-program -- only the global-memory base offsets differ -- yet the seed
+program, and so does every output-row window with the same tile-local
+geometry -- only the global-memory base offsets differ -- yet the seed
 driver re-ran the Python-side lowering once per tile.  For a Table-1 /
 InceptionV3-scale sweep that is thousands of redundant lowering passes.
 
 This module memoizes lowered tile programs keyed by everything the
-lowering depends on (implementation ``describe()``, tile geometry,
-dtype, chip-config fingerprint, full-image extents), and memoizes the
-per-program execution *summary* (cycle total plus the statically-derived
-trace).  Because the simulator's cost model is data-independent,
-relocated copies of a program are cycle-identical, so one summary stands
-in for every slice.  The drivers in :mod:`repro.ops.base` build one
-program per unique geometry, emit :meth:`repro.isa.program.Program.relocate`
-clones per slice, and hand the shared summaries to the chip so repeated
-tiles skip per-instruction accounting -- the enabling layer for the
-cycles-only analytic mode (``execute="cycles"``) that the benchmark
-figures run on.
+lowering depends on (implementation ``describe()``, tile-local
+geometry, dtype, chip-config fingerprint, full-image extents), and
+memoizes the per-program execution *summary* (cycle total plus the
+statically-derived trace).  Because the simulator's cost model is
+data-independent, relocated copies of a program are cycle-identical, so
+one summary stands in for every slice and row window.  The lowering
+stage (:func:`repro.plan.planner.lower`) builds one program per
+tile-local geometry at row 0 of slice 0, emits
+:meth:`repro.isa.program.Program.relocate` clones per ``(slice, tile)``,
+and hands the shared summaries to the chip so repeated tiles skip
+per-instruction accounting -- the enabling layer for the cycles-only
+analytic mode (``execute="cycles"``) that the benchmark figures run on.
 
 This mirrors how implicit-GEMM stacks amortize im2col setup across
 invocations (the indirection buffer of the Indirect Convolution
@@ -62,15 +64,18 @@ def plan_key(plan, geom: Hashable, config: ChipConfig) -> ProgramKey:
 
     The key is ``(kind, describe, spec, geom, dtype, image, config)``:
     the driver direction ("fwd"/"bwd"), the implementation's
-    ``describe()`` string (op, variant, mask), the frozen pooling spec
-    and tile geometry, the dtype name, the full-tensor extents baked
-    into global-memory offsets (``ih, iw, oh, ow``) and the chip config
-    -- a frozen dataclass fingerprinting both the program shape (buffer
-    capacities, ``max_repeat``) and the cost model the summary depends
-    on.  Slice index is deliberately *absent*: that is the whole point.
-    So is the timing model: a tile program is a function of geometry
-    alone, so one entry holds one program (and one compiled kernel) for
-    every model, and :class:`_Entry` memoizes summaries per model.
+    ``describe()`` string (op, variant, mask), the frozen pooling spec,
+    the *tile-local* geometry ``geom`` (``TileGeom.params``: loaded
+    rows and local padding), the dtype name, the full-tensor extents
+    (``ih, iw, oh, ow``) and the chip config -- a frozen dataclass
+    fingerprinting both the program shape (buffer capacities,
+    ``max_repeat``) and the cost model the summary depends on.  Where
+    the tile sits is deliberately *absent*: neither the slice index nor
+    the global row window is in the key, since the program is built at
+    row 0 of slice 0 and relocated onto every ``(slice, tile)``.  So is
+    the timing model: a tile program is a function of geometry alone,
+    so one entry holds one program (and one compiled kernel) for every
+    model, and :class:`_Entry` memoizes summaries per model.
     Duck-typed (reads ``kind``/``describe``/``spec``/``dtype``/``image``
     attributes) so this module never imports :mod:`repro.plan`.
     """
@@ -140,7 +145,7 @@ class _Entry:
         #: One kernel serves every relocated clone -- relocation deltas
         #: are derived per call from the clone's anchored global-memory
         #: operands -- and every timing model, so unlike summaries the
-        #: kernel is keyed only by the slice- and model-independent
+        #: kernel is keyed only by the position- and model-independent
         #: :func:`plan_key`.
         self.kernel = None
 

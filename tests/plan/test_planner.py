@@ -24,9 +24,10 @@ import pytest
 
 from repro.config import ASCEND910, ASCEND910_SINGLE_CORE
 from repro.dtypes import FLOAT16, FLOAT32
-from repro.errors import LayoutError, PlanError, ReproError
+from repro.errors import LayoutError, PlanError, ReproError, SimulationError
 from repro.ops import PoolSpec
 from repro.ops.base import run_backward, run_forward
+from repro.ops.reference import maxpool_argmax_ref
 from repro.ops.registry import (
     backward_impl,
     backward_variants,
@@ -42,7 +43,7 @@ from repro.plan import (
     resolve_plan,
 )
 from repro.plan.planner import _heuristic_chunk
-from repro.sim import ProgramCache
+from repro.sim import AICore, ProgramCache, compile_program
 from repro.workloads import make_gradient, make_input
 
 SPEC = PoolSpec(kh=3, kw=3, sh=2, sw=2)
@@ -314,6 +315,128 @@ class TestCachedLoweringMatchesUncached:
         assert [p.instructions for p in cached] == [
             p.instructions for p in uncached
         ]
+
+
+class TestRowRelocation:
+    """A cached tile program is built once per tile-local geometry, at
+    row 0 of slice 0, and relocated onto every ``(slice, tile)``: the
+    clones equal fresh builds at their true positions, and run to the
+    same outputs and cycles."""
+
+    SPEC = PoolSpec(kh=3, kw=3, sh=2, sw=2, pt=1, pb=1, pl=0, pr=1)
+    IH, IW, CHUNK = 25, 19, 3  # 13 output rows: padded ends, a tail
+
+    CASES = {
+        "padded-tail": ("fwd", "im2col", False, 1, 1, False),
+        "argmax-mask": ("fwd", "im2col", True, 1, 1, False),
+        "bwd-serialized": ("bwd", "col2im", False, 1, 1, True),
+        "bwd-parallel": ("bwd", "col2im", False, 1, 1, False),
+        "slices": ("fwd", "im2col", True, 2, 2, False),
+    }
+
+    def plan(self, case, execute="numeric"):
+        kind, name, with_mask, n, c1, serialize = self.CASES[case]
+        impl = (
+            forward_impl(name, "max", with_mask) if kind == "fwd"
+            else backward_impl(name, "max")
+        )
+        plan = plan_default(
+            kind, impl, self.SPEC, FLOAT16, n, c1, self.IH, self.IW,
+            ASCEND910, execute=execute, serialize_slices=serialize,
+        )
+        return replace(plan, chunk=self.CHUNK)
+
+    def tensors(self, plan):
+        x = make_input(self.IH, self.IW, 16 * plan.c1, n=plan.n, seed=4)
+        if plan.kind == "fwd":
+            return {"x": x}
+        oh, ow = plan.out_hw
+        return {
+            "grad": make_gradient(plan.c1, oh, ow, n=plan.n, seed=5),
+            "mask": maxpool_argmax_ref(x, self.SPEC),
+        }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_clones_equal_fresh_builds(self, case):
+        plan = self.plan(case)
+        tiles = plan.tiles
+        assert tiles[0].params.pt and tiles[-1].params.pb
+        assert tiles[-1].out_rows < self.CHUNK  # a tail tile
+        assert len({g.params for g in tiles}) < len(tiles)
+        cached = [
+            p for g in lower(plan, ASCEND910, cache=ProgramCache()).groups
+            for p in g
+        ]
+        fresh = [p for g in lower(plan, ASCEND910).groups for p in g]
+        assert len(cached) == len(fresh) == len(tiles) * plan.num_slices
+        for got, want in zip(cached, fresh):
+            assert got.name == want.name
+            assert got.instructions == want.instructions
+            assert got.scalar_loop_trips == want.scalar_loop_trips
+            assert got.allocations == want.allocations
+
+    @pytest.mark.parametrize("execute", ["numeric", "jit"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_runs_equal_uncached(self, case, execute):
+        plan = self.plan(case, execute)
+        given = self.tensors(plan)
+        got, want = (
+            dispatch(plan, lower(plan, ASCEND910, cache=cache), ASCEND910,
+                     **given)
+            for cache in (ProgramCache(), None)
+        )
+        assert np.array_equal(got.output, want.output)
+        assert (got.mask is None) == (want.mask is None)
+        if want.mask is not None:
+            assert np.array_equal(got.mask, want.mask)
+        assert got.cycles == want.cycles
+
+    @pytest.mark.parametrize("execute", ["numeric", "jit"])
+    def test_plans_sharing_a_tail_tile_share_one_cache(self, execute):
+        """Two chunks of one workload whose tail tiles have one
+        geometry at different tile indices: the second plan reuses the
+        first plan's tail program, summary and kernel."""
+        x = make_input(12, 12, 16, n=1, seed=6)
+        spec = PoolSpec.square(3, 1)
+        impl = forward_impl("im2col", "max")
+        config = ASCEND910_SINGLE_CORE
+        base = plan_default(
+            "fwd", impl, spec, FLOAT16, 1, 1, 12, 12, config,
+            execute=execute,
+        )
+        cache = ProgramCache()
+        for chunk in (3, 9):
+            plan = replace(base, chunk=chunk)
+            got, want = (
+                run_forward(x, spec, impl, config, cache=c, plan=plan)
+                for c in (cache, None)
+            )
+            assert np.array_equal(got.output, want.output)
+            assert got.mask is None and want.mask is None
+            assert got.cycles == want.cycles
+        assert cache.stats.hits > 0  # the tail tile was shared
+
+    def test_other_geometry_summary_and_kernel_rejected(self):
+        """Provenance still discriminates tile-local geometries: a
+        summary or kernel of a different geometry with an equal
+        instruction count is refused."""
+        plan = self.plan("padded-tail")
+        low = lower(plan, ASCEND910, cache=ProgramCache())
+        progs = [g[0] for g in low.groups]
+        sums = [s[0] for s in low.summaries]
+        pairs = [
+            (a, b) for a in range(len(progs)) for b in range(len(progs))
+            if len(progs[a]) == len(progs[b])
+            and plan.tiles[a].params != plan.tiles[b].params
+        ]
+        assert pairs
+        a, b = pairs[0]
+        core = AICore(ASCEND910)
+        with pytest.raises(SimulationError, match="summary mismatch"):
+            core.run(progs[b], None, execute="cycles", summary=sums[a])
+        kernel = compile_program(progs[a], ASCEND910)
+        with pytest.raises(SimulationError, match="kernel mismatch"):
+            kernel(core, progs[b])
 
 
 class TestDispatchChecksTensors:

@@ -422,12 +422,15 @@ class TestDriverCaching:
         tiles = len(res.tiles)
         slices = x.shape[0] * x.shape[1]
         assert res.chip.tiles == tiles * slices
-        # one miss per unique geometry, hits for every other slice
-        assert cache.stats.misses == tiles
+        # one miss per tile-local geometry; every other slice and row
+        # window is a relocated clone
+        geometries = len({g.params for g in res.tiles})
+        assert geometries < tiles  # the workload's rows share programs
+        assert cache.stats.misses == geometries
         assert cache.stats.hits == 0  # first call: all geometries new
         run_forward(x, spec, impl, ASCEND910, cache=cache)
-        assert cache.stats.misses == tiles
-        assert cache.stats.hits == tiles
+        assert cache.stats.misses == geometries
+        assert cache.stats.hits == geometries
 
     def test_global_cache_is_default(self):
         PROGRAM_CACHE.clear()
@@ -445,7 +448,7 @@ class TestDriverCaching:
                 cache=cache,
             )
             tiles = len(res.tiles)
-            # names are attributable: {impl}-s{slice}-t{tile}
+            # names are attributable: {impl}-s{slice}-t{rows}p{pt}x{pb}
             # (reconstruct via the chip result's tile count)
             slices = res.chip.tiles // tiles
             assert slices == x.shape[0] * x.shape[1]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..workloads import CNN_MAXPOOL_LAYERS, LayerConfig
+from ..workloads import CNN_MAXPOOL_LAYERS
 
 
 def table1_rows() -> list[tuple[str, list[str]]]:
@@ -34,12 +34,3 @@ def render_table1() -> str:
             lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
     return "\n".join(lines)
 
-
-def bold_configs() -> list[LayerConfig]:
-    """The configurations highlighted in bold (evaluated in Figure 7)."""
-    return [
-        l
-        for layers in CNN_MAXPOOL_LAYERS.values()
-        for l in layers
-        if l.evaluated
-    ]

@@ -120,3 +120,8 @@ ASCEND910 = ChipConfig()
 #: A single-core configuration for the Figure 8 experiments, which pin
 #: N = C1 = 1 so that only one AI Core is exercised.
 ASCEND910_SINGLE_CORE = replace(ASCEND910, num_cores=1)
+
+#: Names of the scratch-pad buffers, the same for every configuration
+#: (only their capacities vary).  Any other buffer an instruction names
+#: is a global-memory tensor, and global memory refuses these names.
+SCRATCH_PADS = frozenset(ASCEND910.buffer_specs())

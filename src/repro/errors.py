@@ -57,11 +57,11 @@ class IsaError(ReproError):
 
 
 class CompileError(IsaError):
-    """An instruction instance cannot be translated by the NumPy JIT
-    (:mod:`repro.sim.compile`).  Raised by ``Instruction.compile()`` to
-    signal a *data-dependent* inability (e.g. aliased operand regions
-    whose sequential semantics a batched closure cannot reproduce); the
-    compiler falls back to the interpreter for that instruction."""
+    """An instruction cannot be translated by the NumPy JIT
+    (:mod:`repro.sim.compile`): its class does not implement
+    ``Instruction.compile()``.  Every shipped instruction class does, so
+    this names an instruction defined outside the ISA; the JIT has no
+    interpreter fallback."""
 
 
 class MaskError(IsaError):

@@ -85,8 +85,5 @@ class Mmad(Instruction):
             acc += a.astype(np.float32) @ b.astype(np.float32)
         out[:] = acc.astype(out.dtype)
 
-    def supports_compile(self) -> bool:
-        return True
-
     def compile(self, ctx) -> None:
         ctx.emit_mmad(self)

@@ -10,7 +10,7 @@ from typing import ClassVar, Mapping, Protocol
 import numpy as np
 
 from ..config import CostModel
-from ..errors import IsaError, RepeatError
+from ..errors import CompileError, IsaError, RepeatError
 from .operand import MemRef, VectorOperand
 
 #: Hardware limit of the repeat field; builders split longer loops into
@@ -90,20 +90,10 @@ class Instruction:
     # -- JIT compilation -------------------------------------------------
     #
     # The NumPy JIT (:mod:`repro.sim.compile`) translates a lowered
-    # program into a handful of batched array operations.  Instructions
-    # opt in by overriding ``supports_compile()`` and ``compile(ctx)``;
-    # the default is *interpreter fallback*: a non-compilable
-    # instruction still runs (its ``execute()`` is called in program
-    # order between the batched steps), it just is not fused, so
-    # partially-compilable programs work instead of erroring.
-
-    def supports_compile(self) -> bool:
-        """Whether this instruction *type* can be translated by the
-        NumPy JIT.  ``compile(ctx)`` may still raise
-        :class:`~repro.errors.CompileError` for an individual instance
-        (data-dependent inability, e.g. aliased operand regions); the
-        compiler then falls back to the interpreter for it."""
-        return False
+    # program into a handful of batched array operations.  Every shipped
+    # instruction class implements ``compile(ctx)``; the JIT has no
+    # interpreter fallback, so a class without it cannot run under
+    # ``execute="jit"``.
 
     def compile(self, ctx) -> None:
         """Emit this instruction's data effect into a compile context
@@ -112,12 +102,13 @@ class Instruction:
 
         The emitted step must be **bit-identical** to ``execute()`` for
         every input: the JIT is validated differentially against the
-        interpreter (``python -m repro.validate --jit``).  Only called
-        when :meth:`supports_compile` returns ``True``.
+        interpreter (``python -m repro.validate --jit``).  The base
+        method raises :class:`~repro.errors.CompileError` naming the
+        opcode.
         """
-        raise NotImplementedError(
-            f"{self.opcode} does not implement compile(); override "
-            "supports_compile()/compile(ctx) to opt into the NumPy JIT"
+        raise CompileError(
+            f"{self.opcode} does not implement compile(); the NumPy JIT "
+            "cannot run it"
         )
 
     # -- operands -------------------------------------------------------

@@ -142,43 +142,3 @@ class Program:
             instrs[idx] = instrs[idx].relocate(effective)
         clone.instructions = instrs
         return clone
-
-    def gm_buffers(self, scratch: frozenset[str]) -> frozenset[str]:
-        """Buffers referenced that are not scratch-pads (i.e. global)."""
-        out: set[str] = set()
-        for instr in self.instructions:
-            out |= instr.buffers()
-        return frozenset(out - scratch)
-
-    def merge(self, other: "Program") -> "Program":
-        """A new program running ``self`` then ``other``.
-
-        Scalar-loop trips add (each sub-program's residual loops still
-        run), and the result is a fresh :class:`Program` whose
-        relocation-plan memo starts empty -- instruction indices shift
-        by ``len(self)``, so inheriting either parent's plan would
-        relocate the wrong instructions.
-        """
-        merged = Program(name=f"{self.name}+{other.name}")
-        merged.instructions = [*self.instructions, *other.instructions]
-        merged.scalar_loop_trips = (
-            self.scalar_loop_trips + other.scalar_loop_trips
-        )
-        # Union the allocation manifests; on a name collision within a
-        # buffer, namespace the colliding entries by parent program so
-        # the union stays lossless (both parents' regions remain live
-        # for the sanitizer -- the merged program runs both halves
-        # against whatever the allocator handed each builder).
-        for buf, refs in self.allocations.items():
-            merged.allocations[buf] = dict(refs)
-        for buf, refs in other.allocations.items():
-            dst = merged.allocations.setdefault(buf, {})
-            for key, ref in refs.items():
-                if key in dst and dst[key] != ref:
-                    dst[f"{other.name}:{key}"] = ref
-                else:
-                    dst[key] = ref
-        return merged
-
-    #: Historical name for :meth:`merge`.
-    concat = merge

@@ -219,9 +219,6 @@ class Im2ColLoad(Instruction):
             start = self.dst.offset + r * fractal
             dst_buf[start : start + fractal] = rows.reshape(-1)
 
-    def supports_compile(self) -> bool:
-        return True
-
     def compile(self, ctx) -> None:
         dt = self.src.dtype
         c1_extent = self.src.size // (self.params.ih * self.params.iw * dt.c0)
@@ -331,9 +328,6 @@ class Col2ImStore(Instruction):
         # keeps it exact even if a malformed program violates that.
         np.add.at(dst_region, idx_v.reshape(-1), rows_v.reshape(-1))
 
-    def supports_compile(self) -> bool:
-        return True
-
     def compile(self, ctx) -> None:
         dt = self.src.dtype
         c1_extent = self.dst.size // (self.params.ih * self.params.iw * dt.c0)
@@ -413,9 +407,6 @@ class DataMove(Instruction):
             dst_buf[self.dst.offset : self.dst.end] = src_buf[
                 self.src.offset : self.src.end
             ]
-
-    def supports_compile(self) -> bool:
-        return True
 
     def compile(self, ctx) -> None:
         ctx.emit_copy(self.src, self.dst, self.accumulate)

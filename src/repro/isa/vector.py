@@ -126,9 +126,6 @@ class VectorBinary(Instruction):
         for r in range(self.repeat):
             d_buf[d_idx[r]] = func(s0_buf[s0_idx[r]], s1_buf[s1_idx[r]])
 
-    def supports_compile(self) -> bool:
-        return True
-
     def compile(self, ctx) -> None:
         dt = self.dst.ref.dtype
         lanes = self.mask.lanes(dt)
@@ -262,9 +259,6 @@ class VectorScalar(Instruction):
         for r in range(self.repeat):
             d_buf[d_idx[r]] = func(s_buf[s_idx[r]], self.imm)
 
-    def supports_compile(self) -> bool:
-        return True
-
     def compile(self, ctx) -> None:
         dt = self.dst.ref.dtype
         lanes = self.mask.lanes(dt)
@@ -347,9 +341,6 @@ class VectorDup(Instruction):
         d_buf = ctx.view(self.dst.ref.buffer)
         check_bounds(d_idx, d_buf.size, "vector_dup dst")
         d_buf[d_idx] = dt.np_dtype.type(self.imm)
-
-    def supports_compile(self) -> bool:
-        return True
 
     def compile(self, ctx) -> None:
         dt = self.dst.ref.dtype

@@ -235,53 +235,39 @@ class AICore:
             san = None
         if summary is not None:
             self._check_summary(program, summary)
-        if execute == "cycles":
-            if summary is not None:
-                return summary
-            return summarize(
-                program, self.config, model=model, collect_trace=collect_trace
-            )
-        if gm is None:
-            raise SimulationError("numeric execution requires global memory")
-        if execute == "jit":
-            kernel = compiled
-            if kernel is None:
+        if execute != "cycles":
+            if gm is None:
+                raise SimulationError(
+                    "numeric execution requires global memory"
+                )
+            if execute == "jit" and compiled is None:
                 from .compile import compile_program
 
-                kernel = compile_program(program, self.config)
+                compiled = compile_program(program, self.config)
             self._gm = gm
             try:
-                kernel(self, program)
+                if compiled is not None:
+                    compiled(self, program)
+                elif san is not None:
+                    san.begin_program(self, program)
+                    for idx, instr in enumerate(program):
+                        san.run_instruction(self, program, idx, instr)
+                    san.end_program(self, program)
+                    san.audit(
+                        program,
+                        resolve_model(model).trace(program, self.config.cost),
+                    )
+                elif injection is None:
+                    for instr in program:
+                        instr.execute(self)
+                else:
+                    injection.run(self, program)
             finally:
                 self._gm = None
-            if summary is not None:
-                return summary
-            return summarize(
-                program, self.config, model=model,
-                collect_trace=collect_trace,
-            )
-        self._gm = gm
-        try:
-            if san is not None:
-                san.begin_program(self, program)
-                for idx, instr in enumerate(program):
-                    san.run_instruction(self, program, idx, instr)
-                san.end_program(self, program)
-                san.audit(
-                    program,
-                    resolve_model(model).trace(program, self.config.cost),
-                )
-            elif injection is None:
-                for instr in program:
-                    instr.execute(self)
-            else:
-                injection.run(self, program)
-        finally:
-            self._gm = None
-        if summary is not None:
-            # Data pass done; cycles/trace come precomputed.
-            result = summary
-        else:
+        # Cycles and trace come from the supplied summary when there is
+        # one; the data pass never produces them.
+        result = summary
+        if result is None:
             result = summarize(
                 program, self.config, model=model,
                 collect_trace=collect_trace,

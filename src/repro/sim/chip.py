@@ -181,7 +181,6 @@ class _ResilientDispatch:
         self.backoff_cycles = 0
         self.failures: list[FailureRecord] = []
         self.degradations: list[DegradationEvent] = []
-        self._scratch_names = frozenset(chip.config.buffer_specs())
 
     # -- core selection -------------------------------------------------
     def place(self, core_id: int) -> int:
@@ -357,7 +356,7 @@ class _ResilientDispatch:
         assert self.gm is not None
         return {
             nm: self.gm.tensors[nm].copy()
-            for nm in written_gm_tensors(prog, self.gm, self._scratch_names)
+            for nm in written_gm_tensors(prog, self.gm)
         }
 
     def _restore(self, snapshot: dict[str, np.ndarray]) -> None:
@@ -593,9 +592,6 @@ class Chip:
             resilient.per_core_cycles if resilient is not None
             else [0] * len(self.cores)
         )
-        scratch = (
-            frozenset(self.config.buffer_specs()) if silent_jit else None
-        )
         launch = self.config.cost.tile_launch_cycles
         results: list[RunResult] = []
         for gidx, group in enumerate(groups):
@@ -618,7 +614,7 @@ class Chip:
                     if silent_jit:
                         inj = injector.injection(tile, core_id, 0)
                         if inj is not None:
-                            apply_silent_flips_to_gm(gm, prog, inj, scratch)
+                            apply_silent_flips_to_gm(gm, prog, inj)
                 results.append(res)
 
         if resilient is not None:

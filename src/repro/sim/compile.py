@@ -29,7 +29,7 @@ Design constraints, in order:
   per-element accumulation order), Im2Col groups must write contiguous
   destination segments, and DMA groups must form clean arithmetic
   progressions with disjoint destination rows.  Anything else stays a
-  standalone step or falls back to the interpreter.
+  standalone step.
 
 * **Relocation survival.**  One kernel serves every
   :meth:`~repro.isa.program.Program.relocate` clone of its template:
@@ -37,13 +37,6 @@ Design constraints, in order:
   field name, base offset) and the per-call delta is read off the
   clone, so a kernel cached under a position-independent
   :func:`~repro.sim.progcache.plan_key` runs any slice and row window.
-
-* **Interpreter fallback.**  Instructions that do not implement
-  :meth:`~repro.isa.instruction.Instruction.compile` -- or whose
-  ``compile()`` raises :class:`~repro.errors.CompileError` for a
-  data-dependent reason -- become fallback steps that simply call
-  ``execute()`` on the *clone's* instruction in program order, so
-  partially-compilable programs run instead of erroring.
 """
 
 from __future__ import annotations
@@ -53,9 +46,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..config import ChipConfig
+from ..config import SCRATCH_PADS, ChipConfig
 from ..dtypes import FRACTAL_ROWS
-from ..errors import CompileError, IsaError, SimulationError
+from ..errors import IsaError, SimulationError
 from ..isa.operand import MemRef
 from ..isa.program import Program
 from .aicore import _canonical_name
@@ -67,11 +60,9 @@ __all__ = [
     "compile_program",
 ]
 
-#: A compiled step: ``step(resolved, program, ctx)`` where ``resolved``
-#: maps buffer name -> (flat array, relocation delta), ``program`` is
-#: the (possibly relocated) program being run and ``ctx`` is the core
-#: (used only by interpreter-fallback steps).
-Step = Callable[[dict, Program, object], None]
+#: A compiled step: ``step(resolved)`` where ``resolved`` maps buffer
+#: name -> (flat array, relocation delta).
+Step = Callable[[dict], None]
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +200,6 @@ class _Mmad(_Record):
     def buffers(self) -> set[str]:
         i = self.instr
         return {i.a.buffer, i.b.buffer, i.c.buffer}
-
-
-class _Fallback(_Record):
-    kind = "fallback"
-
-    def __init__(self, indices: list[int]) -> None:
-        self.indices = indices
-
-    def buffers(self) -> set[str]:
-        return set()
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +384,7 @@ def _fuse(records: list[_Record]) -> list[list[_Record]]:
         first = records[i]
         group = [first]
         j = i + 1
-        if first.kind == "fallback":
-            while j < n and records[j].kind == "fallback":
-                group.append(records[j])
-                j += 1
-        elif first.kind == "ew" and first.unique:
+        if first.kind == "ew" and first.unique:
             ws = _WriteSet()
             ws.add(first.dst_ref.buffer, first.dst_idx)
             while j < n and _ew_joins(first, records[j], ws):
@@ -514,7 +491,7 @@ def _ew_step(group: list[_Ew]) -> Step:
         [_span(dst_buf, d_idx)] + [_span(b, ix) for b, ix in srcs]
     )
 
-    def step(resolved, program, ctx):
+    def step(resolved):
         _check(resolved, checks)
         args = []
         for b, ix in srcs:
@@ -533,7 +510,7 @@ def _seq_step(rec: _Seq) -> Step:
         [_span(dst_buf, rec.dst_idx)] + [_span(b, ix) for b, ix in src]
     )
 
-    def step(resolved, program, ctx):
+    def step(resolved):
         _check(resolved, checks)
         d_arr, dd = resolved[dst_buf]
         di = rec.dst_idx + dd if dd else rec.dst_idx
@@ -555,7 +532,7 @@ def _reduce_step(rec: _Reduce) -> Step:
         [_span(dst_buf, rec.dst_row), _span(src_buf, rec.src_idx)]
     )
 
-    def step(resolved, program, ctx):
+    def step(resolved):
         _check(resolved, checks)
         s_arr, sd = resolved[src_buf]
         d_arr, dd = resolved[dst_buf]
@@ -578,7 +555,7 @@ def _fill_step(group: list[_Fill]) -> Step:
     value = first.value
     checks = (_span(dst_buf, d_idx),)
 
-    def step(resolved, program, ctx):
+    def step(resolved):
         _check(resolved, checks)
         d_arr, dd = resolved[dst_buf]
         d_arr[d_idx + dd if dd else d_idx] = value
@@ -602,7 +579,7 @@ def _im2col_step(group: list[_Im2col]) -> Step:
         [_span(src_buf, idx), (dst_buf, start, stop - 1)]
     )
 
-    def step(resolved, program, ctx):
+    def step(resolved):
         _check(resolved, checks)
         s_arr, sd = resolved[src_buf]
         d_arr, dd = resolved[dst_buf]
@@ -624,7 +601,7 @@ def _col2im_step(group: list[_Col2im]) -> Step:
         d_idx = np.concatenate([g.dst_idx for g in group])
     checks = _merge_checks([_span(src_buf, s_idx), _span(dst_buf, d_idx)])
 
-    def step(resolved, program, ctx):
+    def step(resolved):
         _check(resolved, checks)
         s_arr, sd = resolved[src_buf]
         d_arr, dd = resolved[dst_buf]
@@ -643,7 +620,7 @@ def _copy_step(group: list[_Copy]) -> Step:
     if len(group) == 1:
         s0, d0 = first.src_ref.offset, first.dst_ref.offset
 
-        def step(resolved, program, ctx):
+        def step(resolved):
             s_arr, sd = resolved[src_buf]
             d_arr, dd = resolved[dst_buf]
             ss, ds = s0 + sd, d0 + dd
@@ -672,7 +649,7 @@ def _copy_step(group: list[_Copy]) -> Step:
     ).reshape(-1)
     checks = _merge_checks([_span(src_buf, s_idx), _span(dst_buf, d_idx)])
 
-    def step(resolved, program, ctx):
+    def step(resolved):
         _check(resolved, checks)
         s_arr, sd = resolved[src_buf]
         d_arr, dd = resolved[dst_buf]
@@ -696,7 +673,7 @@ def _mmad_step(rec: _Mmad) -> Step:
     c_buf, c_off = instr.c.buffer, instr.c.offset
     repeat, init = instr.repeat, instr.init
 
-    def step(resolved, program, ctx):
+    def step(resolved):
         a_arr, ad = resolved[a_buf]
         b_arr, bd = resolved[b_buf]
         c_arr, cd = resolved[c_buf]
@@ -719,19 +696,6 @@ def _mmad_step(rec: _Mmad) -> Step:
     return step
 
 
-def _fallback_step(group: list[_Fallback]) -> Step:
-    indices = tuple(i for g in group for i in g.indices)
-
-    def step(resolved, program, ctx):
-        # Execute the *clone's* instructions: their operands already
-        # carry the slice's global-memory offsets, so fallback needs no
-        # delta arithmetic.
-        for i in indices:
-            program.instructions[i].execute(ctx)
-
-    return step
-
-
 def _make_step(group: list[_Record]) -> Step:
     kind = group[0].kind
     if kind == "ew":
@@ -748,9 +712,7 @@ def _make_step(group: list[_Record]) -> Step:
         return _col2im_step(group)
     if kind == "copy":
         return _copy_step(group)
-    if kind == "mmad":
-        return _mmad_step(group[0])
-    return _fallback_step(group)
+    return _mmad_step(group[0])
 
 
 # ---------------------------------------------------------------------------
@@ -763,10 +725,6 @@ class KernelStats:
 
     #: Instructions in the template program.
     instructions: int
-    #: Instructions translated into batched steps.
-    compiled: int
-    #: Instructions running via the interpreter fallback.
-    fallbacks: int
     #: Fused steps the kernel executes per call.
     steps: int
 
@@ -823,19 +781,17 @@ class CompiledKernel:
             b: (ctx.view(b), deltas.get(b, 0)) for b in self.buffers
         }
         for step in self.steps:
-            step(resolved, program, ctx)
+            step(resolved)
 
 
-def _anchors(
-    program: Program, scratch: frozenset[str]
-) -> dict[str, tuple[int, str, int]]:
+def _anchors(program: Program) -> dict[str, tuple[int, str, int]]:
     """First (instruction index, field name, base offset) per
     global-memory buffer -- how a kernel reads relocation deltas off a
     clone (relocation preserves instruction order and fields)."""
     anchors: dict[str, tuple[int, str, int]] = {}
     for idx, instr in enumerate(program.instructions):
         for name, v, _ in instr.operands():
-            if v.buffer not in scratch and v.buffer not in anchors:
+            if v.buffer not in SCRATCH_PADS and v.buffer not in anchors:
                 anchors[v.buffer] = (idx, name, v.offset)
     return anchors
 
@@ -845,46 +801,26 @@ def compile_program(
 ) -> CompiledKernel:
     """Translate ``program`` into a :class:`CompiledKernel`.
 
-    Instructions whose type opts out (``supports_compile() == False``)
-    or whose ``compile()`` raises :class:`~repro.errors.CompileError`
-    become interpreter-fallback steps; everything else is emitted as
-    batched records and fused.  The result is bit-identical to the
-    interpreter for every input (differentially enforced by
-    ``python -m repro.validate --jit``).
+    Every instruction emits batched records, which are then fused.  The
+    result is bit-identical to the interpreter for every input
+    (differentially enforced by ``python -m repro.validate --jit``).
+    Raises :class:`~repro.errors.CompileError` for an instruction whose
+    class does not implement ``compile()``.
     """
     ctx = CompileContext(config)
-    compiled = fallbacks = 0
-    for idx, instr in enumerate(program.instructions):
-        if not instr.supports_compile():
-            ctx.records.append(_Fallback([idx]))
-            fallbacks += 1
-            continue
-        mark = len(ctx.records)
-        try:
-            instr.compile(ctx)
-        except CompileError:
-            del ctx.records[mark:]
-            ctx.records.append(_Fallback([idx]))
-            fallbacks += 1
-            continue
-        compiled += 1
+    for instr in program.instructions:
+        instr.compile(ctx)
     buffers = set()
     for rec in ctx.records:
         buffers.update(rec.buffers())
-    groups = _fuse(ctx.records)
-    steps = tuple(_make_step(g) for g in groups)
+    steps = tuple(_make_step(g) for g in _fuse(ctx.records))
     return CompiledKernel(
         program_name=_canonical_name(program.name),
         instructions=len(program.instructions),
         steps=steps,
         buffers=tuple(sorted(buffers)),
-        anchors=_anchors(
-            program, frozenset(config.buffer_specs().keys())
-        ),
+        anchors=_anchors(program),
         stats=KernelStats(
-            instructions=len(program.instructions),
-            compiled=compiled,
-            fallbacks=fallbacks,
-            steps=len(steps),
+            instructions=len(program.instructions), steps=len(steps)
         ),
     )

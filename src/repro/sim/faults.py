@@ -374,10 +374,6 @@ class FaultInjector:
         for f in plan.faults:
             self._by_tile.setdefault(f.tile, []).append(f)
 
-    @property
-    def has_faults(self) -> bool:
-        return bool(self.plan.faults)
-
     def injection(
         self, tile: int, core: int, attempt: int
     ) -> Injection | None:
@@ -408,18 +404,18 @@ class FaultInjector:
         )
 
 
-def written_gm_tensors(program: "Program", gm, scratch_names) -> list[str]:
+def written_gm_tensors(program: "Program", gm) -> list[str]:
     """Sorted names of the global-memory tensors ``program`` writes.
 
-    Every ``instr.writes()`` buffer outside ``scratch_names`` that ``gm``
-    holds -- what a failed attempt's rollback snapshots and what a
-    silent JIT bit flip may land on.
+    Every ``instr.writes()`` buffer that ``gm`` holds (global memory
+    refuses scratch-pad names) -- what a failed attempt's rollback
+    snapshots and what a silent JIT bit flip may land on.
     """
     return sorted({
         r.buffer
         for instr in program.instructions
         for r in instr.writes()
-        if r.buffer not in scratch_names and r.buffer in gm.tensors
+        if r.buffer in gm.tensors
     })
 
 
@@ -427,7 +423,6 @@ def apply_silent_flips_to_gm(
     gm,
     program: "Program",
     injection: Injection,
-    scratch_names,
 ) -> None:
     """Apply an injection's silent bit flips to a program's *outputs*.
 
@@ -457,7 +452,7 @@ def apply_silent_flips_to_gm(
         )
     targets = [
         gm.tensors[nm]
-        for nm in written_gm_tensors(program, gm, scratch_names)
+        for nm in written_gm_tensors(program, gm)
     ]
     total = sum(t.size for t in targets)
     if not total:

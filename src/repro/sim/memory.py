@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import SCRATCH_PADS
 from ..dtypes import DType, dtype_of
 from ..errors import SimulationError
 from ..isa.operand import MemRef
@@ -27,8 +28,14 @@ class GlobalMemory:
         """Register a tensor (any shape); returns a MemRef spanning it.
 
         The stored array is a flat *copy* so later mutation of the
-        caller's array cannot silently change simulated memory.
+        caller's array cannot silently change simulated memory.  A
+        scratch-pad name (``UB``, ``L1``, ...) is refused: an AI Core
+        resolves it to its own buffer, so the tensor would be unreachable.
         """
+        if name in SCRATCH_PADS:
+            raise SimulationError(
+                f"tensor name {name!r} is a scratch-pad buffer name"
+            )
         if name in self.tensors:
             raise SimulationError(f"tensor {name!r} already in global memory")
         flat = np.ascontiguousarray(array).reshape(-1).copy()

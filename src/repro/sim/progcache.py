@@ -109,10 +109,6 @@ class CacheStats:
     jit_hits: int = 0
     #: :meth:`ProgramCache.compiled` calls that had to build the kernel.
     jit_misses: int = 0
-    #: Kernel builds whose program was only *partially* compilable --
-    #: the built kernel carries interpreter-fallback steps
-    #: (``kernel.stats.fallbacks > 0``).  Counted once per build.
-    jit_fallbacks: int = 0
     #: Entries dropped via :meth:`ProgramCache.invalidate` -- the
     #: recovery hook for ``cached-to-fresh`` degradation events (see
     #: :class:`repro.sim.faults.ResilienceReport`): after a resilient
@@ -295,9 +291,9 @@ class ProgramCache:
         Shared by every relocated clone, exactly like :meth:`summary`
         (and with the same eviction/alias re-adoption fallback).  Hits
         and misses are counted separately from summary traffic in
-        :attr:`CacheStats.jit_hits` / :attr:`CacheStats.jit_misses`;
-        builds whose kernel needs interpreter fallbacks additionally
-        bump :attr:`CacheStats.jit_fallbacks`.
+        :attr:`CacheStats.jit_hits` / :attr:`CacheStats.jit_misses`.
+        A program the JIT cannot translate raises
+        :class:`~repro.errors.CompileError` and caches no kernel.
 
         Atomic: the re-adoption, the compile and the memo write happen
         under the cache lock, so a concurrent eviction can never drop a
@@ -315,8 +311,6 @@ class ProgramCache:
             if entry.kernel is None:
                 self.stats.jit_misses += 1
                 entry.kernel = compile_program(program, config)
-                if entry.kernel.stats.fallbacks:
-                    self.stats.jit_fallbacks += 1
             else:
                 self.stats.jit_hits += 1
             return entry.kernel

@@ -62,6 +62,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from ..config import SCRATCH_PADS
 from ..dtypes import FRACTAL_ROWS, VECTOR_BYTES_PER_REPEAT
 from ..errors import SanitizerError
 from ..isa.cube import Mmad
@@ -205,17 +206,16 @@ class _SanitizedContext:
     views, snapshotting scratch buffers lazily on first view so the
     sanitizer can diff actual writes against declared regions."""
 
-    __slots__ = ("_core", "_scratch", "snapshots")
+    __slots__ = ("_core", "snapshots")
 
-    def __init__(self, core: "AICore", scratch: frozenset[str]) -> None:
+    def __init__(self, core: "AICore") -> None:
         self._core = core
-        self._scratch = scratch
         self.snapshots: dict[str, np.ndarray] = {}
 
     def view(self, buffer: str) -> np.ndarray:
         """Forward to the core, snapshotting scratch buffers once."""
         arr = self._core.view(buffer)
-        if buffer in self._scratch and buffer not in self.snapshots:
+        if buffer in SCRATCH_PADS and buffer not in self.snapshots:
             self.snapshots[buffer] = arr.copy()
         return arr
 
@@ -372,7 +372,6 @@ class Sanitizer:
         self.config = config
         self.halt = halt
         self.report = SanitizerReport()
-        self._scratch = frozenset(config.buffer_specs())
         #: buffer name -> uint8 shadow array (lazily sized on first use).
         self._shadow: dict[str, np.ndarray] = {}
         #: buffer name -> list[MemRef] live this program.
@@ -525,7 +524,7 @@ class Sanitizer:
         accesses = _precise_accesses(instr)
         for acc in accesses:
             self._check_access(core, idx, instr, acc)
-        ctx = _SanitizedContext(core, self._scratch)
+        ctx = _SanitizedContext(core)
         instr.execute(ctx)
         self._check_observed(core, idx, instr, ctx, accesses)
         for acc in accesses:
@@ -540,7 +539,7 @@ class Sanitizer:
     def _check_access(
         self, core: "AICore", idx: int, instr: Instruction, acc: _Access
     ) -> None:
-        if acc.buffer in self._scratch:
+        if acc.buffer in SCRATCH_PADS:
             itemsize = core.buffers[acc.buffer].dtype.itemsize
             in_bounds = self._check_bounds(idx, instr, acc, itemsize)
             # Init state is only meaningful for in-bounds accesses; in

@@ -133,21 +133,6 @@ class Trace:
         self._require_timed()
         return max((r.retire_at for r in self.records), default=0)
 
-    def unit_occupancy(self) -> dict[str, float]:
-        """Fraction of the makespan each unit spends busy.
-
-        Under the serial model occupancies sum to (at most) 1.0; under
-        the pipelined model the sum exceeding 1.0 measures cross-unit
-        overlap -- the quantity double-buffering buys.
-        """
-        self._require_collected()
-        self._require_timed()
-        span = self.makespan()
-        busy = self.cycles_by_unit()
-        if span <= 0:
-            return {u: 0.0 for u in busy}
-        return {u: c / span for u, c in busy.items()}
-
     def _require_timed(self) -> None:
         if any(
             r.issue_at is None or r.retire_at is None for r in self.records

@@ -82,87 +82,3 @@ class TestProgram:
         p.emit(DataMove(MemRef("x", 0, 64, FLOAT16),
                         MemRef("UB", 0, 64, FLOAT16)))
         assert p.mean_lane_utilization() is None
-
-    def test_concat(self):
-        a, b = Program("a"), Program("b")
-        d, s = ops()
-        a.emit(VADD(d, d, s, Mask.full(), 1))
-        a.scalar_loop_trips = 2
-        b.emit(VectorDup(d, 0.0, Mask.full(), 1))
-        b.scalar_loop_trips = 3
-        c = a.concat(b)
-        assert len(c) == 2
-        assert c.scalar_loop_trips == 5
-        assert len(a) == 1  # originals untouched
-
-    def test_concat_is_merge_alias(self):
-        assert Program.concat is Program.merge
-
-
-def gm_move(buffer, offset, n=64):
-    """A global-memory load instruction touching ``buffer``."""
-    return DataMove(MemRef(buffer, offset, n, FLOAT16),
-                    MemRef("UB", 0, n, FLOAT16))
-
-
-class TestMergeRelocateInterplay:
-    """Merged programs must relocate correctly: indices shift by
-    ``len(self)``, so the merge may not inherit either parent's
-    relocation-plan memo."""
-
-    def _parents(self):
-        a, b = Program("a"), Program("b")
-        d, s = ops()
-        a.emit(gm_move("x", 0))
-        a.emit(VADD(d, d, s, Mask.full(), 1))
-        a.scalar_loop_trips = 2
-        b.emit(VADD(d, d, s, Mask.full(), 1))
-        b.emit(gm_move("x", 64))
-        b.emit(gm_move("out", 0))
-        b.scalar_loop_trips = 3
-        return a, b
-
-    def test_merge_preserves_scalar_loop_trips_through_relocate(self):
-        a, b = self._parents()
-        merged = a.merge(b)
-        clone = merged.relocate({"x": 1000, "out": 500})
-        assert merged.scalar_loop_trips == 5
-        assert clone.scalar_loop_trips == 5
-
-    def test_merge_starts_with_empty_reloc_plan(self):
-        a, b = self._parents()
-        # Warm both parents' memos so inheriting either would be wrong.
-        a.relocate({"x": 10})
-        b.relocate({"x": 10})
-        b.relocate({"out": 10})
-        assert a._reloc_plan and b._reloc_plan
-        merged = a.merge(b)
-        assert merged._reloc_plan == {}
-
-    def test_merged_relocation_hits_the_shifted_indices(self):
-        a, b = self._parents()
-        a.relocate({"x": 10})  # parent memo maps "x" -> [0]
-        merged = a.merge(b)
-        clone = merged.relocate({"x": 7})
-        # Instructions 0 (from a) and 3 (from b, shifted by len(a)=2)
-        # touch "x"; both must be rebased.
-        assert clone.instructions[0].src.offset == 7
-        assert clone.instructions[3].src.offset == 64 + 7
-        # Untouched instructions are shared by identity.
-        assert clone.instructions[1] is merged.instructions[1]
-        assert clone.instructions[4] is merged.instructions[4]
-        # The memo now exists on the merged program and is reused.
-        assert merged._reloc_plan[frozenset({"x"})] == [0, 3]
-        again = merged.relocate({"x": 9})
-        assert again.instructions[3].src.offset == 64 + 9
-
-    def test_relocated_merge_cycles_and_counts_unchanged(self):
-        a, b = self._parents()
-        merged = a.merge(b)
-        clone = merged.relocate({"x": 123, "out": 456}, name="slice")
-        assert clone.name == "slice"
-        assert len(clone) == len(merged)
-        assert clone.static_cycles(COST) == merged.static_cycles(COST)
-        assert clone.static_cycles(COST, model="pipelined") == \
-            merged.static_cycles(COST, model="pipelined")
-        assert clone.issue_counts() == merged.issue_counts()

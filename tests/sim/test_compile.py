@@ -7,10 +7,10 @@ Covers the compilation contract at every layer:
 * one kernel serves every :meth:`~repro.isa.program.Program.relocate`
   clone of its template (relocation deltas read off the clone's
   anchored global-memory operands);
-* non-compilable instructions fall back to the interpreter in program
-  order (``supports_compile() == False`` and raised
-  :class:`~repro.errors.CompileError` alike), accounted in
-  :class:`KernelStats`;
+* every shipped instruction class compiles bit-identically, and an
+  instruction without ``compile()`` raises
+  :class:`~repro.errors.CompileError` naming its opcode (there is no
+  interpreter fallback);
 * the mode is mutually exclusive with ``sanitize=`` and raw
   ``injection=`` at the core layer; at the chip layer *silent-only*
   fault plans (undetected :class:`BitFlip`) compose with the JIT
@@ -31,7 +31,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import ASCEND910, ChipConfig
+from repro.config import ASCEND910, SCRATCH_PADS, ChipConfig
 from repro.dtypes import FLOAT16
 from repro.errors import CompileError, IsaError, SimulationError
 from repro.isa.instruction import Instruction
@@ -50,6 +50,7 @@ from repro.sim import (
     RetryPolicy,
     compile_program,
 )
+from tests.isa.test_operands import _samples
 
 DT = FLOAT16
 CFG = ASCEND910
@@ -207,6 +208,12 @@ class TestBitIdentity:
 # ---------------------------------------------------------------------------
 
 class TestFusion:
+    def test_stats_shape(self):
+        p = _sample_program()
+        s = compile_program(p, CFG).stats
+        assert s.instructions == len(p)
+        assert 1 <= s.steps <= len(p)
+
     def test_adjacent_dma_rows_fuse_into_one_step(self):
         p = Program("rows-s0-t0")
         for r in range(8):
@@ -218,7 +225,7 @@ class TestFusion:
             )
         kernel = compile_program(p, CFG)
         assert kernel.stats.steps == 1
-        assert kernel.stats.compiled == 8
+        assert kernel.stats.instructions == 8
 
     def test_same_value_dups_fuse(self):
         p = Program("dups-s0-t0")
@@ -293,12 +300,36 @@ class TestRelocation:
 
 
 # ---------------------------------------------------------------------------
-# Interpreter fallback.
+# One JIT path: every shipped class compiles, any other is refused.
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("instr", _samples(), ids=lambda i: type(i).__name__)
+def test_every_shipped_class_compiles_bit_identically(instr):
+    """A one-instruction kernel of each shipped class (the samples cover
+    every one) leaves scratch-pads and global memory bit-identical to
+    the interpreter's, from identically filled random contents."""
+    program = Program(f"{instr.opcode}-s0-t0", [instr])
+    cores = []
+    for execute in ("numeric", "jit"):
+        rng = np.random.default_rng(5)
+        core = AICore(CFG, DT)
+        for name in sorted(SCRATCH_PADS):
+            core.view(name)[:4096] = rng.standard_normal(4096)
+        gm = _gm(seed=5)
+        core.run(program, gm, execute=execute)
+        cores.append((core, gm))
+    (ref, ref_gm), (jit, jit_gm) = cores
+    for name in sorted(SCRATCH_PADS):
+        assert np.array_equal(
+            ref.view(name).view(np.uint16), jit.view(name).view(np.uint16)
+        ), name
+    for name in ("x", "out"):
+        assert np.array_equal(ref_gm.view(name), jit_gm.view(name)), name
+
 
 @dataclasses.dataclass(frozen=True)
 class _Opaque(Instruction):
-    """A scalar instruction the JIT cannot translate."""
+    """A scalar instruction without a ``compile()`` hook."""
 
     dst: MemRef
     unit = "scalar"
@@ -311,67 +342,31 @@ class _Opaque(Instruction):
         view[self.dst.offset : self.dst.end] += 1.0
 
 
-@dataclasses.dataclass(frozen=True)
-class _Refusing(Instruction):
-    """Opts into compile() but always refuses at compile time."""
-
-    dst: MemRef
-    unit = "scalar"
-
-    def cycles(self, cost) -> int:
-        return 1
-
-    def execute(self, ctx) -> None:
-        view = ctx.view(self.dst.buffer)
-        view[self.dst.offset : self.dst.end] *= 2.0
-
-    def supports_compile(self) -> bool:
-        return True
-
-    def compile(self, ctx) -> None:
-        # emit something first: the compiler must roll it back
-        ctx.emit_fill(
-            self.dst, np.arange(self.dst.offset, self.dst.end),
-            DT.np_dtype.type(0),
-        )
-        raise CompileError("data-dependent refusal")
+def _opaque_program() -> Program:
+    p = Program("opaque-s0-t0")
+    p.emit(DataMove(MemRef("x", 0, 128, DT), MemRef("UB", 0, 128, DT)))
+    p.emit(_Opaque(MemRef("UB", 0, 128, DT)))
+    p.emit(DataMove(MemRef("UB", 0, 128, DT), MemRef("out", 0, 128, DT)))
+    return p
 
 
-class TestFallback:
-    def test_unsupported_instruction_runs_via_interpreter(self):
-        p = Program("fb-s0-t0")
-        p.emit(DataMove(MemRef("x", 0, 128, DT), MemRef("UB", 0, 128, DT)))
-        p.emit(_Opaque(MemRef("UB", 0, 128, DT)))
-        p.emit(DataMove(MemRef("UB", 0, 128, DT), MemRef("out", 0, 128, DT)))
-        kernel = compile_program(p, CFG)
-        assert kernel.stats.fallbacks == 1
-        assert kernel.stats.compiled == 2
-        _, _, ref_gm, jit_gm = _run_both(p)
-        assert np.array_equal(ref_gm.view("out"), jit_gm.view("out"))
-
-    def test_compile_error_rolls_back_partial_records(self):
-        p = Program("refuse-s0-t0")
-        p.emit(DataMove(MemRef("x", 0, 128, DT), MemRef("UB", 0, 128, DT)))
-        p.emit(_Refusing(MemRef("UB", 0, 128, DT)))
-        p.emit(DataMove(MemRef("UB", 0, 128, DT), MemRef("out", 0, 128, DT)))
-        kernel = compile_program(p, CFG)
-        assert kernel.stats.fallbacks == 1
-        _, _, ref_gm, jit_gm = _run_both(p)
-        # the rolled-back emit_fill must not have left a zeroing step
-        assert np.array_equal(ref_gm.view("out"), jit_gm.view("out"))
-
-    def test_base_compile_raises_not_implemented(self):
-        with pytest.raises(NotImplementedError, match="supports_compile"):
+class TestUncompilable:
+    def test_base_compile_raises_compile_error(self):
+        with pytest.raises(CompileError, match="_opaque does not implement"):
             _Opaque(MemRef("UB", 0, 128, DT)).compile(None)
 
-    def test_stats_shape(self):
-        p = _sample_program()
-        kernel = compile_program(p, CFG)
-        s = kernel.stats
-        assert s.instructions == len(p)
-        assert s.compiled == len(p)
-        assert s.fallbacks == 0
-        assert 1 <= s.steps <= len(p)
+    def test_compile_program_names_the_opcode(self):
+        with pytest.raises(CompileError, match="_opaque"):
+            compile_program(_opaque_program(), CFG)
+
+    def test_jit_run_names_the_opcode(self):
+        core, gm = AICore(CFG, DT), _gm()
+        with pytest.raises(CompileError, match="_opaque"):
+            core.run(_opaque_program(), gm, execute="jit")
+        assert not gm.view("out").any()  # nothing ran
+        # The interpreter still runs the program.
+        core.run(_opaque_program(), gm)
+        assert gm.view("out").any()
 
 
 # ---------------------------------------------------------------------------

@@ -556,9 +556,7 @@ class TestSilentOnlyPlans:
 
         inj = Injection(tile=0, core=0, attempt=0, crash_at=0)
         with pytest.raises(FaultInjectionError, match="undetected"):
-            apply_silent_flips_to_gm(
-                fresh_gm("out"), store_program(), inj, frozenset({"UB"})
-            )
+            apply_silent_flips_to_gm(fresh_gm("out"), store_program(), inj)
 
     def test_apply_rejects_programs_without_gm_writes(self):
         from repro.sim.faults import Injection, apply_silent_flips_to_gm
@@ -571,9 +569,7 @@ class TestSilentOnlyPlans:
             bitflips=(BitFlip(tile=0, detected=False),),
         )
         with pytest.raises(FaultInjectionError, match="writes no"):
-            apply_silent_flips_to_gm(
-                fresh_gm("out"), p, inj, frozenset({"UB"})
-            )
+            apply_silent_flips_to_gm(fresh_gm("out"), p, inj)
 
     def test_apply_flips_exactly_one_bit(self):
         from repro.sim.faults import Injection, apply_silent_flips_to_gm
@@ -586,9 +582,7 @@ class TestSilentOnlyPlans:
                 BitFlip(tile=0, offset=5, bit=3, detected=False),
             ),
         )
-        apply_silent_flips_to_gm(
-            gm, store_program(), inj, frozenset({"UB"})
-        )
+        apply_silent_flips_to_gm(gm, store_program(), inj)
         diff = gm.tensors["out"].view(np.uint16) ^ before
         assert np.count_nonzero(diff) == 1
         assert diff[5] == 1 << 3
@@ -600,9 +594,7 @@ class TestSilentOnlyPlans:
         total = gm.tensors["out"].size
         flip = BitFlip(tile=0, offset=total + 2, bit=1, detected=False)
         inj = Injection(tile=0, core=0, attempt=0, bitflips=(flip,))
-        apply_silent_flips_to_gm(
-            gm, store_program(), inj, frozenset({"UB"})
-        )
+        apply_silent_flips_to_gm(gm, store_program(), inj)
         diff = gm.tensors["out"].view(np.uint16)
         assert diff[2] == 1 << 1
         assert np.count_nonzero(diff) == 1

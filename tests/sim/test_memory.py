@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import SCRATCH_PADS
 from repro.dtypes import FLOAT16
 from repro.errors import SimulationError
 from repro.sim import GlobalMemory
@@ -27,6 +28,17 @@ class TestGlobalMemory:
         gm.add("x", np.zeros(4, np.float16))
         with pytest.raises(SimulationError):
             gm.add("x", np.zeros(4, np.float16))
+
+    @pytest.mark.parametrize("name", sorted(SCRATCH_PADS))
+    def test_scratch_pad_names_rejected(self, name):
+        # A core resolves these names to its own scratch-pad, so such a
+        # tensor could never be read or written by a kernel.
+        gm = GlobalMemory()
+        with pytest.raises(SimulationError, match="scratch-pad"):
+            gm.add(name, np.zeros(4, np.float16))
+        with pytest.raises(SimulationError, match="scratch-pad"):
+            gm.zeros(name, 4, FLOAT16)
+        assert name not in gm
 
     def test_zeros(self):
         gm = GlobalMemory()

@@ -17,6 +17,7 @@ import pytest
 
 from repro.config import ASCEND910, ASCEND910_SINGLE_CORE, ChipConfig
 from repro.dtypes import FLOAT16
+from repro.errors import CompileError
 from repro.isa.mask import Mask
 from repro.isa.operand import MemRef, VectorOperand
 from repro.isa.program import Program
@@ -307,9 +308,8 @@ class TestCompiledMemo:
         assert k1 is k2
         assert cache.stats.jit_misses == 1
         assert cache.stats.jit_hits == 1
-        assert cache.stats.jit_fallbacks == 0
 
-    def test_fallback_builds_are_counted(self):
+    def test_uncompilable_program_caches_no_kernel(self):
         import dataclasses
 
         from repro.isa.instruction import Instruction
@@ -330,9 +330,11 @@ class TestCompiledMemo:
         prog = Program("p")
         prog.emit(Opaque(MemRef("UB", 0, 16, DT)))
         cache.get_or_build(key, lambda: prog)
-        kernel = cache.compiled(key, prog, ASCEND910)
-        assert kernel.stats.fallbacks == 1
-        assert cache.stats.jit_fallbacks == 1
+        for _ in range(2):
+            with pytest.raises(CompileError, match="opaque"):
+                cache.compiled(key, prog, ASCEND910)
+        assert cache.stats.jit_misses == 2
+        assert cache.stats.jit_hits == 0
 
     def test_evicted_entry_readopts_and_memoizes(self):
         cache = ProgramCache(maxsize=1)

@@ -4,7 +4,7 @@ The per-instruction numeric interpreter re-derives gather/scatter index
 arrays and bounds checks on every instruction of every tile; for a
 Table-1-scale sweep that Python dispatch dominates the wall clock.  The
 JIT (:mod:`repro.sim.compile`) compiles each unique tile program once
-into a fused batch kernel and replays it per relocated slice clone.
+into a fused batch kernel and replays it at every slice's deltas.
 
 This guard measures interpreter vs. JIT wall-clock per implementation
 on a Table-1-scale workload (forward *and* backward), asserts outputs
@@ -36,7 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 EXPORT = REPO_ROOT / "BENCH_jit.json"
 
 #: Table-1-scale workload (VGG16-class 56x56 rows): 128 slices of a
-#: 3x3/s2 MaxPool, enough relocated clones that per-instruction
+#: 3x3/s2 MaxPool, enough tiles per program that per-instruction
 #: dispatch dominates the interpreter's wall clock.
 N, C = 2, 64
 H = W = 56

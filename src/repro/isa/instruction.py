@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import typing
-from typing import ClassVar, Mapping, Protocol
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -117,9 +117,9 @@ class Instruction:
     # are their ``MemRef`` / ``VectorOperand`` fields.  Which fields those
     # are, and which of them are written, is a property of the class:
     # :func:`operand_table` computes it once per class, and every
-    # operand consumer -- ``buffers``, ``reads``/``writes``,
-    # ``relocate``, the sanitizer's generic accesses and the JIT's
-    # relocation anchors -- reads that table instead of walking fields.
+    # operand consumer -- ``buffers``, ``reads``/``writes`` and the
+    # sanitizer's generic accesses -- reads that table instead of
+    # walking fields.
     # Whether a written operand is also *read* stays per instance
     # (``rmw_fields``): ``Mmad.init`` and ``DataMove.accumulate`` decide
     # it.
@@ -176,31 +176,6 @@ class Instruction:
     def writes(self) -> tuple[Region, ...]:
         """Buffer regions this instruction writes."""
         return self.accesses()[1]
-
-    # -- relocation -----------------------------------------------------
-    #
-    # An instruction's only mutable state is *where* its operands point.
-    # Relocation produces a copy with the global-memory operands rebased,
-    # enabling one lowered tile program to be cheaply re-targeted at
-    # every (N, C1) slice of a workload (see ``repro.sim.progcache``).
-
-    def relocate(self, deltas: Mapping[str, int]) -> "Instruction":
-        """Copy with operands rebased per ``deltas`` (buffer -> elems).
-
-        Returns ``self`` unchanged when no operand lives in a rebased
-        buffer, so relocation shares untouched (frozen, immutable)
-        instructions between programs.  Validation re-runs on the copy,
-        guaranteeing a relocated instruction is as well-formed as a
-        freshly lowered one.
-        """
-        changes: dict[str, object] = {}
-        for name, v, _ in self.operands():
-            nv = v.relocate(deltas)
-            if nv is not v:
-                changes[name] = nv
-        if not changes:
-            return self
-        return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
 
 @functools.cache

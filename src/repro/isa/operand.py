@@ -11,8 +11,6 @@ encodes them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
-
 import numpy as np
 
 from ..dtypes import BLOCK_BYTES, VECTOR_BYTES_PER_REPEAT, DType
@@ -65,22 +63,6 @@ class MemRef:
             )
         return replace(self, offset=self.offset + start, size=size)
 
-    def relocate(self, deltas: Mapping[str, int]) -> "MemRef":
-        """Rebase this region by ``deltas[self.buffer]`` elements.
-
-        The cheap primitive behind program relocation: a tile program
-        lowered once for slice 0 of a workload is rebased to any other
-        ``(N, C1)`` slice by shifting its global-memory operands, without
-        re-running the lowering.  Buffers absent from ``deltas`` (the
-        scratch-pads, whose layout is slice-invariant) are untouched and
-        ``self`` is returned unchanged, so untouched operands stay
-        shared between the original and the relocated program.
-        """
-        delta = deltas.get(self.buffer, 0)
-        if delta == 0:
-            return self
-        return MemRef(self.buffer, self.offset + delta, self.size, self.dtype)
-
 
 @dataclass(frozen=True, slots=True)
 class VectorOperand:
@@ -94,7 +76,7 @@ class VectorOperand:
 
     Slotted and immutable, so sharing one operand between instructions
     is safe: the lowering reuses equal operands within a stage and
-    relocation keeps every operand it does not rebase.
+    across the programs it builds.
     """
 
     ref: MemRef
@@ -112,13 +94,6 @@ class VectorOperand:
     @property
     def offset(self) -> int:
         return self.ref.offset
-
-    def relocate(self, deltas: Mapping[str, int]) -> "VectorOperand":
-        """Rebase the underlying region (see :meth:`MemRef.relocate`)."""
-        ref = self.ref.relocate(deltas)
-        if ref is self.ref:
-            return self
-        return replace(self, ref=ref)
 
     def extent(self, repeat: int) -> tuple[int, int]:
         """Conservative ``(start, stop)`` element span for ``repeat``

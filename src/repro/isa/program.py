@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from ..config import CostModel
 from .instruction import Instruction
@@ -37,12 +37,6 @@ class Program:
     #: back to whole-buffer bounds.
     allocations: dict[str, dict[str, "MemRef"]] = field(
         default_factory=dict, repr=False, compare=False
-    )
-    #: Relocation plan cache: which instruction indices touch a given
-    #: set of buffers.  Computed on first relocation against that set and
-    #: reused for every subsequent slice (see :meth:`relocate`).
-    _reloc_plan: dict[frozenset, list[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def emit(self, instr: Instruction) -> Instruction:
@@ -98,47 +92,3 @@ class Program:
             num += u * repeat
             den += repeat
         return num / den if den else None
-
-    def relocate(
-        self, deltas: Mapping[str, int], name: str | None = None
-    ) -> "Program":
-        """A copy of this program with global-memory operands rebased.
-
-        ``deltas`` maps buffer names (global-memory tensor names) to
-        element offsets to add.  This is how the program cache turns one
-        lowered tile program into the program of *any* ``(N, C1)`` slice
-        of the same workload: every slice's program is identical except
-        for where in global memory it loads and stores.
-
-        The copy shares every instruction that does not touch a rebased
-        buffer (instructions are frozen, so sharing is safe), and the
-        indices of those that do are computed once per buffer set and
-        cached, so relocating a program for its 2nd..Nth slice costs a
-        list copy plus a handful of dataclass copies -- orders of
-        magnitude cheaper than re-lowering.
-        """
-        effective = {b: d for b, d in deltas.items() if d != 0}
-        clone = Program(
-            name=self.name if name is None else name,
-            scalar_loop_trips=self.scalar_loop_trips,
-            # Relocation rebases *global-memory* operands only; the
-            # scratch-pad allocation manifest is identical on any slice.
-            allocations={b: dict(m) for b, m in self.allocations.items()},
-        )
-        if not effective:
-            clone.instructions = list(self.instructions)
-            return clone
-        key = frozenset(effective)
-        plan = self._reloc_plan.get(key)
-        if plan is None:
-            plan = [
-                idx
-                for idx, instr in enumerate(self.instructions)
-                if instr.buffers() & key
-            ]
-            self._reloc_plan[key] = plan
-        instrs = list(self.instructions)
-        for idx in plan:
-            instrs[idx] = instrs[idx].relocate(effective)
-        clone.instructions = instrs
-        return clone

@@ -329,11 +329,11 @@ def run_forward(
     geometry, lowers to the same tile program up to global-memory base
     offsets, so by default (``cache`` = the shared
     :data:`repro.sim.PROGRAM_CACHE`) the driver lowers one program per
-    tile-local geometry and emits relocated clones for every other
-    slice and row window, with memoized cycle/trace summaries so
-    repeated tiles skip per-instruction accounting.  ``cache=None`` restores the uncached
-    per-tile lowering (the reference path the equivalence tests compare
-    against).
+    tile-local geometry and runs it at every slice and row window by
+    that tile's global-memory deltas, with memoized cycle/trace
+    summaries so repeated tiles skip per-instruction accounting.
+    ``cache=None`` restores the uncached per-tile lowering (the
+    reference path the equivalence tests compare against).
 
     ``execute="cycles"`` additionally skips the NumPy data pass: cycle
     counts are identical (the cost model is data-independent) but
@@ -345,7 +345,7 @@ def run_forward(
     interpreter: outputs, masks and cycle counts are bit-identical to
     ``"numeric"`` at a fraction of the dispatch cost.  With a cache,
     one kernel is compiled per tile-local geometry and shared by every
-    relocated clone (memoized alongside the program, see
+    tile of it (memoized alongside the program, see
     :meth:`repro.sim.ProgramCache.compiled`).  Incompatible with
     ``sanitize=`` and ``faults=``/``retry=``, which instrument the
     interpreter loop the JIT skips.

@@ -22,7 +22,8 @@ of the Indirect Convolution Algorithm (arXiv 1907.02129):
   summaries and compiled JIT kernels are keyed into the
   :class:`~repro.sim.ProgramCache` by the plan
   (:func:`repro.sim.progcache.plan_key`), one entry per tile-local
-  geometry, relocated clones per ``(N, C1)`` slice and row window.
+  geometry, run at every ``(N, C1)`` slice and row window by its
+  global-memory deltas.
 * **dispatch** -- :func:`dispatch` is the one shared driver: the
   tensor-vs-plan check, global memory setup, one grouped chip run,
   cache/faults/retry/sanitize/compiled threading and result read-back,
@@ -97,13 +98,13 @@ class GMTensor(NamedTuple):
 
     @property
     def slice_elems(self) -> int:
-        """Elements per ``(N, C1)`` slice: the relocation stride."""
+        """Elements per ``(N, C1)`` slice: the delta between slices."""
         return math.prod(self.shape[2:])
 
     def offset(self, slice_idx: int, geom: TileGeom) -> int:
         """Where the tile's window starts in one slice (in every plane):
-        also the relocation delta that moves a tile program built at
-        row 0 of slice 0 onto this slice and tile."""
+        also the delta at which a tile program built at row 0 of slice
+        0 runs this slice and tile."""
         *_, cols, c0 = self.shape
         r0 = geom.oh0 if self.grid_rows else geom.ih0
         return slice_idx * self.slice_elems + r0 * cols * c0
@@ -195,7 +196,7 @@ class ExecutionPlan:
     def tensors(self) -> tuple[GMTensor, ...]:
         """The global-memory tensors this plan reads and writes, in
         setup order -- the one description of its GM layout.  Each
-        tile's operands, the per-slice relocation deltas, the
+        tile's operands, the per-tile deltas, the
         tensor-vs-plan check, GM setup and read-back all derive from it.
         """
         ih, iw, oh, ow = self.image
@@ -485,17 +486,16 @@ def resolve_plan(
 # Lowering.
 # ---------------------------------------------------------------------------
 
-def _tile_name(plan: ExecutionPlan, slice_idx: int, geom: TileGeom) -> str:
-    """A tile program's name: ``{describe}-s{slice}-t{rows}p{pt}x{pb}``.
+def _tile_name(plan: ExecutionPlan, geom: TileGeom) -> str:
+    """A tile program's name: ``{describe}-t{rows}p{pt}x{pb}``.
 
     The ``-t`` token names the tile-local geometry (loaded rows, local
     top and bottom padding), not the tile's position, so every tile
-    that shares one cached program also shares its name, and
-    summaries and kernels check provenance across row windows exactly
-    as they do across slices.
+    that shares one cached program shares its name, and summaries and
+    kernels check provenance by plain name equality.
     """
     p = geom.params
-    return f"{plan.describe}-s{slice_idx}-t{p.ih}p{p.pt}x{p.pb}"
+    return f"{plan.describe}-t{p.ih}p{p.pt}x{p.pb}"
 
 
 def _build_tile_program(
@@ -515,7 +515,7 @@ def _build_tile_program(
     """
     from ..ops.base import TileContext
 
-    b = KernelBuilder(config, dtype, name=_tile_name(plan, slice_idx, geom))
+    b = KernelBuilder(config, dtype, name=_tile_name(plan, geom))
     impl.build_tile(TileContext(
         builder=b, geom=geom, spec=plan.spec, dtype=dtype,
         **{t.field: t.window(slice_idx, geom, dtype) for t in plan.tensors},
@@ -525,19 +525,19 @@ def _build_tile_program(
 
 @dataclass
 class Lowering:
-    """The lowered form of one plan: programs in dispatch shape, plus
+    """The lowered form of one plan: work items in dispatch shape, plus
     the cache-shared summaries and compiled kernels when a cache is
     used.
 
     ``groups`` is what :meth:`~repro.sim.Chip.run_tile_groups` takes:
     one group per ``(N, C1)`` slice when ``plan.serialize_slices`` pins
     each slice to one core, otherwise one single-tile group per tile.
-    Either way tiles appear slice-major, and ``summaries``/``kernels``
-    mirror ``groups``.  Under ``execute="cycles"`` with a cache the
-    groups alias the base program of each tile-local geometry
-    (cycle-identical clones need not be materialised); otherwise each
-    ``(slice, tile)`` holds a clone relocated onto its row window (or,
-    uncached, a fresh build at its true position).
+    Either way tiles appear slice-major, and ``summaries``/``kernels``/
+    ``deltas`` mirror ``groups``.  With a cache every ``(slice, tile)``
+    holds the base program of its tile-local geometry, and ``deltas``
+    (outside cycles mode, which touches no data) its per-tensor
+    :meth:`GMTensor.offset`; uncached, each holds a fresh build at its
+    true position and ``deltas`` is ``None``.
     """
 
     plan: ExecutionPlan
@@ -545,6 +545,7 @@ class Lowering:
     groups: list[list[Program]]
     summaries: list[list[RunResult]] | None = None
     kernels: list[list] | None = None
+    deltas: list[list[dict[str, int]]] | None = None
 
 
 def _dispatch_shape(plan: ExecutionPlan, per_slice) -> list[list]:
@@ -571,8 +572,9 @@ def lower(
     most in timing model or in a shared tile -- share one entry.  Its
     summary under the plan's timing model (and, under
     ``execute="jit"``, its compiled kernel, shared by every model) is
-    memoized, and every ``(slice, tile)`` is a clone relocated by
-    :meth:`GMTensor.offset`, the same way for rows as for slices.  The
+    memoized, and every ``(slice, tile)`` runs that program at its
+    deltas, :meth:`GMTensor.offset`, the same way for rows as for
+    slices; no per-tile program is built.  The
     implementation is instantiated from the registry only when a
     program is built (a cache miss).  ``cache=None`` builds each tile
     at its true position instead: the independent reference the
@@ -593,7 +595,7 @@ def lower(
             for slice_idx in range(num_slices)
         ))
         kernels = (
-            [[compile_program(p, config) for p in group] for group in groups]
+            [[compile_program(p) for p in group] for group in groups]
             if execute == "jit"
             else None
         )
@@ -617,28 +619,21 @@ def lower(
         built[geom.params] = (
             prog,
             cache.summary(key, prog, config, collect_trace, model=m),
-            cache.compiled(key, prog, config) if execute == "jit" else None,
+            cache.compiled(key, prog) if execute == "jit" else None,
         )
     progs, summaries, kernels = zip(*(built[g.params] for g in tiles))
-    if execute == "cycles":
-        # Cycle-identical clones need not even be materialised.
-        per_slice = (progs for _ in range(num_slices))
-    else:
+    deltas = None
+    if execute != "cycles":
         tensors = plan.tensors
-        per_slice = [
-            [
-                prog.relocate(
-                    {t.name: t.offset(slice_idx, geom) for t in tensors},
-                    name=_tile_name(plan, slice_idx, geom),
-                )
-                for geom, prog in zip(tiles, progs)
-            ]
+        deltas = _dispatch_shape(plan, (
+            [{t.name: t.offset(slice_idx, geom) for t in tensors}
+             for geom in tiles]
             for slice_idx in range(num_slices)
-        ]
+        ))
     return Lowering(
         plan=plan,
         tiles=tiles,
-        groups=_dispatch_shape(plan, per_slice),
+        groups=_dispatch_shape(plan, (progs for _ in range(num_slices))),
         summaries=_dispatch_shape(
             plan, (summaries for _ in range(num_slices))
         ),
@@ -647,6 +642,7 @@ def lower(
             if execute == "jit"
             else None
         ),
+        deltas=deltas,
     )
 
 
@@ -747,6 +743,7 @@ def dispatch(
         retry=retry,
         sanitize=sanitize,
         compiled=lowering.kernels,
+        deltas=lowering.deltas,
     )
 
     output = out_mask = None

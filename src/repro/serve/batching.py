@@ -3,8 +3,9 @@
 A pooling fleet's traffic is heavily repetitive: the same layer
 geometries arrive over and over from different tenants (every user of
 an InceptionV3 deployment pools the same shapes).  The simulator's
-whole perf substrate -- the program cache, ``Program.relocate`` clones
-and memoized JIT kernels -- amortizes work *per unique geometry*, so
+whole perf substrate -- the program cache, whose one program per tile
+geometry runs at every tile by deltas, and memoized JIT kernels --
+amortizes work *per unique geometry*, so
 the serving layer's job is to make sure same-geometry requests land
 where that amortization already happened.  That is what the
 :class:`Coalescer` does: it maps each request's :func:`geometry_key`

@@ -16,8 +16,8 @@ provides what the single-call API cannot:
 * **Geometry-keyed coalescing** -- same-geometry requests are routed
   to the worker that already lowered/compiled that geometry
   (:class:`~repro.serve.batching.Coalescer`), so they are served by
-  cached programs, ``Program.relocate`` clones and memoized JIT
-  kernels instead of cold lowering.
+  cached programs run at per-tile deltas and memoized JIT kernels
+  instead of cold lowering.
 * **Worker-failure recovery** -- a dead worker's in-flight requests
   are retried on healthy workers under the same
   :class:`~repro.sim.faults.RetryPolicy` vocabulary the chip-level

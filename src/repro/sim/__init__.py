@@ -9,8 +9,9 @@
 * :mod:`repro.sim.trace`   -- per-instruction execution traces.
 * :mod:`repro.sim.scheduler` -- pluggable timing models (serial/pipelined).
 * :mod:`repro.sim.compile` -- the NumPy JIT: lowered programs fused
-  into batched, relocatable kernels (``execute="jit"``).
-* :mod:`repro.sim.progcache` -- compiled-program cache + relocation.
+  into batched kernels that run at any tile's deltas
+  (``execute="jit"``).
+* :mod:`repro.sim.progcache` -- compiled-program cache.
 * :mod:`repro.sim.faults`   -- deterministic fault injection + recovery
   vocabulary (fault plans, retry policy, resilience reports).
 * :mod:`repro.sim.sanitizer` -- ISA-level memory sanitizer (shadow

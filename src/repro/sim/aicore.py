@@ -14,9 +14,8 @@ order, so numeric results cannot depend on the timing model.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -43,9 +42,9 @@ class RunResult:
     cycles: int
     instructions: int
     trace: Trace
-    #: Name of the program this result summarizes (slice token
-    #: canonicalised -- relocated clones of one tile program share a
-    #: summary).  Empty for results built without a program at hand.
+    #: Name of the program this result summarizes (every tile of one
+    #: cached program shares its summary).  Empty for results built
+    #: without a program at hand.
     program_name: str = ""
     #: What the memory sanitizer observed, when the run was sanitized
     #: (``sanitize=`` truthy); ``None`` on the zero-cost default path.
@@ -76,18 +75,6 @@ class RunResult:
         return replace(self, trace=Trace(collected=False))
 
 
-#: Tile programs are named ``...-s<slice>-t<rows>p<pt>x<pb>``, the
-#: ``-t`` token naming the tile-local geometry.  Relocated clones share
-#: their base program's summary and kernel across slices and row
-#: windows, so only the slice token is canonicalised before comparing
-#: provenance: a different tile-local geometry stays a different program.
-_SLICE_TOKEN = re.compile(r"-s\d+(?=-t\d+)")
-
-
-def _canonical_name(name: str) -> str:
-    return _SLICE_TOKEN.sub("-s*", name)
-
-
 def summarize(
     program: Program,
     config: ChipConfig,
@@ -113,7 +100,7 @@ def summarize(
         cycles=cycles,
         instructions=len(program),
         trace=trace,
-        program_name=_canonical_name(program.name),
+        program_name=program.name,
     )
 
 
@@ -127,6 +114,8 @@ class AICore:
     buffers: dict[str, ScratchBuffer] = field(init=False)
     allocators: dict[str, Allocator] = field(init=False)
     _gm: GlobalMemory | None = field(init=False, default=None)
+    #: The running tile's global-memory deltas (tensor name -> elements).
+    _deltas: Mapping[str, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.buffers = {
@@ -138,16 +127,30 @@ class AICore:
         }
 
     # -- ExecutionContext protocol -------------------------------------
-    def view(self, buffer: str) -> np.ndarray:
+    def view(self, buffer: str, extent: int | None = None) -> np.ndarray:
+        """Flat, writable view of ``buffer``.
+
+        A scratch-pad serves its store, grown to ``extent`` elements
+        (the whole capacity when ``None``).  A global-memory tensor is
+        served from the running tile's delta onwards, an O(1) NumPy
+        view, so one base program runs at any ``(slice, tile)``.
+        """
         buf = self.buffers.get(buffer)
         if buf is not None:
-            return buf.data
+            return buf.data if extent is None else buf.reserve(extent)
         if self._gm is None:
             raise SimulationError(
                 f"instruction referenced {buffer!r} but no global memory "
                 "is attached"
             )
-        return self._gm.view(buffer)
+        arr = self._gm.view(buffer)
+        delta = self._deltas.get(buffer)
+        return arr[delta:] if delta else arr
+
+    def delta(self, buffer: str) -> int:
+        """Where the running tile's view of global-memory tensor
+        ``buffer`` starts (0 outside a run, or with no delta)."""
+        return self._deltas.get(buffer, 0)
 
     # -- allocation helpers used by kernel builders --------------------
     def alloc(self, buffer: str, size_elems: int, name: str = ""):
@@ -169,6 +172,7 @@ class AICore:
         injection: "Injection | None" = None,
         sanitize: "bool | Sanitizer | None" = None,
         compiled: "CompiledKernel | None" = None,
+        deltas: Mapping[str, int] | None = None,
     ) -> RunResult:
         """Execute ``program``; returns cycles and the trace.
 
@@ -190,6 +194,11 @@ class AICore:
           with ``sanitize=`` and ``injection=``, which instrument the
           per-instruction interpreter loop the JIT exists to skip.
 
+        ``deltas`` maps global-memory tensor names to the element offset
+        this tile sits at (see :meth:`view`): every mode below runs the
+        program unchanged, at that offset.  ``None`` runs it where its
+        operands point.
+
         ``model`` picks the timing model (name, instance or ``None``
         for the default serial model); it shapes *when* cycles elapse,
         never the numeric results.
@@ -200,9 +209,9 @@ class AICore:
         construction are skipped and the summary is returned as-is --
         in numeric mode after the data pass, in cycles mode
         immediately.  A summary that visibly belongs to a *different*
-        program (instruction count or canonicalised program name
-        mismatch) raises :class:`~repro.errors.SimulationError` instead
-        of silently mis-accounting.
+        program (instruction count or program name mismatch) raises
+        :class:`~repro.errors.SimulationError` instead of silently
+        mis-accounting.
 
         ``injection`` optionally attaches a deterministic fault
         injection (:class:`repro.sim.faults.Injection`) to this numeric
@@ -243,8 +252,13 @@ class AICore:
             if execute == "jit" and compiled is None:
                 from .compile import compile_program
 
-                compiled = compile_program(program, self.config)
+                compiled = compile_program(program)
+            if deltas and min(deltas.values()) < 0:
+                raise SimulationError(
+                    f"negative global-memory delta in {dict(deltas)}"
+                )
             self._gm = gm
+            self._deltas = deltas or {}
             try:
                 if compiled is not None:
                     compiled(self, program)
@@ -264,6 +278,7 @@ class AICore:
                     injection.run(self, program)
             finally:
                 self._gm = None
+                self._deltas = {}
         # Cycles and trace come from the supplied summary when there is
         # one; the data pass never produces them.
         result = summary
@@ -285,18 +300,16 @@ class AICore:
         always discriminates; the program name check is skipped for
         summaries that carry no provenance (``program_name == ""``).
         """
-        canonical = _canonical_name(program.name)
         if summary.instructions != len(program):
             raise SimulationError(
-                f"summary mismatch for program {program.name!r} "
-                f"(canonical {canonical!r}): summary covers "
-                f"{summary.instructions} instructions, program has "
+                f"summary mismatch for program {program.name!r}: summary "
+                f"covers {summary.instructions} instructions, program has "
                 f"{len(program)}"
             )
-        if summary.program_name and summary.program_name != canonical:
+        if summary.program_name and summary.program_name != program.name:
             raise SimulationError(
                 f"summary mismatch: summary was built for "
                 f"{summary.program_name!r} ({summary.instructions} "
-                f"instructions), not {canonical!r} "
+                f"instructions), not {program.name!r} "
                 f"({len(program)} instructions)"
             )

@@ -11,13 +11,12 @@ capacity and alignment the real hardware would silently require.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from ..config import BufferSpec
 from ..dtypes import DType
-from ..errors import AlignmentError, CapacityError
+from ..errors import AlignmentError, CapacityError, IsaError
 from ..isa.operand import MemRef
 
 
@@ -28,25 +27,55 @@ class ScratchBuffer:
     The backing store is typed with the kernel's element dtype; kernels
     in this reproduction are single-dtype (fp16), matching the paper.
 
-    Storage is allocated, zero-filled, on the first read of
-    :attr:`data` and kept for the buffer's lifetime.  Cycles-mode runs
-    never read it, and numeric or JIT runs touch only the buffers their
-    programs name on the cores that receive tiles, so a chip costs
-    nothing per scratch-pad it does not use.  Observably the store
-    still starts zeroed and is never cleared behind a kernel's back.
+    Storage grows on demand: :meth:`reserve` extends a zero-filled
+    store to the extent asked and keeps its prefix, and :attr:`data`
+    reserves the whole capacity.  Cycles-mode runs touch no store; a
+    JIT kernel reserves only the extent it computed at compile time
+    (a few KiB of a 256 KiB ``UB``); the interpreter, the sanitizer
+    and fault injection read :attr:`data`.  Observably the store still
+    starts zeroed and is never cleared behind a kernel's back.
     """
 
     spec: BufferSpec
     dtype: DType
+    _store: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    @cached_property
+    def reserve(self, extent: int) -> np.ndarray:
+        """The store, grown zero-filled to at least ``extent`` elements.
+
+        Raises :class:`~repro.errors.IsaError` for an extent past the
+        buffer's capacity.
+        """
+        store = self._store
+        if store is not None and store.size >= extent:
+            return store
+        if extent > self.capacity_elems:
+            raise IsaError(
+                f"{self.name}: extent of {extent} elements escapes "
+                f"capacity {self.capacity_elems}"
+            )
+        grown = np.zeros(extent, dtype=self.dtype.np_dtype)
+        if store is not None:
+            grown[: store.size] = store
+        self._store = grown
+        return grown
+
+    @property
     def data(self) -> np.ndarray:
-        return np.zeros(self.capacity_elems, dtype=self.dtype.np_dtype)
+        """The whole store, at full capacity."""
+        return self.reserve(self.capacity_elems)
 
     @property
     def allocated(self) -> bool:
-        """Whether :attr:`data` has been read (its storage exists)."""
-        return "data" in self.__dict__
+        """Whether any storage exists yet."""
+        return self._store is not None
+
+    @property
+    def extent(self) -> int:
+        """Elements of storage that exist (0 before the first use)."""
+        return 0 if self._store is None else self._store.size
 
     @property
     def name(self) -> str:
@@ -57,8 +86,8 @@ class ScratchBuffer:
         return self.spec.capacity_bytes // self.dtype.itemsize
 
     def clear(self) -> None:
-        if self.allocated:  # unallocated storage reads as zeros already
-            self.data.fill(0)
+        if self._store is not None:  # storage not yet grown reads as zeros
+            self._store.fill(0)
 
     def poison(self, value: float) -> None:
         """Fill the whole backing store with a sentinel value.

@@ -28,13 +28,20 @@ each core's allocators before a tile but deliberately never calls
 not zero a scratch-pad between kernels, and a correct kernel
 initializes everything it reads, so clearing would only add cost and
 hide bugs.  The consequence is that a *buggy* kernel can silently read
-the previous tile's data (and, because :class:`ScratchBuffer` happens
-to zero-init on first use, a freshly built chip can mask even that).
-First use also means a chip pays for no scratch-pad its run never
-touches: cycles mode allocates none.
+the previous tile's data (and, because :class:`ScratchBuffer` storage
+grows zero-filled, a freshly built chip can mask even that).  Storage
+grows only as far as it is used: cycles mode allocates none, a JIT
+kernel reserves just the extent its steps address, and a grown store
+keeps what earlier tiles wrote.
 Strict mode (``sanitize=True``) closes the hole: buffers are
 poison-filled at each tile start and the shadow state flags any read of
 freed or never-written elements (see :mod:`repro.sim.sanitizer`).
+
+A work item is a program plus its tile's global-memory ``deltas``
+(tensor name -> element offset): the cached lowering runs one base
+program per tile-local geometry at every ``(N, C1)`` slice and row
+window, and the core serves each tensor as a view from the delta on
+(:meth:`~repro.sim.aicore.AICore.view`).
 """
 
 from __future__ import annotations
@@ -160,6 +167,7 @@ class _ResilientDispatch:
         collect_trace: bool,
         execute: str,
         model: "str | ExecutionModel | None",
+        deltas: list | None = None,
     ) -> None:
         self.chip = chip
         self.injector = injector
@@ -168,6 +176,8 @@ class _ResilientDispatch:
         self.collect_trace = collect_trace
         self.execute = execute
         self.model = resolve_model(model)
+        #: Flat per-tile global-memory deltas (``None``: none given).
+        self.deltas = deltas
         n = len(chip.cores)
         self.per_core_cycles = [0] * n
         self.launch = chip.config.cost.tile_launch_cycles
@@ -258,7 +268,10 @@ class _ResilientDispatch:
                     and self.gm is not None
                 ):
                     snapshot = self._snapshot(prog)
-                res = self._attempt(core_id, prog, cur_summary, cur_model, inj)
+                res = self._attempt(
+                    core_id, prog, cur_summary, cur_model, inj,
+                    self.deltas[tile] if self.deltas else None,
+                )
                 cycles = res.cycles + (inj.stall if inj is not None else 0)
                 if (
                     inj is not None
@@ -320,6 +333,7 @@ class _ResilientDispatch:
         summary: RunResult | None,
         model: ExecutionModel,
         inj: Injection | None,
+        deltas,
     ) -> RunResult:
         # Cycles mode has no data pass: crash/detected-corruption faults
         # fail the attempt up front (the tile never completes).
@@ -341,7 +355,7 @@ class _ResilientDispatch:
                     )
         return self.chip._run_one(
             self.chip.cores[core_id], prog, self.gm, self.collect_trace,
-            self.execute, summary, model, injection=inj,
+            self.execute, summary, model, injection=inj, deltas=deltas,
         )
 
     # -- rollback -------------------------------------------------------
@@ -451,6 +465,7 @@ class Chip:
         sanitizer: "Sanitizer | None" = None,
         kernel=None,
         injection: Injection | None = None,
+        deltas=None,
     ) -> RunResult:
         # Note: allocators are reset per tile but the scratch-pad
         # *contents* are deliberately not cleared -- see the module
@@ -467,6 +482,7 @@ class Chip:
             injection=injection,
             sanitize=sanitizer,
             compiled=kernel,
+            deltas=deltas,
         )
 
     def run_tiles(
@@ -481,6 +497,7 @@ class Chip:
         retry: RetryPolicy | None = None,
         sanitize: bool = False,
         compiled: list | None = None,
+        deltas: list | None = None,
     ) -> ChipRunResult:
         """Execute tile programs round-robin over the cores.
 
@@ -489,8 +506,8 @@ class Chip:
         slowest core's total.  Each tile pays the block-dispatch
         overhead ``tile_launch_cycles``.  This is
         :meth:`run_tile_groups` with every program its own one-tile
-        group; ``summaries`` and ``compiled`` are flat, one (possibly
-        ``None``) entry per program.
+        group; ``summaries``, ``compiled`` and ``deltas`` are flat, one
+        (possibly ``None``) entry per program.
 
         ``execute``, ``summaries`` and ``model`` forward to
         :meth:`AICore.run`: ``execute="cycles"`` skips data execution
@@ -513,10 +530,13 @@ class Chip:
 
         ``execute="jit"`` runs each tile through its compiled batch
         kernel (:mod:`repro.sim.compile`); ``compiled`` optionally
-        supplies one kernel per program (typically shared across
-        relocated clones via the program cache), mirroring
-        ``summaries``.  Incompatible with ``faults``/``retry`` and
-        ``sanitize``.
+        supplies one kernel per program (typically shared by every tile
+        of one cached program), mirroring ``summaries``.  Incompatible
+        with ``faults``/``retry`` and ``sanitize``.
+
+        ``deltas`` optionally gives each program the global-memory
+        deltas its tile runs at (see :meth:`AICore.run`); ``None`` runs
+        every program where its operands point.
         """
         if not programs:
             raise SimulationError("run_tiles called with no tile programs")
@@ -531,6 +551,7 @@ class Chip:
             retry=retry,
             sanitize=sanitize,
             compiled=_one_per_tile(compiled, programs, "compiled kernels"),
+            deltas=_one_per_tile(deltas, programs, "deltas"),
         )
 
     def run_tile_groups(
@@ -545,6 +566,7 @@ class Chip:
         retry: RetryPolicy | None = None,
         sanitize: bool = False,
         compiled: list | None = None,
+        deltas: list | None = None,
     ) -> ChipRunResult:
         """Execute groups of tiles; each group stays on one core.
 
@@ -553,12 +575,12 @@ class Chip:
         core.  Multi-tile groups serve tiles that must be serialised --
         e.g. the row-chunked backward tiles of one (N, C1) slice, whose
         accumulate-DMA stores overlap and may not race across cores;
-        :meth:`run_tiles` passes one-tile groups.  ``summaries`` and
-        ``compiled`` are nested to mirror ``groups``; every other
-        argument behaves as in :meth:`run_tiles`.  Under the resilient
-        dispatcher (``faults`` / ``retry``), a reassigned tile drags the
-        rest of its group to the new core, preserving the group's
-        one-core serialisation invariant.
+        :meth:`run_tiles` passes one-tile groups.  ``summaries``,
+        ``compiled`` and ``deltas`` are nested to mirror ``groups``;
+        every other argument behaves as in :meth:`run_tiles`.  Under the
+        resilient dispatcher (``faults`` / ``retry``), a reassigned tile
+        drags the rest of its group to the new core, preserving the
+        group's one-core serialisation invariant.
         """
         if not groups or not all(groups):
             raise SimulationError("run_tile_groups needs non-empty groups")
@@ -566,6 +588,7 @@ class Chip:
         for nested, name, item in (
             (summaries, "summaries", "summary"),
             (compiled, "compiled kernels", "kernel"),
+            (deltas, "deltas", "delta map"),
         ):
             if nested is not None and list(map(len, nested)) != sizes:
                 raise SimulationError(
@@ -587,6 +610,7 @@ class Chip:
             resilient = _ResilientDispatch(
                 self, injector, retry or RetryPolicy(), gm, collect_trace,
                 execute, model,
+                [d for group in deltas for d in group] if deltas else None,
             )
         per_core_cycles = (
             resilient.per_core_cycles if resilient is not None
@@ -599,6 +623,7 @@ class Chip:
             for pidx, prog in enumerate(group):
                 tile = len(results)
                 summary = summaries[gidx][pidx] if summaries else None
+                delta = deltas[gidx][pidx] if deltas else None
                 if resilient is not None:
                     core_id, res = resilient.run_item(
                         tile, core_id, prog, summary
@@ -609,6 +634,7 @@ class Chip:
                         model,
                         sanitizers[core_id] if sanitizers else None,
                         compiled[gidx][pidx] if compiled else None,
+                        deltas=delta,
                     )
                     per_core_cycles[core_id] += res.cycles + launch
                     if silent_jit:

@@ -31,12 +31,19 @@ Design constraints, in order:
   progressions with disjoint destination rows.  Anything else stays a
   standalone step.
 
-* **Relocation survival.**  One kernel serves every
-  :meth:`~repro.isa.program.Program.relocate` clone of its template:
-  global-memory refs are *anchored* at compile time (instruction index,
-  field name, base offset) and the per-call delta is read off the
-  clone, so a kernel cached under a position-independent
-  :func:`~repro.sim.progcache.plan_key` runs any slice and row window.
+* **Position independence.**  One kernel serves every tile of its
+  program: each call resolves a global-memory tensor as the core's view
+  starting at the tile's delta (:meth:`repro.sim.aicore.AICore.view`),
+  so the index arrays computed once against the base program address
+  any slice and row window, and a kernel cached under the
+  position-independent :func:`~repro.sim.progcache.plan_key` runs them
+  all.  Escape checks run against those views and name absolute
+  indices.
+
+* **Touch only what is used.**  The kernel records, per scratch-pad,
+  the extent its steps address, and each call reserves just that much
+  of the core's store (:meth:`repro.sim.buffers.ScratchBuffer.reserve`)
+  instead of the whole capacity.
 """
 
 from __future__ import annotations
@@ -46,12 +53,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..config import SCRATCH_PADS, ChipConfig
+from ..config import SCRATCH_PADS
 from ..dtypes import FRACTAL_ROWS
 from ..errors import IsaError, SimulationError
 from ..isa.operand import MemRef
 from ..isa.program import Program
-from .aicore import _canonical_name
 
 __all__ = [
     "CompileContext",
@@ -61,8 +67,12 @@ __all__ = [
 ]
 
 #: A compiled step: ``step(resolved)`` where ``resolved`` maps buffer
-#: name -> (flat array, relocation delta).
+#: name -> flat array (a global-memory tensor from the tile's delta on).
 Step = Callable[[dict], None]
+
+#: One element span a record addresses: ``(buffer, lo, hi)``, inclusive;
+#: ``hi < lo`` for an empty index set.
+Span = tuple[str, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +82,21 @@ Step = Callable[[dict], None]
 class _Record:
     kind = ""
 
-    def buffers(self) -> set[str]:
+    def spans(self) -> list[Span]:
+        """Every element span this record reads or writes."""
         raise NotImplementedError
 
 
 def _idx(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _span(buf: str, ix: np.ndarray) -> Span:
+    return (buf, int(ix.min()), int(ix.max())) if ix.size else (buf, 0, -1)
+
+
+def _region(ref: MemRef, size: int | None = None) -> Span:
+    return ref.buffer, ref.offset, ref.offset + (size or ref.size) - 1
 
 
 class _Ew(_Record):
@@ -97,8 +116,10 @@ class _Ew(_Record):
             len(np.unique(self.dst_idx)) == self.dst_idx.size
         )
 
-    def buffers(self) -> set[str]:
-        return {self.dst_ref.buffer} | {r.buffer for r, _ in self.sources}
+    def spans(self) -> list[Span]:
+        return [_span(self.dst_ref.buffer, self.dst_idx)] + [
+            _span(r.buffer, ix) for r, ix in self.sources
+        ]
 
 
 class _Seq(_Record):
@@ -113,8 +134,7 @@ class _Seq(_Record):
         self.dst_idx = _idx(dst_idx)
         self.sources = [(ref, _idx(ix)) for ref, ix in sources]
 
-    def buffers(self) -> set[str]:
-        return {self.dst_ref.buffer} | {r.buffer for r, _ in self.sources}
+    spans = _Ew.spans
 
 
 class _Reduce(_Record):
@@ -130,8 +150,11 @@ class _Reduce(_Record):
         self.src_ref = src_ref
         self.src_idx = _idx(src_idx)
 
-    def buffers(self) -> set[str]:
-        return {self.dst_ref.buffer, self.src_ref.buffer}
+    def spans(self) -> list[Span]:
+        return [
+            _span(self.dst_ref.buffer, self.dst_row),
+            _span(self.src_ref.buffer, self.src_idx),
+        ]
 
 
 class _Fill(_Record):
@@ -142,8 +165,8 @@ class _Fill(_Record):
         self.dst_idx = _idx(dst_idx)
         self.value = value
 
-    def buffers(self) -> set[str]:
-        return {self.dst_ref.buffer}
+    def spans(self) -> list[Span]:
+        return [_span(self.dst_ref.buffer, self.dst_idx)]
 
 
 class _Im2col(_Record):
@@ -160,8 +183,11 @@ class _Im2col(_Record):
         self.dst_start = start
         self.dst_stop = stop
 
-    def buffers(self) -> set[str]:
-        return {self.src_ref.buffer, self.dst_ref.buffer}
+    def spans(self) -> list[Span]:
+        return [
+            _span(self.src_ref.buffer, self.idx),
+            (self.dst_ref.buffer, self.dst_start, self.dst_stop - 1),
+        ]
 
 
 class _Col2im(_Record):
@@ -175,8 +201,11 @@ class _Col2im(_Record):
         self.src_idx = _idx(src_idx)
         self.dst_idx = _idx(dst_idx)
 
-    def buffers(self) -> set[str]:
-        return {self.src_ref.buffer, self.dst_ref.buffer}
+    def spans(self) -> list[Span]:
+        return [
+            _span(self.src_ref.buffer, self.src_idx),
+            _span(self.dst_ref.buffer, self.dst_idx),
+        ]
 
 
 class _Copy(_Record):
@@ -187,8 +216,8 @@ class _Copy(_Record):
         self.dst_ref = dst_ref
         self.accumulate = accumulate
 
-    def buffers(self) -> set[str]:
-        return {self.src_ref.buffer, self.dst_ref.buffer}
+    def spans(self) -> list[Span]:
+        return [_region(self.src_ref), _region(self.dst_ref)]
 
 
 class _Mmad(_Record):
@@ -197,9 +226,14 @@ class _Mmad(_Record):
     def __init__(self, instr) -> None:
         self.instr = instr
 
-    def buffers(self) -> set[str]:
+    def spans(self) -> list[Span]:
         i = self.instr
-        return {i.a.buffer, i.b.buffer, i.c.buffer}
+        fr = FRACTAL_ROWS * FRACTAL_ROWS
+        return [
+            _region(i.a, i.repeat * fr),
+            _region(i.b, i.repeat * fr),
+            _region(i.c, fr),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +243,12 @@ class _Mmad(_Record):
 class CompileContext:
     """Collects one record per compiled instruction.
 
-    Instructions emit *absolute* (buffer-relative) index arrays computed
-    from their template operands; relocation deltas are applied at call
-    time by the kernel, so one compile serves every slice.
+    Instructions emit buffer-relative index arrays computed from their
+    operands; a global-memory tensor is resolved at call time as a view
+    from the tile's delta on, so one compile serves every tile.
     """
 
-    def __init__(self, config: ChipConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.records: list[_Record] = []
 
     # -- emit API (called from Instruction.compile) --------------------
@@ -446,29 +479,39 @@ def _fuse(records: list[_Record]) -> list[list[_Record]]:
 # step construction
 
 
-def _merge_checks(entries) -> tuple:
-    """Collapse ``(buffer, lo, hi)`` bound checks to one span per buffer."""
+def _gm_checks(group: list[_Record]) -> tuple[Span, ...]:
+    """One bound check per global-memory buffer a step addresses.
+
+    Scratch-pads need none: each call reserves them to the kernel's
+    extent, which covers every span.
+    """
     merged: dict[str, tuple[int, int]] = {}
-    for buf, lo, hi in entries:
-        cur = merged.get(buf)
-        merged[buf] = (
-            (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
-        )
+    for rec in group:
+        for buf, lo, hi in rec.spans():
+            if buf in SCRATCH_PADS or hi < lo:
+                continue
+            cur = merged.get(buf)
+            merged[buf] = (
+                (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
+            )
     return tuple((b, lo, hi) for b, (lo, hi) in merged.items())
+
+
+class _Escape(Exception):
+    """A step's index span leaves its view; :class:`CompiledKernel`
+    re-raises it as :class:`~repro.errors.IsaError` naming absolute
+    indices."""
+
+    def __init__(self, buffer: str, lo: int, hi: int, size: int) -> None:
+        super().__init__(buffer, lo, hi, size)
+        self.buffer, self.lo, self.hi, self.size = buffer, lo, hi, size
 
 
 def _check(resolved: dict, checks: tuple) -> None:
     for buf, lo, hi in checks:
-        arr, delta = resolved[buf]
-        if lo + delta < 0 or hi + delta >= arr.size:
-            raise IsaError(
-                f"jit: element indices [{lo + delta}, {hi + delta}] "
-                f"escape buffer {buf!r} of size {arr.size}"
-            )
-
-
-def _span(buf: str, ix: np.ndarray) -> tuple[str, int, int]:
-    return buf, int(ix.min()), int(ix.max())
+        size = resolved[buf].size
+        if lo < 0 or hi >= size:
+            raise _Escape(buf, lo, hi, size)
 
 
 def _ew_step(group: list[_Ew]) -> Step:
@@ -487,18 +530,11 @@ def _ew_step(group: list[_Ew]) -> Step:
             )
             for k, (ref, _) in enumerate(first.sources)
         ]
-    checks = _merge_checks(
-        [_span(dst_buf, d_idx)] + [_span(b, ix) for b, ix in srcs]
-    )
+    checks = _gm_checks(group)
 
     def step(resolved):
         _check(resolved, checks)
-        args = []
-        for b, ix in srcs:
-            arr, dl = resolved[b]
-            args.append(arr[ix + dl] if dl else arr[ix])
-        d_arr, dd = resolved[dst_buf]
-        d_arr[d_idx + dd if dd else d_idx] = func(*args)
+        resolved[dst_buf][d_idx] = func(*[resolved[b][ix] for b, ix in srcs])
 
     return step
 
@@ -506,21 +542,15 @@ def _ew_step(group: list[_Ew]) -> Step:
 def _seq_step(rec: _Seq) -> Step:
     dst_buf = rec.dst_ref.buffer
     src = [(ref.buffer, ix) for ref, ix in rec.sources]
-    checks = _merge_checks(
-        [_span(dst_buf, rec.dst_idx)] + [_span(b, ix) for b, ix in src]
-    )
+    checks = _gm_checks([rec])
 
     def step(resolved):
         _check(resolved, checks)
-        d_arr, dd = resolved[dst_buf]
-        di = rec.dst_idx + dd if dd else rec.dst_idx
-        gathered = []
-        for b, ix in src:
-            arr, dl = resolved[b]
-            gathered.append((arr, ix + dl if dl else ix))
+        d_arr = resolved[dst_buf]
+        gathered = [(resolved[b], ix) for b, ix in src]
         func = rec.func
-        for r in range(di.shape[0]):
-            d_arr[di[r]] = func(*[a[ix[r]] for a, ix in gathered])
+        for r in range(rec.dst_idx.shape[0]):
+            d_arr[rec.dst_idx[r]] = func(*[a[ix[r]] for a, ix in gathered])
 
     return step
 
@@ -528,18 +558,13 @@ def _seq_step(rec: _Seq) -> Step:
 def _reduce_step(rec: _Reduce) -> Step:
     dst_buf = rec.dst_ref.buffer
     src_buf = rec.src_ref.buffer
-    checks = _merge_checks(
-        [_span(dst_buf, rec.dst_row), _span(src_buf, rec.src_idx)]
-    )
+    checks = _gm_checks([rec])
 
     def step(resolved):
         _check(resolved, checks)
-        s_arr, sd = resolved[src_buf]
-        d_arr, dd = resolved[dst_buf]
-        rows = s_arr[rec.src_idx + sd if sd else rec.src_idx]
-        m = rec.func.reduce(rows, axis=0)
-        di = rec.dst_row + dd if dd else rec.dst_row
-        d_arr[di] = rec.func(d_arr[di], m)
+        d_arr = resolved[dst_buf]
+        m = rec.func.reduce(resolved[src_buf][rec.src_idx], axis=0)
+        d_arr[rec.dst_row] = rec.func(d_arr[rec.dst_row], m)
 
     return step
 
@@ -553,12 +578,11 @@ def _fill_step(group: list[_Fill]) -> Step:
         else np.concatenate([g.dst_idx for g in group])
     )
     value = first.value
-    checks = (_span(dst_buf, d_idx),)
+    checks = _gm_checks(group)
 
     def step(resolved):
         _check(resolved, checks)
-        d_arr, dd = resolved[dst_buf]
-        d_arr[d_idx + dd if dd else d_idx] = value
+        resolved[dst_buf][d_idx] = value
 
     return step
 
@@ -575,17 +599,13 @@ def _im2col_step(group: list[_Im2col]) -> Step:
     invalid = ~valid
     pad = first.pad
     start, stop = first.dst_start, group[-1].dst_stop
-    checks = _merge_checks(
-        [_span(src_buf, idx), (dst_buf, start, stop - 1)]
-    )
+    checks = _gm_checks(group)
 
     def step(resolved):
         _check(resolved, checks)
-        s_arr, sd = resolved[src_buf]
-        d_arr, dd = resolved[dst_buf]
-        rows = s_arr[idx + sd if sd else idx]
+        rows = resolved[src_buf][idx]
         rows[invalid] = pad
-        d_arr[start + dd : stop + dd] = rows.reshape(-1)
+        resolved[dst_buf][start:stop] = rows.reshape(-1)
 
     return step
 
@@ -599,14 +619,11 @@ def _col2im_step(group: list[_Col2im]) -> Step:
     else:
         s_idx = np.concatenate([g.src_idx for g in group])
         d_idx = np.concatenate([g.dst_idx for g in group])
-    checks = _merge_checks([_span(src_buf, s_idx), _span(dst_buf, d_idx)])
+    checks = _gm_checks(group)
 
     def step(resolved):
         _check(resolved, checks)
-        s_arr, sd = resolved[src_buf]
-        d_arr, dd = resolved[dst_buf]
-        vals = s_arr[s_idx + sd if sd else s_idx]
-        np.add.at(d_arr, d_idx + dd if dd else d_idx, vals)
+        np.add.at(resolved[dst_buf], d_idx, resolved[src_buf][s_idx])
 
     return step
 
@@ -619,22 +636,17 @@ def _copy_step(group: list[_Copy]) -> Step:
     n_el = first.src_ref.size
     if len(group) == 1:
         s0, d0 = first.src_ref.offset, first.dst_ref.offset
+        s1, d1 = s0 + n_el, d0 + n_el
 
         def step(resolved):
-            s_arr, sd = resolved[src_buf]
-            d_arr, dd = resolved[dst_buf]
-            ss, ds = s0 + sd, d0 + dd
-            if (
-                ss < 0
-                or ss + n_el > s_arr.size
-                or ds < 0
-                or ds + n_el > d_arr.size
-            ):
+            s_arr = resolved[src_buf]
+            d_arr = resolved[dst_buf]
+            if s1 > s_arr.size or d1 > d_arr.size:
                 raise IsaError("DataMove region escapes buffer")
             if acc:
-                d_arr[ds : ds + n_el] += s_arr[ss : ss + n_el]
+                d_arr[d0:d1] += s_arr[s0:s1]
             else:
-                d_arr[ds : ds + n_el] = s_arr[ss : ss + n_el]
+                d_arr[d0:d1] = s_arr[s0:s1]
 
         return step
 
@@ -647,20 +659,17 @@ def _copy_step(group: list[_Copy]) -> Step:
         np.array([g.dst_ref.offset for g in group], dtype=np.int64)[:, None]
         + lane
     ).reshape(-1)
-    checks = _merge_checks([_span(src_buf, s_idx), _span(dst_buf, d_idx)])
+    checks = _gm_checks(group)
 
     def step(resolved):
         _check(resolved, checks)
-        s_arr, sd = resolved[src_buf]
-        d_arr, dd = resolved[dst_buf]
-        vals = s_arr[s_idx + sd if sd else s_idx]
-        di = d_idx + dd if dd else d_idx
+        vals = resolved[src_buf][s_idx]
         if acc:
             # Destination rows are disjoint (fusion requires it), so the
             # buffered fancy-index add touches each element exactly once.
-            d_arr[di] += vals
+            resolved[dst_buf][d_idx] += vals
         else:
-            d_arr[di] = vals
+            resolved[dst_buf][d_idx] = vals
 
     return step
 
@@ -674,10 +683,9 @@ def _mmad_step(rec: _Mmad) -> Step:
     repeat, init = instr.repeat, instr.init
 
     def step(resolved):
-        a_arr, ad = resolved[a_buf]
-        b_arr, bd = resolved[b_buf]
-        c_arr, cd = resolved[c_buf]
-        out = c_arr[c_off + cd : c_off + cd + fr].reshape(
+        a_arr = resolved[a_buf]
+        b_arr = resolved[b_buf]
+        out = resolved[c_buf][c_off : c_off + fr].reshape(
             FRACTAL_ROWS, FRACTAL_ROWS
         )
         acc = (
@@ -686,8 +694,8 @@ def _mmad_step(rec: _Mmad) -> Step:
             else out.astype(np.float32)
         )
         for r in range(repeat):
-            a = a_arr[a_off + ad + r * fr : a_off + ad + (r + 1) * fr]
-            b = b_arr[b_off + bd + r * fr : b_off + bd + (r + 1) * fr]
+            a = a_arr[a_off + r * fr : a_off + (r + 1) * fr]
+            b = b_arr[b_off + r * fr : b_off + (r + 1) * fr]
             acc += a.reshape(FRACTAL_ROWS, FRACTAL_ROWS).astype(
                 np.float32
             ) @ b.reshape(FRACTAL_ROWS, FRACTAL_ROWS).astype(np.float32)
@@ -723,7 +731,7 @@ def _make_step(group: list[_Record]) -> Step:
 class KernelStats:
     """Compile-time shape of one kernel, exposed for tests/benchmarks."""
 
-    #: Instructions in the template program.
+    #: Instructions in the compiled program.
     instructions: int
     #: Fused steps the kernel executes per call.
     steps: int
@@ -732,10 +740,11 @@ class KernelStats:
 class CompiledKernel:
     """The whole program's data effect as a list of batched steps.
 
-    Call with ``kernel(core, program)`` where ``program`` is the
-    template itself or any :meth:`~repro.isa.program.Program.relocate`
-    clone of it; relocation deltas are derived per call from the
-    clone's anchored global-memory operands.
+    Call with ``kernel(core, program)`` where ``program`` is the program
+    it was compiled from; ``core`` serves each global-memory tensor from
+    the running tile's delta on (:meth:`repro.sim.aicore.AICore.view`),
+    and the kernel asks it for that delta only to name absolute indices
+    when a step escapes a tensor.
     """
 
     def __init__(
@@ -743,25 +752,16 @@ class CompiledKernel:
         program_name: str,
         instructions: int,
         steps: tuple[Step, ...],
-        buffers: tuple[str, ...],
-        anchors: dict[str, tuple[int, str, int]],
+        extents: dict[str, int | None],
         stats: KernelStats,
     ) -> None:
         self.program_name = program_name
         self.instructions = instructions
         self.steps = steps
-        self.buffers = buffers
-        self.anchors = anchors
+        #: Buffer name -> elements the steps address: a scratch-pad's
+        #: extent, ``None`` for a global-memory tensor.
+        self.extents = extents
         self.stats = stats
-
-    def deltas(self, program: Program) -> dict[str, int]:
-        """Per-buffer relocation deltas of ``program`` vs. the template."""
-        out: dict[str, int] = {}
-        for buf, (idx, fname, base) in self.anchors.items():
-            off = getattr(program.instructions[idx], fname).offset
-            if off != base:
-                out[buf] = off - base
-        return out
 
     def __call__(self, ctx, program: Program) -> None:
         if len(program.instructions) != self.instructions:
@@ -770,35 +770,24 @@ class CompiledKernel:
                 f"{program.name!r}: kernel covers {self.instructions} "
                 f"instructions, program has {len(program.instructions)}"
             )
-        canonical = _canonical_name(program.name)
-        if self.program_name and canonical != self.program_name:
+        if self.program_name and program.name != self.program_name:
             raise SimulationError(
                 f"compiled kernel mismatch: kernel was built for "
-                f"{self.program_name!r}, not {canonical!r}"
+                f"{self.program_name!r}, not {program.name!r}"
             )
-        deltas = self.deltas(program)
-        resolved = {
-            b: (ctx.view(b), deltas.get(b, 0)) for b in self.buffers
-        }
-        for step in self.steps:
-            step(resolved)
+        resolved = {b: ctx.view(b, n) for b, n in self.extents.items()}
+        try:
+            for step in self.steps:
+                step(resolved)
+        except _Escape as esc:
+            d = ctx.delta(esc.buffer)
+            raise IsaError(
+                f"jit: element indices [{esc.lo + d}, {esc.hi + d}] "
+                f"escape buffer {esc.buffer!r} of size {esc.size + d}"
+            ) from None
 
 
-def _anchors(program: Program) -> dict[str, tuple[int, str, int]]:
-    """First (instruction index, field name, base offset) per
-    global-memory buffer -- how a kernel reads relocation deltas off a
-    clone (relocation preserves instruction order and fields)."""
-    anchors: dict[str, tuple[int, str, int]] = {}
-    for idx, instr in enumerate(program.instructions):
-        for name, v, _ in instr.operands():
-            if v.buffer not in SCRATCH_PADS and v.buffer not in anchors:
-                anchors[v.buffer] = (idx, name, v.offset)
-    return anchors
-
-
-def compile_program(
-    program: Program, config: ChipConfig
-) -> CompiledKernel:
+def compile_program(program: Program) -> CompiledKernel:
     """Translate ``program`` into a :class:`CompiledKernel`.
 
     Every instruction emits batched records, which are then fused.  The
@@ -807,19 +796,22 @@ def compile_program(
     Raises :class:`~repro.errors.CompileError` for an instruction whose
     class does not implement ``compile()``.
     """
-    ctx = CompileContext(config)
+    ctx = CompileContext()
     for instr in program.instructions:
         instr.compile(ctx)
-    buffers = set()
+    extents: dict[str, int | None] = {}
     for rec in ctx.records:
-        buffers.update(rec.buffers())
+        for buf, _, hi in rec.spans():
+            if buf in SCRATCH_PADS:
+                extents[buf] = max(extents.get(buf) or 0, hi + 1)
+            else:
+                extents[buf] = None
     steps = tuple(_make_step(g) for g in _fuse(ctx.records))
     return CompiledKernel(
-        program_name=_canonical_name(program.name),
+        program_name=program.name,
         instructions=len(program.instructions),
         steps=steps,
-        buffers=tuple(sorted(buffers)),
-        anchors=_anchors(program),
+        extents=dict(sorted(extents.items())),
         stats=KernelStats(
             instructions=len(program.instructions), steps=len(steps)
         ),

@@ -1,4 +1,4 @@
-"""Compiled-program cache with relocation.
+"""Compiled-program cache.
 
 Every ``(N, C1)`` slice of a pooling workload lowers to the *same* tile
 program, and so does every output-row window with the same tile-local
@@ -11,18 +11,20 @@ lowering depends on (implementation ``describe()``, tile-local
 geometry, dtype, chip-config fingerprint, full-image extents), and
 memoizes the per-program execution *summary* (cycle total plus the
 statically-derived trace).  Because the simulator's cost model is
-data-independent, relocated copies of a program are cycle-identical, so
-one summary stands in for every slice and row window.  The lowering
-stage (:func:`repro.plan.planner.lower`) builds one program per
-tile-local geometry at row 0 of slice 0, emits
-:meth:`repro.isa.program.Program.relocate` clones per ``(slice, tile)``,
-and hands the shared summaries to the chip so repeated tiles skip
-per-instruction accounting -- the enabling layer for the cycles-only
-analytic mode (``execute="cycles"``) that the benchmark figures run on.
+data-independent, one summary stands in for every slice and row window.
+The lowering stage (:func:`repro.plan.planner.lower`) builds one
+program per tile-local geometry at row 0 of slice 0 and hands the chip
+that one program per ``(slice, tile)`` together with the tile's
+global-memory deltas, which the core applies as views at run time
+(:meth:`repro.sim.aicore.AICore.view`); the shared summaries let
+repeated tiles skip per-instruction accounting -- the enabling layer
+for the cycles-only analytic mode (``execute="cycles"``) that the
+benchmark figures run on.
 
 This mirrors how implicit-GEMM stacks amortize im2col setup across
 invocations (the indirection buffer of the Indirect Convolution
-Algorithm is built once and reused; only the data pass re-runs).
+Algorithm is built once and reused; only a base pointer moves per
+call).
 
 Thread safety
 -------------
@@ -72,7 +74,7 @@ def plan_key(plan, geom: Hashable, config: ChipConfig) -> ProgramKey:
     ``max_repeat``) and the cost model the summary depends on.  Where
     the tile sits is deliberately *absent*: neither the slice index nor
     the global row window is in the key, since the program is built at
-    row 0 of slice 0 and relocated onto every ``(slice, tile)``.  So is
+    row 0 of slice 0 and run at every ``(slice, tile)`` by deltas.  So is
     the timing model: a tile program is a function of geometry alone,
     so one entry holds one program (and one compiled kernel) for every
     model, and :class:`_Entry` memoizes summaries per model.
@@ -138,11 +140,10 @@ class _Entry:
         self.summaries: dict[tuple[str, bool], RunResult] = {}
         #: Memoized :class:`~repro.sim.compile.CompiledKernel` for this
         #: program (``None`` until the first ``execute="jit"`` run).
-        #: One kernel serves every relocated clone -- relocation deltas
-        #: are derived per call from the clone's anchored global-memory
-        #: operands -- and every timing model, so unlike summaries the
-        #: kernel is keyed only by the position- and model-independent
-        #: :func:`plan_key`.
+        #: One kernel serves every tile of the program -- the core
+        #: applies each tile's deltas as views -- and every timing
+        #: model, so unlike summaries the kernel is keyed only by the
+        #: position- and model-independent :func:`plan_key`.
         self.kernel = None
 
 
@@ -244,7 +245,7 @@ class ProgramCache:
         """The memoized execution summary of ``program`` under ``model``.
 
         Computed statically (the cost model is data-independent) and
-        shared by every relocated clone: ``cycles`` equals what numeric
+        shared by every tile of the program: ``cycles`` equals what numeric
         execution would report, and ``trace`` is the full
         per-instruction timed trace.  With ``collect_trace=False`` an
         empty-trace variant is returned (and separately memoized) so
@@ -282,13 +283,11 @@ class ProgramCache:
                 entry.summaries[memo] = cached
             return cached
 
-    def compiled(
-        self, key: ProgramKey, program: Program, config: ChipConfig
-    ):
+    def compiled(self, key: ProgramKey, program: Program):
         """The memoized :class:`~repro.sim.compile.CompiledKernel` of
         ``program``, compiling on first use.
 
-        Shared by every relocated clone, exactly like :meth:`summary`
+        Shared by every tile of the program, exactly like :meth:`summary`
         (and with the same eviction/alias re-adoption fallback).  Hits
         and misses are counted separately from summary traffic in
         :attr:`CacheStats.jit_hits` / :attr:`CacheStats.jit_misses`.
@@ -310,7 +309,7 @@ class ProgramCache:
                 self._insert(key, entry)
             if entry.kernel is None:
                 self.stats.jit_misses += 1
-                entry.kernel = compile_program(program, config)
+                entry.kernel = compile_program(program)
             else:
                 self.stats.jit_hits += 1
             return entry.kernel

@@ -549,14 +549,16 @@ class Sanitizer:
                 self._check_init(idx, instr, acc, itemsize)
         else:
             # Global memory: no allocator regions to honour, but the
-            # operand must stay inside the tensor.
+            # operand must stay inside the tensor.  The view starts at
+            # the tile's delta; the report names tensor positions.
             arr = core.view(acc.buffer)
             if acc.start < 0 or acc.stop > arr.size:
+                d = core.delta(acc.buffer)
                 self._violate(
                     "bounds", idx, instr, acc.operand, acc.buffer,
-                    arr.dtype.itemsize, acc.start, acc.stop,
+                    arr.dtype.itemsize, acc.start + d, acc.stop + d,
                     f"operand escapes global tensor of "
-                    f"{arr.size * arr.dtype.itemsize} bytes",
+                    f"{(arr.size + d) * arr.dtype.itemsize} bytes",
                 )
 
     def _check_bounds(

@@ -22,7 +22,7 @@ timing model a first-class, *pluggable* subsystem:
 
 Both models are *data-independent* (like the cost model itself), so a
 schedule is a pure function of the instruction stream and can be
-memoized by the program cache and shared across relocated clones.
+memoized by the program cache and shared by every tile it runs.
 
 Invariant (held by construction, checked by the fuzz harness): the
 pipelined makespan never exceeds the serial one.  Every issue-time
@@ -92,7 +92,7 @@ class Schedule:
 
         Record order is program order; ``issue_at``/``retire_at`` carry
         the schedule.  Data-independent, so one trace stands in for
-        every relocated clone of a tile program.
+        every tile a cached tile program runs.
         """
         return Trace(
             [

@@ -82,8 +82,8 @@ class Trace:
         simulator's costs are data-independent -- so the trace of a
         program is a pure function of the instruction stream.  The
         cycles-only execution mode and the program cache exploit this:
-        one statically-derived trace stands in for every relocated copy
-        of a tile program, skipping per-instruction record allocation.
+        one statically-derived trace stands in for every tile a cached
+        program runs, skipping per-instruction record allocation.
         """
         return cls(
             [

@@ -111,10 +111,6 @@ def _values():
     return _samples() + [d, d.ref, Region("UB", 0, 128), Mask.full()]
 
 
-def _relocatable():
-    return [v for v in _values() if not isinstance(v, (Region, Mask))]
-
-
 def _name(value):
     return type(value).__name__
 
@@ -137,13 +133,3 @@ class TestSlottedValues:
             assert type(twin) is type(value)
             assert twin == value
             assert not hasattr(twin, "__dict__")
-
-    @pytest.mark.parametrize("value", _relocatable(), ids=_name)
-    def test_relocate_round_trip(self, value):
-        buffers = ("UB", "L1", "x", "L0A", "L0B", "L0C")
-        assert value.relocate({}) is value
-        moved = value.relocate({b: 32 for b in buffers})
-        assert type(moved) is type(value)
-        assert moved != value
-        assert not hasattr(moved, "__dict__")
-        assert moved.relocate({b: -32 for b in buffers}) == value

@@ -42,11 +42,41 @@ from repro.plan import (
     plan_default,
     resolve_plan,
 )
+from repro.isa.operand import MemRef
 from repro.plan.planner import _heuristic_chunk
 from repro.sim import AICore, ProgramCache, compile_program
 from repro.workloads import make_gradient, make_input
 
 SPEC = PoolSpec(kh=3, kw=3, sh=2, sw=2)
+
+
+def _shift(operand, delta: int):
+    if isinstance(operand, MemRef):
+        return replace(operand, offset=operand.offset + delta)
+    return replace(operand, ref=_shift(operand.ref, delta))
+
+
+def addressed(program, deltas):
+    """``program``'s instructions with every global-memory operand
+    moved by its tensor's delta: what the program addresses when a
+    core runs it at ``deltas``."""
+    return [
+        replace(ins, **{
+            name: _shift(v, deltas[v.buffer])
+            for name, v, _ in ins.operands() if deltas.get(v.buffer)
+        })
+        for ins in program.instructions
+    ]
+
+
+def work_items(lowering):
+    """``(program, instructions addressed, deltas)`` per tile, flat."""
+    flat = [prog for group in lowering.groups for prog in group]
+    deltas = (
+        [d for group in lowering.deltas for d in group]
+        if lowering.deltas is not None else [{}] * len(flat)
+    )
+    return [(p, addressed(p, d), d) for p, d in zip(flat, deltas)]
 
 
 def fwd_plan(execute: str = "numeric") -> ExecutionPlan:
@@ -285,15 +315,12 @@ class TestDefaultPlanEquivalence:
 
 
 class TestCachedLoweringMatchesUncached:
-    """Relocated cache clones equal fresh per-slice builds, instruction
-    by instruction: each tile's global-memory windows and the per-slice
-    relocation deltas describe the same layout."""
+    """Cached base programs run at their deltas address what fresh
+    per-slice builds address, instruction by instruction: each tile's
+    global-memory windows and the per-tile deltas describe the same
+    layout."""
 
     SPEC = PoolSpec(kh=3, kw=3, sh=2, sw=2, pt=1, pb=1, pl=0, pr=1)
-
-    @staticmethod
-    def flat(lowering):
-        return [prog for group in lowering.groups for prog in group]
 
     @pytest.mark.parametrize(
         "kind, name, op, with_mask",
@@ -309,19 +336,21 @@ class TestCachedLoweringMatchesUncached:
             kind, impl, self.SPEC, FLOAT16, 2, 2, 23, 19, ASCEND910,
         )
         assert len(plan.tiles) > 1  # row-chunked
-        uncached = self.flat(lower(plan, ASCEND910, cache=None))
-        cached = self.flat(lower(plan, ASCEND910, cache=ProgramCache()))
-        assert [p.name for p in cached] == [p.name for p in uncached]
-        assert [p.instructions for p in cached] == [
-            p.instructions for p in uncached
+        uncached = work_items(lower(plan, ASCEND910, cache=None))
+        cached = work_items(lower(plan, ASCEND910, cache=ProgramCache()))
+        assert [p.name for p, _, _ in cached] == [
+            p.name for p, _, _ in uncached
+        ]
+        assert [ins for _, ins, _ in cached] == [
+            ins for _, ins, _ in uncached
         ]
 
 
 class TestRowRelocation:
     """A cached tile program is built once per tile-local geometry, at
-    row 0 of slice 0, and relocated onto every ``(slice, tile)``: the
-    clones equal fresh builds at their true positions, and run to the
-    same outputs and cycles."""
+    row 0 of slice 0, and run at every ``(slice, tile)`` by its deltas:
+    what it addresses there equals a fresh build at the true position,
+    and it runs to the same outputs and cycles."""
 
     SPEC = PoolSpec(kh=3, kw=3, sh=2, sw=2, pt=1, pb=1, pl=0, pr=1)
     IH, IW, CHUNK = 25, 19, 3  # 13 output rows: padded ends, a tail
@@ -358,20 +387,24 @@ class TestRowRelocation:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_clones_equal_fresh_builds(self, case):
+        """Each ``(slice, tile)`` work item -- the one base program of
+        its geometry plus its deltas -- addresses what a fresh build at
+        the true position addresses."""
         plan = self.plan(case)
         tiles = plan.tiles
         assert tiles[0].params.pt and tiles[-1].params.pb
         assert tiles[-1].out_rows < self.CHUNK  # a tail tile
         assert len({g.params for g in tiles}) < len(tiles)
-        cached = [
-            p for g in lower(plan, ASCEND910, cache=ProgramCache()).groups
-            for p in g
-        ]
-        fresh = [p for g in lower(plan, ASCEND910).groups for p in g]
+        cached = work_items(lower(plan, ASCEND910, cache=ProgramCache()))
+        fresh = work_items(lower(plan, ASCEND910))
         assert len(cached) == len(fresh) == len(tiles) * plan.num_slices
-        for got, want in zip(cached, fresh):
+        # one program object per tile-local geometry, no per-tile clone
+        assert len({id(p) for p, _, _ in cached}) == len(
+            {g.params for g in tiles}
+        )
+        for (got, got_ins, _), (want, want_ins, _) in zip(cached, fresh):
             assert got.name == want.name
-            assert got.instructions == want.instructions
+            assert got_ins == want_ins
             assert got.scalar_loop_trips == want.scalar_loop_trips
             assert got.allocations == want.allocations
 
@@ -434,7 +467,7 @@ class TestRowRelocation:
         core = AICore(ASCEND910)
         with pytest.raises(SimulationError, match="summary mismatch"):
             core.run(progs[b], None, execute="cycles", summary=sums[a])
-        kernel = compile_program(progs[a], ASCEND910)
+        kernel = compile_program(progs[a])
         with pytest.raises(SimulationError, match="kernel mismatch"):
             kernel(core, progs[b])
 

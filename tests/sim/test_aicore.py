@@ -127,19 +127,6 @@ class TestSummaryGuard:
         with pytest.raises(SimulationError, match="summary"):
             core.run(prog, gm, execute="cycles", summary=summary)
 
-    def test_relocated_slice_names_are_canonical(self, core, gm):
-        """A summary computed from slice 0's program must be accepted
-        for the relocated clone of slice 3 (same tile geometry)."""
-        from repro.sim import summarize
-
-        d = core.alloc("UB", 128)
-        prog = Program("maxpool-s0-t0")
-        prog.emit(VectorDup(VectorOperand(d), 1.5, Mask.full(), 1))
-        summary = summarize(prog, ASCEND910)
-        clone = prog.relocate({}, name="maxpool-s3-t0")
-        res = core.run(clone, gm, execute="cycles", summary=summary)
-        assert res is summary
-
 
 class TestLaneUtilizationGuard:
     """``RunResult.vector_lane_utilization`` must refuse to answer for
@@ -167,8 +154,7 @@ class TestLaneUtilizationGuard:
 
 class TestSummaryGuardAcrossModels:
     """The summary-mismatch guard is model-independent: both timing
-    models reject a summary built for a different program, and both
-    accept the canonicalised relocated-slice name."""
+    models reject a summary built for a different program."""
 
     @pytest.mark.parametrize("model", ["serial", "pipelined"])
     def test_mismatch_rejected(self, core, gm, model):
@@ -186,29 +172,16 @@ class TestSummaryGuardAcrossModels:
                      model=model)
 
     @pytest.mark.parametrize("model", ["serial", "pipelined"])
-    def test_canonical_slice_name_accepted(self, core, gm, model):
-        from repro.sim import summarize
-
-        d = core.alloc("UB", 128)
-        prog = Program("pool-s0-t2")
-        prog.emit(VectorDup(VectorOperand(d), 1.5, Mask.full(), 1))
-        summary = summarize(prog, ASCEND910, model=model)
-        clone = prog.relocate({}, name="pool-s7-t2")
-        res = core.run(clone, gm, execute="cycles", summary=summary,
-                       model=model)
-        assert res is summary
-
-    @pytest.mark.parametrize("model", ["serial", "pipelined"])
     def test_different_tile_slot_rejected(self, core, gm, model):
-        """Only the slice token is canonicalised; a different tile index
-        is a different program."""
+        """Names compare plainly: a different tile token is a different
+        program."""
         from repro.sim import summarize
 
         d = core.alloc("UB", 128)
-        prog = Program("pool-s0-t2")
+        prog = Program("pool-t2")
         prog.emit(VectorDup(VectorOperand(d), 1.5, Mask.full(), 1))
         summary = summarize(prog, ASCEND910, model=model)
-        other = Program("pool-s0-t3")
+        other = Program("pool-t3")
         other.emit(VectorDup(VectorOperand(d), 1.5, Mask.full(), 1))
         with pytest.raises(SimulationError, match="summary"):
             core.run(other, gm, execute="cycles", summary=summary,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ASCEND910, BufferSpec
 from repro.dtypes import FLOAT16
-from repro.errors import CapacityError
+from repro.errors import CapacityError, IsaError
 from repro.sim import Allocator, ScratchBuffer
 
 
@@ -59,6 +59,49 @@ class TestLazyStorage:
         lazy.poison(-20000.0)
         eager.poison(-20000.0)
         assert lazy.data.tobytes() == eager.data.tobytes()
+
+
+class TestExtents:
+    """``reserve`` grows a zero-filled store only as far as asked; a
+    grown store keeps its prefix, and the full-capacity accessors still
+    cover the whole capacity."""
+
+    def test_reserve_grows_only_to_the_extent(self):
+        buf = ScratchBuffer(BufferSpec("UB", 1 << 18), FLOAT16)
+        store = buf.reserve(100)
+        assert buf.allocated and buf.extent == store.size == 100
+        assert not store.any() and store.dtype == np.float16
+        assert buf.reserve(40) is store  # no shrink, no copy
+
+    def test_growth_keeps_prefix_and_zeros_the_rest(self):
+        buf = ScratchBuffer(BufferSpec("UB", 2048), FLOAT16)
+        buf.reserve(16)[:] = 3
+        grown = buf.reserve(64)
+        assert buf.extent == 64
+        assert (grown[:16] == 3).all() and not grown[16:].any()
+
+    def test_extent_past_capacity_raises(self):
+        buf = ScratchBuffer(BufferSpec("UB", 64), FLOAT16)  # 32 elements
+        buf.reserve(32)
+        with pytest.raises(IsaError, match="capacity 32"):
+            buf.reserve(33)
+        assert buf.extent == 32
+
+    def test_data_poison_and_clear_cover_full_capacity(self):
+        buf = ScratchBuffer(BufferSpec("UB", 256), FLOAT16)
+        buf.reserve(8)[:] = 1
+        assert buf.data.size == buf.capacity_elems == 128
+        assert (buf.data[:8] == 1).all() and not buf.data[8:].any()
+        partial = ScratchBuffer(BufferSpec("UB", 256), FLOAT16)
+        partial.reserve(8)
+        partial.poison(-20000.0)
+        assert partial.extent == 128 and (partial.data == -20000.0).all()
+        partial.clear()
+        assert partial.extent == 128 and not partial.data.any()
+        cleared = ScratchBuffer(BufferSpec("UB", 256), FLOAT16)
+        cleared.reserve(8)[:] = 5
+        cleared.clear()
+        assert cleared.data.size == 128 and not cleared.data.any()
 
 
 class TestAllocator:

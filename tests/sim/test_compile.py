@@ -4,9 +4,11 @@ Covers the compilation contract at every layer:
 
 * hand-built programs run through a :class:`CompiledKernel` must be
   **bit-identical** to the per-instruction interpreter;
-* one kernel serves every :meth:`~repro.isa.program.Program.relocate`
-  clone of its template (relocation deltas read off the clone's
-  anchored global-memory operands);
+* one kernel serves every tile of its program: the core serves each
+  global-memory tensor as a view from the tile's delta on, and an
+  escape names the tensor's absolute indices;
+* a kernel reserves only the scratch-pad extent its steps address,
+  and a core's store keeps what earlier tiles wrote;
 * every shipped instruction class compiles bit-identically, and an
   instruction without ``compile()`` raises
   :class:`~repro.errors.CompileError` naming its opcode (there is no
@@ -210,7 +212,7 @@ class TestBitIdentity:
 class TestFusion:
     def test_stats_shape(self):
         p = _sample_program()
-        s = compile_program(p, CFG).stats
+        s = compile_program(p).stats
         assert s.instructions == len(p)
         assert 1 <= s.steps <= len(p)
 
@@ -223,7 +225,7 @@ class TestFusion:
                     MemRef("UB", r * 64, 64, DT),
                 )
             )
-        kernel = compile_program(p, CFG)
+        kernel = compile_program(p)
         assert kernel.stats.steps == 1
         assert kernel.stats.instructions == 8
 
@@ -231,7 +233,7 @@ class TestFusion:
         p = Program("dups-s0-t0")
         for r in range(4):
             p.emit(VectorDup(_vop("UB", r * 128), 0.5, Mask.full()))
-        assert compile_program(p, CFG).stats.steps == 1
+        assert compile_program(p).stats.steps == 1
 
     def test_overlapping_copies_do_not_fuse(self):
         p = Program("overlap-s0-t0")
@@ -244,7 +246,7 @@ class TestFusion:
                     MemRef("UB", r * 32, 64, DT),
                 )
             )
-        kernel = compile_program(p, CFG)
+        kernel = compile_program(p)
         assert kernel.stats.steps == 4
         p.emit(DataMove(MemRef("UB", 0, 160, DT), MemRef("out", 0, 160, DT)))
         _, _, ref_gm, jit_gm = _run_both(p)
@@ -264,39 +266,124 @@ class TestFusion:
 
 
 # ---------------------------------------------------------------------------
-# Relocation survival.
+# Relocation by deltas: one kernel runs its program at any tile.
 # ---------------------------------------------------------------------------
 
 class TestRelocation:
     def test_one_kernel_serves_relocated_clones(self):
+        """One kernel runs its program at every delta bit-identically
+        to the interpreter at the same delta."""
         template = _sample_program()
-        kernel = compile_program(template, CFG)
+        kernel = compile_program(template)
         for delta in (0, 512, 1024):
-            clone = template.relocate(
-                {"x": delta, "out": delta},
-                name=f"sample-s{delta // 512}-t0",
-            )
+            deltas = {"x": delta, "out": delta}
             ref_gm, jit_gm = _gm(seed=7), _gm(seed=7)
-            AICore(CFG, DT).run(clone, ref_gm)
+            AICore(CFG, DT).run(template, ref_gm, deltas=deltas)
             AICore(CFG, DT).run(
-                clone, jit_gm, execute="jit", compiled=kernel
+                template, jit_gm, execute="jit", compiled=kernel,
+                deltas=deltas,
             )
             assert np.array_equal(ref_gm.view("out"), jit_gm.view("out"))
-
-    def test_deltas_read_off_clone(self):
-        template = _sample_program()
-        kernel = compile_program(template, CFG)
-        clone = template.relocate({"x": 256, "out": 640})
-        assert kernel.deltas(clone) == {"x": 256, "out": 640}
-        assert kernel.deltas(template) == {}
+            assert ref_gm.view("out")[delta + 64 : delta + 320].any()
 
     def test_out_of_range_delta_raises(self):
         template = _sample_program()
-        kernel = compile_program(template, CFG)
-        clone = template.relocate({"out": 4096})  # escapes out's 4096
+        kernel = compile_program(template)
         gm = _gm()
         with pytest.raises(IsaError, match="escape"):
-            AICore(CFG, DT).run(clone, gm, execute="jit", compiled=kernel)
+            AICore(CFG, DT).run(
+                template, gm, execute="jit", compiled=kernel,
+                deltas={"out": 4096},  # escapes out's 4096
+            )
+
+
+# ---------------------------------------------------------------------------
+# Scratch-pad extents: a kernel reserves only what its steps address.
+# ---------------------------------------------------------------------------
+
+def _ub_program(name: str, n: int) -> Program:
+    """Load ``n`` elements of ``x`` into ``UB`` and store them back to
+    ``out``: a kernel whose ``UB`` extent is exactly ``n``."""
+    p = Program(name)
+    p.emit(DataMove(MemRef("x", 0, n, DT), MemRef("UB", 0, n, DT)))
+    p.emit(DataMove(MemRef("UB", 0, n, DT), MemRef("out", 0, n, DT)))
+    return p
+
+
+class TestExtents:
+    def test_kernel_extent_is_the_highest_addressed_element(self):
+        kernel = compile_program(_sample_program())
+        # UB is addressed up to VADDS's dst, [1536, 1792).
+        assert kernel.extents == {"UB": 1792, "out": None, "x": None}
+
+    def test_fresh_chip_stores_total_kernel_extents(self, monkeypatch):
+        """A fresh JIT chip grows only the scratch-pads its kernels
+        address, and only to their extents -- not to capacity."""
+        import repro.plan.planner as planner
+        from repro.ops import PoolSpec
+        from repro.ops.registry import forward_impl
+        from repro.plan import dispatch, lower, plan_default
+        from repro.sim import ProgramCache
+        from repro.workloads import make_input
+
+        chips = []
+
+        class Recording(Chip):
+            def __post_init__(self):
+                super().__post_init__()
+                chips.append(self)
+
+        monkeypatch.setattr(planner, "Chip", Recording)
+        x = make_input(16, 16, 32, n=1, seed=0)
+        plan = plan_default(
+            "fwd", forward_impl("im2col", "max", True), PoolSpec.square(3, 2),
+            DT, *x.shape[:4], SMALL, execute="jit",
+        )
+        low = lower(plan, SMALL, cache=ProgramCache())
+        dispatch(plan, low, SMALL, x=x)
+        (chip,) = chips
+        kernels = [k for group in low.kernels for k in group]
+        reach = {
+            name: max(k.extents.get(name) or 0 for k in kernels)
+            for name in SCRATCH_PADS
+        }
+        assert reach["UB"] > 0
+        for core in chip.cores:
+            for name, buf in core.buffers.items():
+                assert buf.extent <= reach[name]
+                assert reach[name] < buf.capacity_elems
+        stored = sum(
+            b.extent for core in chip.cores for b in core.buffers.values()
+        )
+        assert stored <= len(chip.cores) * sum(reach.values())
+
+    def test_larger_extent_keeps_earlier_writes(self):
+        """On a 1-core chip a second tile with a larger extent reads
+        the first tile's writes, and zeros past them."""
+        small, large = _ub_program("small", 64), Program("large")
+        # The second tile only stores UB out: it reads what is there.
+        large.emit(
+            DataMove(MemRef("UB", 0, 256, DT), MemRef("out", 0, 256, DT))
+        )
+        kernels = [compile_program(small), compile_program(large)]
+        gm = _gm(seed=2)
+        chip = Chip(ChipConfig(num_cores=1), DT)
+        chip.run_tile_groups(
+            [[small, large]], gm, execute="jit", compiled=[kernels],
+        )
+        out = gm.view("out")
+        assert np.array_equal(out[:64], gm.view("x")[:64])
+        assert not out[64:256].any()
+        assert chip.cores[0].buffers["UB"].extent == 256
+
+    def test_extent_past_capacity_raises(self):
+        cap = CFG.buffer_specs()["UB"].capacity_bytes // DT.itemsize
+        program = Program("huge")
+        program.emit(VectorDup(_vop("UB", cap - 64), 1.0, Mask.full()))
+        with pytest.raises(IsaError):
+            AICore(CFG, DT).run(program, _gm(), execute="jit")
+        with pytest.raises(IsaError):
+            AICore(CFG, DT).run(program, _gm())
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +444,7 @@ class TestUncompilable:
 
     def test_compile_program_names_the_opcode(self):
         with pytest.raises(CompileError, match="_opaque"):
-            compile_program(_opaque_program(), CFG)
+            compile_program(_opaque_program())
 
     def test_jit_run_names_the_opcode(self):
         core, gm = AICore(CFG, DT), _gm()
@@ -393,7 +480,7 @@ class TestGuards:
 
     def test_compiled_requires_jit_mode(self):
         core = AICore(CFG, DT)
-        kernel = compile_program(_sample_program(), CFG)
+        kernel = compile_program(_sample_program())
         with pytest.raises(SimulationError, match="execute='jit'"):
             core.run(_sample_program(), _gm(), compiled=kernel)
 
@@ -445,13 +532,13 @@ class TestGuards:
 
     def test_chip_rejects_compiled_without_jit(self):
         chip = Chip(SMALL, DT)
-        kernel = compile_program(_sample_program(), CFG)
+        kernel = compile_program(_sample_program())
         with pytest.raises(SimulationError, match="execute='jit'"):
             chip.run_tiles([_sample_program()], _gm(), compiled=[kernel])
 
     def test_chip_rejects_mismatched_kernel_count(self):
         chip = Chip(SMALL, DT)
-        kernel = compile_program(_sample_program(), CFG)
+        kernel = compile_program(_sample_program())
         with pytest.raises(SimulationError, match="compiled"):
             chip.run_tiles(
                 [_sample_program()], _gm(), execute="jit",
@@ -459,7 +546,7 @@ class TestGuards:
             )
 
     def test_kernel_rejects_wrong_program(self):
-        kernel = compile_program(_sample_program(), CFG)
+        kernel = compile_program(_sample_program())
         other = Program("other-s0-t0")
         other.emit(
             DataMove(MemRef("x", 0, 32, DT), MemRef("UB", 0, 32, DT))
@@ -470,18 +557,11 @@ class TestGuards:
 
     def test_kernel_rejects_same_length_different_name(self):
         p = _sample_program()
-        kernel = compile_program(p, CFG)
+        kernel = compile_program(p)
         renamed = Program("imposter-s0-t0", list(p.instructions))
         core = AICore(CFG, DT)
         with pytest.raises(SimulationError, match="mismatch"):
             core.run(renamed, _gm(), execute="jit", compiled=kernel)
-
-    def test_slice_clones_share_canonical_name(self):
-        p = _sample_program()
-        kernel = compile_program(p, CFG)
-        clone = p.relocate({"x": 0}, name="sample-s9-t0")
-        core = AICore(CFG, DT)
-        core.run(clone, _gm(), execute="jit", compiled=kernel)  # no raise
 
 
 # ---------------------------------------------------------------------------
@@ -490,31 +570,25 @@ class TestGuards:
 
 class TestChipDispatch:
     def test_run_tiles_jit_matches_numeric(self):
-        progs = [
-            _sample_program().relocate(
-                {"x": 512 * s, "out": 512 * s}, name=f"sample-s{s}-t0"
-            )
-            for s in range(4)
-        ]
+        progs = [_sample_program()] * 4
+        deltas = [{"x": 512 * s, "out": 512 * s} for s in range(4)]
         ref_gm, jit_gm = _gm(seed=11), _gm(seed=11)
-        ref = Chip(SMALL, DT).run_tiles(list(progs), ref_gm)
-        jit = Chip(SMALL, DT).run_tiles(list(progs), jit_gm, execute="jit")
+        ref = Chip(SMALL, DT).run_tiles(progs, ref_gm, deltas=deltas)
+        jit = Chip(SMALL, DT).run_tiles(
+            progs, jit_gm, execute="jit", deltas=deltas
+        )
         assert np.array_equal(ref_gm.view("out"), jit_gm.view("out"))
         assert ref.cycles == jit.cycles
         assert ref.total_work_cycles == jit.total_work_cycles
 
     def test_run_tiles_accepts_precompiled_kernels(self):
         template = _sample_program()
-        kernel = compile_program(template, CFG)
-        progs = [
-            template.relocate(
-                {"x": 512 * s, "out": 512 * s}, name=f"sample-s{s}-t0"
-            )
-            for s in range(3)
-        ]
+        kernel = compile_program(template)
+        deltas = [{"x": 512 * s, "out": 512 * s} for s in range(3)]
         ref_gm, jit_gm = _gm(seed=13), _gm(seed=13)
-        Chip(SMALL, DT).run_tiles(list(progs), ref_gm)
+        Chip(SMALL, DT).run_tiles([template] * 3, ref_gm, deltas=deltas)
         Chip(SMALL, DT).run_tiles(
-            list(progs), jit_gm, execute="jit", compiled=[kernel] * 3
+            [template] * 3, jit_gm, execute="jit", compiled=[kernel] * 3,
+            deltas=deltas,
         )
         assert np.array_equal(ref_gm.view("out"), jit_gm.view("out"))

@@ -1,10 +1,11 @@
-"""Program cache, relocation, and cycles-only execution mode.
+"""Program cache, delta dispatch, and cycles-only execution mode.
 
-Covers the three layers of the compiled-program cache:
+Covers the layers of the compiled-program cache:
 
-* operand/instruction/program relocation (``isa``),
 * the :class:`repro.sim.progcache.ProgramCache` itself,
-* the operator drivers' cached + relocated fast path, which must be
+* running one cached base program at any ``(slice, tile)`` through
+  its global-memory deltas, in the interpreter and the JIT,
+* the operator drivers' cached fast path, which must be
   **bit-identical** to the uncached per-tile lowering -- outputs, masks,
   gradients *and* cycle counts -- for every implementation, including
   padded and row-chunked geometries.
@@ -17,7 +18,7 @@ import pytest
 
 from repro.config import ASCEND910, ASCEND910_SINGLE_CORE, ChipConfig
 from repro.dtypes import FLOAT16
-from repro.errors import CompileError
+from repro.errors import CompileError, IsaError
 from repro.isa.mask import Mask
 from repro.isa.operand import MemRef, VectorOperand
 from repro.isa.program import Program
@@ -33,6 +34,7 @@ from repro.sim import (
     AICore,
     GlobalMemory,
     ProgramCache,
+    compile_program,
     plan_key,
 )
 from repro.workloads import make_gradient, make_input
@@ -42,102 +44,130 @@ SMALL = ChipConfig(num_cores=4)
 
 
 # ---------------------------------------------------------------------------
-# Relocation primitives.
+# Delta dispatch: one base program run at a tile's global-memory deltas.
 # ---------------------------------------------------------------------------
 
-class TestMemRefRelocate:
-    def test_shifts_offset(self):
-        ref = MemRef("x", 100, 64, DT)
-        moved = ref.relocate({"x": 256})
-        assert moved.offset == 356
-        assert moved.size == 64 and moved.buffer == "x"
-
-    def test_unlisted_buffer_is_shared(self):
-        ref = MemRef("UB", 100, 64, DT)
-        assert ref.relocate({"x": 256}) is ref
-
-    def test_zero_delta_is_shared(self):
-        ref = MemRef("x", 100, 64, DT)
-        assert ref.relocate({"x": 0}) is ref
-
-    def test_vector_operand(self):
-        op = VectorOperand(MemRef("out", 8, 128, DT), blk_stride=2)
-        moved = op.relocate({"out": 64})
-        assert moved.ref.offset == 72
-        assert moved.blk_stride == 2
-        assert op.relocate({"grad": 4}) is op
+def test_instruction_buffers():
+    mv = DataMove(MemRef("x", 0, 32, DT), MemRef("UB", 16, 32, DT))
+    assert mv.buffers() == frozenset({"x", "UB"})
 
 
-class TestInstructionRelocate:
-    def test_gm_operand_rebased_scratch_shared(self):
-        mv = DataMove(MemRef("x", 0, 32, DT), MemRef("UB", 16, 32, DT))
-        moved = mv.relocate({"x": 96})
-        assert moved.src.offset == 96
-        assert moved.dst is mv.dst  # scratch-pad operand untouched
-        assert mv.src.offset == 0  # original untouched
-
-    def test_identity_when_untouched(self):
-        v = VMAX(
-            VectorOperand(MemRef("UB", 0, 128, DT)),
-            VectorOperand(MemRef("UB", 128, 128, DT)),
-            VectorOperand(MemRef("UB", 256, 128, DT)),
-            Mask.full(),
+def _tile(x_off: int = 0, out_off: int = 0, accumulate=False) -> Program:
+    """DMA a 64-element window of ``x`` in, max it pairwise, DMA (or
+    accumulate) 32 elements out; the offsets place the window."""
+    p = Program("pool-t0")
+    p.emit(DataMove(MemRef("x", x_off, 64, DT), MemRef("UB", 0, 64, DT)))
+    p.emit(
+        VMAX(
+            VectorOperand(MemRef("UB", 64, 32, DT), rep_stride=0),
+            VectorOperand(MemRef("UB", 0, 32, DT), rep_stride=0),
+            VectorOperand(MemRef("UB", 32, 32, DT), rep_stride=0),
+            Mask.first(32),
         )
-        assert v.relocate({"x": 512}) is v
+    )
+    p.emit(
+        DataMove(
+            MemRef("UB", 64, 32, DT), MemRef("out", out_off, 32, DT),
+            accumulate=accumulate,
+        )
+    )
+    return p
 
-    def test_buffers(self):
-        mv = DataMove(MemRef("x", 0, 32, DT), MemRef("UB", 16, 32, DT))
-        assert mv.buffers() == frozenset({"x", "UB"})
+
+def _gm(seed: int = 0) -> GlobalMemory:
+    gm = GlobalMemory()
+    gm.add(
+        "x",
+        np.random.default_rng(seed).standard_normal(256).astype(np.float16),
+    )
+    gm.zeros("out", 128, DT)
+    return gm
 
 
-class TestProgramRelocate:
-    def _program(self) -> Program:
-        p = Program("maxpool-im2col-s0-t0")
-        p.emit(DataMove(MemRef("x", 64, 32, DT), MemRef("UB", 0, 32, DT)))
-        p.emit(
-            VMAX(
-                VectorOperand(MemRef("UB", 0, 16, DT)),
-                VectorOperand(MemRef("UB", 0, 16, DT)),
-                VectorOperand(MemRef("UB", 16, 16, DT)),
-                Mask.full(),
+class TestDeltaDispatch:
+    """The interpreter and the JIT run one base program at a delta
+    bit-identically to a fresh build at the true position, and a delta
+    that pushes an access past a tensor's end raises
+    :class:`~repro.errors.IsaError` in both."""
+
+    @pytest.mark.parametrize("execute", ["numeric", "jit"])
+    @pytest.mark.parametrize("x_off, out_off", [(0, 0), (64, 32), (192, 96)])
+    def test_base_at_delta_equals_fresh_build(self, execute, x_off, out_off):
+        base, fresh = _tile(), _tile(x_off, out_off)
+        at_delta, built = _gm(), _gm()
+        kernel = compile_program(base) if execute == "jit" else None
+        AICore(ASCEND910).run(
+            base, at_delta, execute=execute, compiled=kernel,
+            deltas={"x": x_off, "out": out_off},
+        )
+        AICore(ASCEND910).run(fresh, built, execute=execute)
+        for name in ("x", "out"):
+            assert (
+                at_delta.view(name).tobytes() == built.view(name).tobytes()
             )
+        assert built.view("out")[out_off:out_off + 32].any()
+
+    def test_interpreter_and_jit_agree_at_every_delta(self):
+        base = _tile()
+        kernel = compile_program(base)
+        outs = []
+        for execute, compiled in (("numeric", None), ("jit", kernel)):
+            gm = _gm(seed=3)
+            core = AICore(ASCEND910)
+            for s in range(4):
+                core.run(
+                    base, gm, execute=execute, compiled=compiled,
+                    deltas={"x": 64 * s, "out": 32 * s},
+                )
+            outs.append(gm.view("out").tobytes())
+        assert outs[0] == outs[1]
+
+    def test_resilient_retry_rolls_back_at_deltas(self):
+        """A tile that crashes after accumulating at its delta is rolled
+        back and retried: the result equals a fault-free run."""
+        from repro.sim import Chip, Crash, FaultPlan, RetryPolicy
+
+        progs = [_tile(accumulate=True)] * 4
+        deltas = [{"x": 64 * s, "out": 32 * s} for s in range(4)]
+        clean, faulty = _gm(seed=4), _gm(seed=4)
+        Chip(SMALL).run_tiles(progs, clean, deltas=deltas)
+        res = Chip(SMALL).run_tiles(
+            progs, faulty, deltas=deltas, retry=RetryPolicy(),
+            faults=FaultPlan((Crash(tile=2, at_instruction=3),)),
         )
-        p.emit(DataMove(MemRef("UB", 0, 32, DT), MemRef("out", 8, 32, DT)))
-        p.scalar_loop_trips = 3
-        return p
+        assert res.resilience.retries == 1
+        assert faulty.view("out").tobytes() == clean.view("out").tobytes()
 
-    def test_rebases_only_gm(self):
-        p = self._program()
-        q = p.relocate({"x": 1000, "out": 500}, name="maxpool-im2col-s7-t0")
-        assert q.name == "maxpool-im2col-s7-t0"
-        assert q.scalar_loop_trips == 3
-        assert q.instructions[0].src.offset == 1064
-        assert q.instructions[2].dst.offset == 508
-        # the vector instruction is the very same object
-        assert q.instructions[1] is p.instructions[1]
-        # original untouched
-        assert p.instructions[0].src.offset == 64
+    @pytest.mark.parametrize("execute", ["numeric", "jit"])
+    def test_delta_past_tensor_end_raises(self, execute):
+        gm = _gm()
+        with pytest.raises(IsaError, match="escape"):
+            AICore(ASCEND910).run(
+                _tile(), gm, execute=execute, deltas={"out": 112},
+            )
+        assert not gm.view("out").any()  # the store never ran
 
-    def test_zero_delta_clone_shares_instructions(self):
-        p = self._program()
-        q = p.relocate({"x": 0}, name="renamed")
-        assert q.name == "renamed"
-        assert all(a is b for a, b in zip(p.instructions, q.instructions))
+    def test_jit_escape_names_absolute_indices(self):
+        """A fused two-row DMA checks one span against the view from
+        the delta on; the error names the tensor's own indices."""
+        rows = Program("rows-t0")
+        for r in range(2):
+            rows.emit(DataMove(
+                MemRef("x", 32 * r, 32, DT), MemRef("UB", 32 * r, 32, DT),
+            ))
+        assert compile_program(rows).stats.steps == 1
+        with pytest.raises(
+            IsaError, match=r"\[224, 287\] escape buffer 'x' of size 256"
+        ):
+            AICore(ASCEND910).run(
+                rows, _gm(), execute="jit", deltas={"x": 224},
+            )
 
-    def test_relocation_plan_is_cached(self):
-        p = self._program()
-        p.relocate({"x": 16, "out": 16})
-        plan = p._reloc_plan[frozenset({"x", "out"})]
-        assert plan == [0, 2]
-        # second relocation reuses the same plan object
-        p.relocate({"x": 32, "out": 32})
-        assert p._reloc_plan[frozenset({"x", "out"})] is plan
+    def test_negative_delta_rejected(self):
+        from repro.errors import SimulationError
 
-    def test_cycles_invariant_under_relocation(self):
-        p = self._program()
-        q = p.relocate({"x": 1000, "out": 500})
-        cost = ASCEND910.cost
-        assert p.static_cycles(cost) == q.static_cycles(cost)
+        with pytest.raises(SimulationError, match="negative"):
+            AICore(ASCEND910).run(_tile(), _gm(), deltas={"x": -64})
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +295,15 @@ class TestInvalidate:
         prog = Program("p")
         prog.emit(DataMove(MemRef("x", 0, 128, DT), MemRef("UB", 0, 128, DT)))
         cache.get_or_build(key, lambda: prog)
-        first = cache.compiled(key, prog, ASCEND910)
-        assert cache.compiled(key, prog, ASCEND910) is first
+        first = cache.compiled(key, prog)
+        assert cache.compiled(key, prog) is first
         assert cache.stats.jit_hits == 1 and cache.stats.jit_misses == 1
         cache.invalidate(key)
-        rebuilt = cache.compiled(key, prog, ASCEND910)
+        rebuilt = cache.compiled(key, prog)
         assert rebuilt is not first
         assert cache.stats.jit_misses == 2
         # re-adopted under the key: a further ask is a hit again
-        assert cache.compiled(key, prog, ASCEND910) is rebuilt
+        assert cache.compiled(key, prog) is rebuilt
         assert cache.stats.jit_hits == 2
 
     def test_invalidate_drops_memoized_summaries(self):
@@ -303,8 +333,8 @@ class TestCompiledMemo:
         cache = ProgramCache()
         key = _key()
         prog = cache.get_or_build(key, self._prog)
-        k1 = cache.compiled(key, prog, ASCEND910)
-        k2 = cache.compiled(key, prog, ASCEND910)
+        k1 = cache.compiled(key, prog)
+        k2 = cache.compiled(key, prog)
         assert k1 is k2
         assert cache.stats.jit_misses == 1
         assert cache.stats.jit_hits == 1
@@ -332,7 +362,7 @@ class TestCompiledMemo:
         cache.get_or_build(key, lambda: prog)
         for _ in range(2):
             with pytest.raises(CompileError, match="opaque"):
-                cache.compiled(key, prog, ASCEND910)
+                cache.compiled(key, prog)
         assert cache.stats.jit_misses == 2
         assert cache.stats.jit_hits == 0
 
@@ -340,9 +370,9 @@ class TestCompiledMemo:
         cache = ProgramCache(maxsize=1)
         prog = cache.get_or_build(_key(0), self._prog)
         cache.get_or_build(_key(1), self._prog)  # evicts _key(0)
-        k1 = cache.compiled(_key(0), prog, ASCEND910)
+        k1 = cache.compiled(_key(0), prog)
         assert cache.stats.summary_fallbacks == 1
-        assert cache.compiled(_key(0), prog, ASCEND910) is k1
+        assert cache.compiled(_key(0), prog) is k1
         assert cache.stats.jit_hits == 1
 
 
@@ -425,7 +455,7 @@ class TestDriverCaching:
         slices = x.shape[0] * x.shape[1]
         assert res.chip.tiles == tiles * slices
         # one miss per tile-local geometry; every other slice and row
-        # window is a relocated clone
+        # window runs that program at its deltas
         geometries = len({g.params for g in res.tiles})
         assert geometries < tiles  # the workload's rows share programs
         assert cache.stats.misses == geometries
@@ -450,7 +480,7 @@ class TestDriverCaching:
                 cache=cache,
             )
             tiles = len(res.tiles)
-            # names are attributable: {impl}-s{slice}-t{rows}p{pt}x{pb}
+            # names are attributable: {impl}-t{rows}p{pt}x{pb}
             # (reconstruct via the chip result's tile count)
             slices = res.chip.tiles // tiles
             assert slices == x.shape[0] * x.shape[1]
@@ -726,7 +756,7 @@ class TestThreadSafety:
                 for rep in range(40):
                     i = (tid + rep) % 5
                     p = cache.get_or_build(_key(i), lambda i=i: prog(i))
-                    kernel = cache.compiled(_key(i), p, ASCEND910)
+                    kernel = cache.compiled(_key(i), p)
                     assert kernel is not None
                     summary = cache.summary(_key(i), p, ASCEND910)
                     assert summary.cycles > 0

@@ -21,7 +21,7 @@ import pytest
 
 from repro.config import ASCEND910, ASCEND910_SINGLE_CORE
 from repro.dtypes import FLOAT16
-from repro.errors import SanitizerError, SimulationError
+from repro.errors import IsaError, SanitizerError, SimulationError
 from repro.isa import (
     DataMove,
     Mask,
@@ -304,6 +304,24 @@ class TestOutOfManifestAccess:
         gm.add("x", np.zeros(128, np.float16))  # [96, 160) escapes
         with pytest.raises(SanitizerError, match="global tensor"):
             run_sanitized(prog, gm)
+
+    def test_gm_escape_at_a_delta_names_tensor_positions(self):
+        """Run at a delta, the escape is reported at the tensor's own
+        element positions and size, not the view's."""
+        prog = Program("gmescape")
+        prog.emit(DataMove(
+            MemRef("x", 32, 64, FLOAT16), MemRef("UB", 0, 64, FLOAT16),
+        ))
+        gm = GlobalMemory()
+        gm.add("x", np.zeros(128, np.float16))  # [96, 160) at delta 64
+        san = Sanitizer(ASCEND910, halt=False)
+        with pytest.raises(IsaError):  # the data pass still escapes
+            AICore(ASCEND910).run(
+                prog, gm, sanitize=san, deltas={"x": 64},
+            )
+        (v,) = san.report.violations
+        assert (v.kind, v.start_byte, v.stop_byte) == ("bounds", 192, 320)
+        assert "global tensor of 256 bytes" in v.message
 
 
 class TestStaleReadRegression:

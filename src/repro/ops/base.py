@@ -346,7 +346,8 @@ def run_forward(
     ``"numeric"`` at a fraction of the dispatch cost.  With a cache,
     one kernel is compiled per tile-local geometry and shared by every
     tile of it (memoized alongside the program, see
-    :meth:`repro.sim.ProgramCache.compiled`).  Incompatible with
+    :meth:`repro.sim.ProgramCache.compiled`), and one kernel call runs
+    a batch of those tiles, at most one per core.  Incompatible with
     ``sanitize=`` and ``faults=``/``retry=``, which instrument the
     interpreter loop the JIT skips.
 

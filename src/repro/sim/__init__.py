@@ -9,7 +9,7 @@
 * :mod:`repro.sim.trace`   -- per-instruction execution traces.
 * :mod:`repro.sim.scheduler` -- pluggable timing models (serial/pipelined).
 * :mod:`repro.sim.compile` -- the NumPy JIT: lowered programs fused
-  into batched kernels that run at any tile's deltas
+  into batched kernels, one call per batch of tiles at their deltas
   (``execute="jit"``).
 * :mod:`repro.sim.progcache` -- compiled-program cache.
 * :mod:`repro.sim.faults`   -- deterministic fault injection + recovery

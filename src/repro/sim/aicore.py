@@ -75,6 +75,14 @@ class RunResult:
         return replace(self, trace=Trace(collected=False))
 
 
+def check_deltas(deltas: Mapping[str, int] | None) -> None:
+    """Refuse a tile's global-memory deltas if any is negative."""
+    if deltas and min(deltas.values()) < 0:
+        raise SimulationError(
+            f"negative global-memory delta in {dict(deltas)}"
+        )
+
+
 def summarize(
     program: Program,
     config: ChipConfig,
@@ -127,17 +135,16 @@ class AICore:
         }
 
     # -- ExecutionContext protocol -------------------------------------
-    def view(self, buffer: str, extent: int | None = None) -> np.ndarray:
+    def view(self, buffer: str) -> np.ndarray:
         """Flat, writable view of ``buffer``.
 
-        A scratch-pad serves its store, grown to ``extent`` elements
-        (the whole capacity when ``None``).  A global-memory tensor is
+        A scratch-pad serves its whole store.  A global-memory tensor is
         served from the running tile's delta onwards, an O(1) NumPy
         view, so one base program runs at any ``(slice, tile)``.
         """
         buf = self.buffers.get(buffer)
         if buf is not None:
-            return buf.data if extent is None else buf.reserve(extent)
+            return buf.data
         if self._gm is None:
             raise SimulationError(
                 f"instruction referenced {buffer!r} but no global memory "
@@ -249,20 +256,20 @@ class AICore:
                 raise SimulationError(
                     "numeric execution requires global memory"
                 )
-            if execute == "jit" and compiled is None:
-                from .compile import compile_program
+            check_deltas(deltas)
+            if execute == "jit":
+                if compiled is None:
+                    from .compile import compile_program
 
-                compiled = compile_program(program)
-            if deltas and min(deltas.values()) < 0:
-                raise SimulationError(
-                    f"negative global-memory delta in {dict(deltas)}"
-                )
+                    compiled = compile_program(program)
+                # A batch of one: the chip batches tiles through the
+                # same call.
+                compiled([self], program, gm, [deltas])
+        if execute == "numeric":
             self._gm = gm
             self._deltas = deltas or {}
             try:
-                if compiled is not None:
-                    compiled(self, program)
-                elif san is not None:
+                if san is not None:
                     san.begin_program(self, program)
                     for idx, instr in enumerate(program):
                         san.run_instruction(self, program, idx, instr)

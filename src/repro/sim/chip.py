@@ -32,7 +32,11 @@ the previous tile's data (and, because :class:`ScratchBuffer` storage
 grows zero-filled, a freshly built chip can mask even that).  Storage
 grows only as far as it is used: cycles mode allocates none, a JIT
 kernel reserves just the extent its steps address, and a grown store
-keeps what earlier tiles wrote.
+keeps what earlier tiles wrote.  Under the JIT, one kernel call runs a
+batch of tiles over ``(tiles, extent)`` stacks of their cores' stores,
+and a batch holds at most one tile per core, so each core's store
+still passes from one of its tiles to the next exactly as per-tile
+runs pass it (see :class:`_Batch`).
 Strict mode (``sanitize=True``) closes the hole: buffers are
 poison-filled at each tile start and the shadow state flags any read of
 freed or never-written elements (see :mod:`repro.sim.sanitizer`).
@@ -54,7 +58,8 @@ from ..config import ChipConfig
 from ..dtypes import FLOAT16, DType
 from ..errors import CoreFailure, DeadlineExceeded, SimulationError
 from ..isa.program import Program
-from .aicore import AICore, RunResult
+from .aicore import AICore, RunResult, check_deltas, summarize
+from .compile import compile_program
 from .faults import (
     CoverageLedger,
     DegradationEvent,
@@ -416,6 +421,70 @@ class _ResilientDispatch:
         )
 
 
+class _Batch:
+    """Consecutive JIT work items that one kernel call runs together.
+
+    A batch shares one program and its kernel and holds at most one tile
+    per core: the kernel stacks one scratch-pad row per tile, and a
+    core's next tile must see what its previous one left there.  A tile
+    joins only where the kernel's global-memory hazards allow it
+    (:meth:`~repro.sim.compile.CompiledKernel.admits`); any other tile
+    first runs the pending batch, and a tile carrying silent bit flips
+    ends its batch, so the flips land right after it.  So after every
+    batch each core's store and global memory hold what per-tile runs
+    in dispatch order would have left.
+    """
+
+    def __init__(self, gm: GlobalMemory | None, model, collect_trace):
+        self.gm = gm
+        self.model = model
+        self.collect_trace = collect_trace
+        #: Kernels compiled here for programs given none, by ``id``.
+        self.own: dict[int, object] = {}
+        self.kernel = self.program = None
+        self.core_ids: list[int] = []
+        self.cores: list[AICore] = []
+        self.deltas: list = []
+
+    def add(
+        self, core_id: int, core: AICore, program: Program, kernel,
+        deltas, summary: RunResult | None, injection: Injection | None,
+    ) -> RunResult:
+        """Queue one tile and return its result (cycles and trace
+        never depend on the data pass)."""
+        if summary is not None:
+            AICore._check_summary(program, summary)
+        check_deltas(deltas)
+        if kernel is None:
+            kernel = self.own.get(id(program))
+            if kernel is None:
+                kernel = self.own[id(program)] = compile_program(program)
+        if self.cores and not (
+            kernel is self.kernel
+            and program is self.program
+            and core_id not in self.core_ids
+            and kernel.admits(self.deltas, deltas)
+        ):
+            self.flush()
+        self.kernel, self.program = kernel, program
+        self.core_ids.append(core_id)
+        self.cores.append(core)
+        self.deltas.append(deltas)
+        if injection is not None:
+            self.flush()
+            apply_silent_flips_to_gm(self.gm, program, injection, deltas)
+        return summary or summarize(
+            program, core.config, model=self.model,
+            collect_trace=self.collect_trace,
+        )
+
+    def flush(self) -> None:
+        """Run the pending tiles, if any."""
+        if self.cores:
+            self.kernel(self.cores, self.program, self.gm, self.deltas)
+            self.core_ids, self.cores, self.deltas = [], [], []
+
+
 @dataclass
 class Chip:
     """``config.num_cores`` AI Cores sharing one global memory."""
@@ -463,14 +532,14 @@ class Chip:
         summary: RunResult | None,
         model,
         sanitizer: "Sanitizer | None" = None,
-        kernel=None,
         injection: Injection | None = None,
         deltas=None,
     ) -> RunResult:
-        # Note: allocators are reset per tile but the scratch-pad
-        # *contents* are deliberately not cleared -- see the module
-        # docstring.  Strict mode poisons them instead.
-        if execute in ("numeric", "jit"):
+        # Note: allocators are reset per tile (the JIT never
+        # allocates) but the scratch-pad *contents* are deliberately
+        # not cleared -- see the module docstring.  Strict mode poisons
+        # them instead.
+        if execute == "numeric":
             core.reset_allocations()
         return core.run(
             prog,
@@ -481,7 +550,6 @@ class Chip:
             model=model,
             injection=injection,
             sanitize=sanitizer,
-            compiled=kernel,
             deltas=deltas,
         )
 
@@ -528,11 +596,15 @@ class Chip:
         report lands in :attr:`ChipRunResult.sanitizer`.  Incompatible
         with ``faults``/``retry`` and ``execute="cycles"``/``"jit"``.
 
-        ``execute="jit"`` runs each tile through its compiled batch
-        kernel (:mod:`repro.sim.compile`); ``compiled`` optionally
+        ``execute="jit"`` runs the tiles through their compiled
+        kernels (:mod:`repro.sim.compile`), one call per batch of
+        consecutive tiles sharing a program and kernel (at most one
+        tile per core; see :class:`_Batch`); ``compiled`` optionally
         supplies one kernel per program (typically shared by every tile
-        of one cached program), mirroring ``summaries``.  Incompatible
-        with ``faults``/``retry`` and ``sanitize``.
+        of one cached program), mirroring ``summaries``, and without it
+        each distinct program is compiled once.  Incompatible with
+        ``faults``/``retry`` (silent-only plans excepted) and
+        ``sanitize``.
 
         ``deltas`` optionally gives each program the global-memory
         deltas its tile runs at (see :meth:`AICore.run`); ``None`` runs
@@ -617,6 +689,7 @@ class Chip:
             else [0] * len(self.cores)
         )
         launch = self.config.cost.tile_launch_cycles
+        batch = _Batch(gm, model, collect_trace) if execute == "jit" else None
         results: list[RunResult] = []
         for gidx, group in enumerate(groups):
             core_id, core = self._dispatch(gidx)
@@ -629,19 +702,25 @@ class Chip:
                         tile, core_id, prog, summary
                     )
                 else:
-                    res = self._run_one(
-                        core, prog, gm, collect_trace, execute, summary,
-                        model,
-                        sanitizers[core_id] if sanitizers else None,
-                        compiled[gidx][pidx] if compiled else None,
-                        deltas=delta,
-                    )
+                    if batch is not None:
+                        res = batch.add(
+                            core_id, core, prog,
+                            compiled[gidx][pidx] if compiled else None,
+                            delta, summary,
+                            injector.injection(tile, core_id, 0)
+                            if silent_jit else None,
+                        )
+                    else:
+                        res = self._run_one(
+                            core, prog, gm, collect_trace, execute,
+                            summary, model,
+                            sanitizers[core_id] if sanitizers else None,
+                            deltas=delta,
+                        )
                     per_core_cycles[core_id] += res.cycles + launch
-                    if silent_jit:
-                        inj = injector.injection(tile, core_id, 0)
-                        if inj is not None:
-                            apply_silent_flips_to_gm(gm, prog, inj)
                 results.append(res)
+        if batch is not None:
+            batch.flush()
 
         if resilient is not None:
             resilient.ledger.audit(len(results))

@@ -31,14 +31,31 @@ Design constraints, in order:
   progressions with disjoint destination rows.  Anything else stays a
   standalone step.
 
-* **Position independence.**  One kernel serves every tile of its
-  program: each call resolves a global-memory tensor as the core's view
-  starting at the tile's delta (:meth:`repro.sim.aicore.AICore.view`),
-  so the index arrays computed once against the base program address
-  any slice and row window, and a kernel cached under the
-  position-independent :func:`~repro.sim.progcache.plan_key` runs them
-  all.  Escape checks run against those views and name absolute
-  indices.
+* **Tile batches.**  One kernel serves every tile of its program (a
+  kernel is cached under the position-independent
+  :func:`~repro.sim.progcache.plan_key`), and one call runs a whole
+  batch of them: each step runs once, over every scratch-pad as a
+  ``(tiles, extent)`` stack of the batch's cores' stores (``S[:, idx]``
+  with the base index arrays) and every global-memory index array
+  shifted by the batch's per-tile delta column (``deltas[:, None] +
+  idx``, computed per call).  The caller keeps a batch exact
+  (:meth:`repro.sim.chip.Chip.run_tile_groups`): at most one tile per
+  core, and tiles share a batch only where the kernel's global-memory
+  hazards allow (:meth:`CompiledKernel.admits`).  Accumulating writes
+  add tile by tile, each element's additions in index order
+  (``np.add.at`` where indices repeat), as per-tile runs add them.  A
+  Cube ``mmad`` keeps its per-tile float32 loop and a
+  sequential repeat its per-repeat loop.  One escape check per
+  global-memory tensor runs before any step, at the batch's smallest
+  and largest delta, and names the first escaping tile's absolute
+  indices.  One tile is a batch of one.
+
+* **The slice rule.**  An index array that is one contiguous run
+  becomes a slice at compile time, so a step over it reads and writes
+  views instead of gathering and scattering; equal runs of at least
+  ``_MIN_RUN`` elements, and global-memory runs at each tile's delta,
+  move as whole rows of an overlapping-window view.  Batching removes
+  the per-tile dispatch, the slice rule the per-element index work.
 
 * **Touch only what is used.**  The kernel records, per scratch-pad,
   the extent its steps address, and each call reserves just that much
@@ -66,9 +83,11 @@ __all__ = [
     "compile_program",
 ]
 
-#: A compiled step: ``step(resolved)`` where ``resolved`` maps buffer
-#: name -> flat array (a global-memory tensor from the tile's delta on).
-Step = Callable[[dict], None]
+#: A compiled step: ``step(bufs, cols)`` runs once for a batch of
+#: tiles.  ``bufs`` maps a scratch-pad to its ``(tiles, extent)`` stack
+#: and a global-memory tensor to its flat array; ``cols`` maps each
+#: tensor to the batch's delta column (one delta per tile).
+Step = Callable[[dict, dict], None]
 
 #: One element span a record addresses: ``(buffer, lo, hi)``, inclusive;
 #: ``hi < lo`` for an empty index set.
@@ -82,8 +101,13 @@ Span = tuple[str, int, int]
 class _Record:
     kind = ""
 
-    def spans(self) -> list[Span]:
-        """Every element span this record reads or writes."""
+    def writes(self) -> list[Span]:
+        """Every element span this record writes."""
+        raise NotImplementedError
+
+    def reads(self) -> list[Span]:
+        """Every element span this record reads, except an accumulating
+        destination (its step adds tile by tile, in index order)."""
         raise NotImplementedError
 
 
@@ -116,10 +140,11 @@ class _Ew(_Record):
             len(np.unique(self.dst_idx)) == self.dst_idx.size
         )
 
-    def spans(self) -> list[Span]:
-        return [_span(self.dst_ref.buffer, self.dst_idx)] + [
-            _span(r.buffer, ix) for r, ix in self.sources
-        ]
+    def writes(self) -> list[Span]:
+        return [_span(self.dst_ref.buffer, self.dst_idx)]
+
+    def reads(self) -> list[Span]:
+        return [_span(r.buffer, ix) for r, ix in self.sources]
 
 
 class _Seq(_Record):
@@ -134,7 +159,8 @@ class _Seq(_Record):
         self.dst_idx = _idx(dst_idx)
         self.sources = [(ref, _idx(ix)) for ref, ix in sources]
 
-    spans = _Ew.spans
+    writes = _Ew.writes
+    reads = _Ew.reads
 
 
 class _Reduce(_Record):
@@ -150,11 +176,11 @@ class _Reduce(_Record):
         self.src_ref = src_ref
         self.src_idx = _idx(src_idx)
 
-    def spans(self) -> list[Span]:
-        return [
-            _span(self.dst_ref.buffer, self.dst_row),
-            _span(self.src_ref.buffer, self.src_idx),
-        ]
+    def writes(self) -> list[Span]:
+        return [_span(self.dst_ref.buffer, self.dst_row)]
+
+    def reads(self) -> list[Span]:
+        return self.writes() + [_span(self.src_ref.buffer, self.src_idx)]
 
 
 class _Fill(_Record):
@@ -165,8 +191,11 @@ class _Fill(_Record):
         self.dst_idx = _idx(dst_idx)
         self.value = value
 
-    def spans(self) -> list[Span]:
+    def writes(self) -> list[Span]:
         return [_span(self.dst_ref.buffer, self.dst_idx)]
+
+    def reads(self) -> list[Span]:
+        return []
 
 
 class _Im2col(_Record):
@@ -183,11 +212,11 @@ class _Im2col(_Record):
         self.dst_start = start
         self.dst_stop = stop
 
-    def spans(self) -> list[Span]:
-        return [
-            _span(self.src_ref.buffer, self.idx),
-            (self.dst_ref.buffer, self.dst_start, self.dst_stop - 1),
-        ]
+    def writes(self) -> list[Span]:
+        return [(self.dst_ref.buffer, self.dst_start, self.dst_stop - 1)]
+
+    def reads(self) -> list[Span]:
+        return [_span(self.src_ref.buffer, self.idx)]
 
 
 class _Col2im(_Record):
@@ -201,11 +230,11 @@ class _Col2im(_Record):
         self.src_idx = _idx(src_idx)
         self.dst_idx = _idx(dst_idx)
 
-    def spans(self) -> list[Span]:
-        return [
-            _span(self.src_ref.buffer, self.src_idx),
-            _span(self.dst_ref.buffer, self.dst_idx),
-        ]
+    def writes(self) -> list[Span]:
+        return [_span(self.dst_ref.buffer, self.dst_idx)]
+
+    def reads(self) -> list[Span]:
+        return [_span(self.src_ref.buffer, self.src_idx)]
 
 
 class _Copy(_Record):
@@ -216,8 +245,11 @@ class _Copy(_Record):
         self.dst_ref = dst_ref
         self.accumulate = accumulate
 
-    def spans(self) -> list[Span]:
-        return [_region(self.src_ref), _region(self.dst_ref)]
+    def writes(self) -> list[Span]:
+        return [_region(self.dst_ref)]
+
+    def reads(self) -> list[Span]:
+        return [_region(self.src_ref)]
 
 
 class _Mmad(_Record):
@@ -226,14 +258,14 @@ class _Mmad(_Record):
     def __init__(self, instr) -> None:
         self.instr = instr
 
-    def spans(self) -> list[Span]:
+    def writes(self) -> list[Span]:
+        return [_region(self.instr.c, FRACTAL_ROWS * FRACTAL_ROWS)]
+
+    def reads(self) -> list[Span]:
         i = self.instr
         fr = FRACTAL_ROWS * FRACTAL_ROWS
-        return [
-            _region(i.a, i.repeat * fr),
-            _region(i.b, i.repeat * fr),
-            _region(i.c, fr),
-        ]
+        acc = [] if i.init else self.writes()
+        return [_region(i.a, i.repeat * fr), _region(i.b, i.repeat * fr)] + acc
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +276,8 @@ class CompileContext:
     """Collects one record per compiled instruction.
 
     Instructions emit buffer-relative index arrays computed from their
-    operands; a global-memory tensor is resolved at call time as a view
-    from the tile's delta on, so one compile serves every tile.
+    operands; a global-memory index array gets each tile's delta added
+    at call time, so one compile serves every tile of a batch.
     """
 
     def __init__(self) -> None:
@@ -479,248 +511,305 @@ def _fuse(records: list[_Record]) -> list[list[_Record]]:
 # step construction
 
 
-def _gm_checks(group: list[_Record]) -> tuple[Span, ...]:
-    """One bound check per global-memory buffer a step addresses.
+#: Shorter runs of an index array move faster element by element.
+_MIN_RUN = 32
 
-    Scratch-pads need none: each call reserves them to the kernel's
-    extent, which covers every span.
+
+def _runs(ix: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """``(starts, n)`` when ``ix`` is one contiguous ascending run, or
+    several disjoint ones of ``n >= _MIN_RUN`` elements each; else
+    ``None``."""
+    if not ix.size:
+        return None
+    if ix[-1] - ix[0] == ix.size - 1 and (
+        ix.size < 3 or bool((ix[1:] - ix[:-1] == 1).all())
+    ):
+        return ix[:1], ix.size
+    if ix.size < 2 * _MIN_RUN:
+        return None
+    cut = np.flatnonzero(np.diff(ix) != 1) + 1
+    n = ix.size // (cut.size + 1)
+    if cut.size and (n < _MIN_RUN or ix.size % n or not np.array_equal(
+        cut, np.arange(n, ix.size, n)
+    )):
+        return None
+    starts = ix[::n]
+    if cut.size and np.diff(np.sort(starts)).min() < n:
+        return None
+    return starts, n
+
+
+def _windows(arr: np.ndarray, n: int) -> np.ndarray:
+    """Every ``n``-element window along the last axis of contiguous
+    ``arr`` (a flat tensor or a ``(tiles, extent)`` stack): index ``d``
+    of the new second-to-last axis is ``arr[..., d:d + n]``, a view."""
+    *lead, size = arr.shape
+    step = arr.itemsize
+    return np.ndarray(
+        (*lead, size - n + 1, n), arr.dtype, arr, 0,
+        (*arr.strides[:-1], step, step),
+    )
+
+
+class _At:
+    """Where one operand's elements sit in a batch of tiles.
+
+    A scratch-pad operand addresses columns of the ``(tiles, extent)``
+    stack; a global-memory operand addresses the flat tensor at each
+    tile's delta (``cols`` holds the batch's delta column).  An index
+    array made of contiguous runs (:func:`_runs`) moves whole runs, as
+    rows of :func:`_windows`, instead of single elements, and one run
+    of a scratch-pad is a slice, so a step reads it as a view.  Values
+    come and go as ``(tiles, n)`` arrays, tile-major.
     """
-    merged: dict[str, tuple[int, int]] = {}
-    for rec in group:
-        for buf, lo, hi in rec.spans():
-            if buf in SCRATCH_PADS or hi < lo:
-                continue
-            cur = merged.get(buf)
-            merged[buf] = (
-                (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
+
+    __slots__ = ("buf", "gm", "idx", "starts", "n", "unique")
+
+    def __init__(self, buf: str, idx: np.ndarray, add: bool = False):
+        flat = _idx(idx).reshape(-1)
+        self.buf = buf
+        self.gm = buf not in SCRATCH_PADS
+        self.idx, self.starts, self.n = flat, None, 0
+        runs = _runs(flat)
+        if runs is not None:
+            starts, n = runs
+            if len(starts) == 1 and not self.gm:
+                self.idx = slice(int(starts[0]), int(starts[0]) + n)
+            else:
+                self.idx, self.starts, self.n = None, starts, n
+        # Whether a tile's indices repeat no element; only an
+        # accumulating destination (``add``) asks.
+        self.unique = runs is not None or (
+            add and len(np.unique(flat)) == flat.size
+        )
+
+    def _at(self, bufs: dict, cols: dict):
+        """``(array, key)``: ``array[key]`` is the operand, shaped
+        ``(tiles, runs, n)`` for runs, else ``(tiles, elements)``."""
+        arr = bufs[self.buf]
+        if self.starts is not None:
+            arr = _windows(arr, self.n)
+            if self.gm:
+                return arr, cols[self.buf][:, None] + self.starts
+            return arr, (slice(None), self.starts)
+        if self.gm:
+            return arr, cols[self.buf][:, None] + self.idx
+        return arr, (slice(None), self.idx)
+
+    def get(self, bufs: dict, cols: dict) -> np.ndarray:
+        """The values; a view of the stack for one scratch-pad run."""
+        arr, key = self._at(bufs, cols)
+        vals = arr[key]
+        return vals if self.starts is None else vals.reshape(len(vals), -1)
+
+    def take(self, bufs: dict, cols: dict) -> np.ndarray:
+        """The values as a fresh array, safe to modify or to add into
+        the buffer they came from."""
+        vals = self.get(bufs, cols)
+        return vals.copy() if isinstance(self.idx, slice) else vals
+
+    def put(self, bufs: dict, cols: dict, vals) -> None:
+        """Store ``vals``; where tile windows overlap, the later tile's
+        values land last (NumPy assigns through an integer index in
+        index order, and the index is tile-major)."""
+        arr, key = self._at(bufs, cols)
+        if self.starts is not None and np.ndim(vals):
+            vals = vals.reshape(len(vals), len(self.starts), self.n)
+        arr[key] = vals
+
+    def add(self, bufs: dict, cols: dict, vals: np.ndarray) -> None:
+        """Accumulate ``vals`` tile by tile, each element's additions in
+        index order, as consecutive per-tile runs would."""
+        arr, key = self._at(bufs, cols)
+        if self.starts is not None:
+            vals = vals.reshape(len(vals), len(self.starts), self.n)
+        if not self.gm and self.unique:
+            # Stack rows are disjoint and a row repeats no element.
+            arr[key] += vals
+        elif self.unique:
+            # Tile windows may overlap: add them in tile order.
+            for k, v in zip(key, vals):
+                arr[k] += v
+        else:
+            flat = arr if self.gm else arr.reshape(-1)
+            at = key if self.gm else (
+                np.arange(0, arr.size, arr.shape[1])[:, None] + self.idx
             )
-    return tuple((b, lo, hi) for b, (lo, hi) in merged.items())
+            np.add.at(flat, at.reshape(-1), vals.reshape(-1))
 
 
-class _Escape(Exception):
-    """A step's index span leaves its view; :class:`CompiledKernel`
-    re-raises it as :class:`~repro.errors.IsaError` naming absolute
-    indices."""
-
-    def __init__(self, buffer: str, lo: int, hi: int, size: int) -> None:
-        super().__init__(buffer, lo, hi, size)
-        self.buffer, self.lo, self.hi, self.size = buffer, lo, hi, size
-
-
-def _check(resolved: dict, checks: tuple) -> None:
-    for buf, lo, hi in checks:
-        size = resolved[buf].size
-        if lo < 0 or hi >= size:
-            raise _Escape(buf, lo, hi, size)
+def _stacked(group: list, get) -> np.ndarray:
+    """One index array for a fused group: its members' concatenated."""
+    return get(group[0]) if len(group) == 1 else np.concatenate(
+        [get(g) for g in group]
+    )
 
 
 def _ew_step(group: list[_Ew]) -> Step:
     first = group[0]
     func = first.func
-    dst_buf = first.dst_ref.buffer
-    if len(group) == 1:
-        d_idx = first.dst_idx
-        srcs = [(ref.buffer, ix) for ref, ix in first.sources]
-    else:
-        d_idx = np.concatenate([g.dst_idx for g in group])
-        srcs = [
-            (
-                ref.buffer,
-                np.concatenate([g.sources[k][1] for g in group]),
-            )
-            for k, (ref, _) in enumerate(first.sources)
-        ]
-    checks = _gm_checks(group)
+    dst = _At(first.dst_ref.buffer, _stacked(group, lambda g: g.dst_idx))
+    srcs = [
+        _At(ref.buffer, _stacked(group, lambda g, k=k: g.sources[k][1]))
+        for k, (ref, _) in enumerate(first.sources)
+    ]
 
-    def step(resolved):
-        _check(resolved, checks)
-        resolved[dst_buf][d_idx] = func(*[resolved[b][ix] for b, ix in srcs])
+    def step(bufs, cols):
+        dst.put(bufs, cols, func(*[s.get(bufs, cols) for s in srcs]))
 
     return step
 
 
 def _seq_step(rec: _Seq) -> Step:
-    dst_buf = rec.dst_ref.buffer
-    src = [(ref.buffer, ix) for ref, ix in rec.sources]
-    checks = _gm_checks([rec])
+    func = rec.func
+    rows = [
+        (
+            _At(rec.dst_ref.buffer, rec.dst_idx[r]),
+            [_At(ref.buffer, ix[r]) for ref, ix in rec.sources],
+        )
+        for r in range(rec.dst_idx.shape[0])
+    ]
 
-    def step(resolved):
-        _check(resolved, checks)
-        d_arr = resolved[dst_buf]
-        gathered = [(resolved[b], ix) for b, ix in src]
-        func = rec.func
-        for r in range(rec.dst_idx.shape[0]):
-            d_arr[rec.dst_idx[r]] = func(*[a[ix[r]] for a, ix in gathered])
+    def step(bufs, cols):
+        for dst, srcs in rows:
+            dst.put(bufs, cols, func(*[s.get(bufs, cols) for s in srcs]))
 
     return step
 
 
 def _reduce_step(rec: _Reduce) -> Step:
-    dst_buf = rec.dst_ref.buffer
-    src_buf = rec.src_ref.buffer
-    checks = _gm_checks([rec])
+    func = rec.func
+    dst = _At(rec.dst_ref.buffer, rec.dst_row)
+    src = _At(rec.src_ref.buffer, rec.src_idx)
+    shape = rec.src_idx.shape
 
-    def step(resolved):
-        _check(resolved, checks)
-        d_arr = resolved[dst_buf]
-        m = rec.func.reduce(resolved[src_buf][rec.src_idx], axis=0)
-        d_arr[rec.dst_row] = rec.func(d_arr[rec.dst_row], m)
+    def step(bufs, cols):
+        rows = src.get(bufs, cols)
+        m = func.reduce(rows.reshape(len(rows), *shape), axis=1)
+        dst.put(bufs, cols, func(dst.get(bufs, cols), m))
 
     return step
 
 
 def _fill_step(group: list[_Fill]) -> Step:
-    first = group[0]
-    dst_buf = first.dst_ref.buffer
-    d_idx = (
-        first.dst_idx
-        if len(group) == 1
-        else np.concatenate([g.dst_idx for g in group])
-    )
-    value = first.value
-    checks = _gm_checks(group)
+    dst = _At(group[0].dst_ref.buffer, _stacked(group, lambda g: g.dst_idx))
+    value = group[0].value
 
-    def step(resolved):
-        _check(resolved, checks)
-        resolved[dst_buf][d_idx] = value
+    def step(bufs, cols):
+        dst.put(bufs, cols, value)
 
     return step
 
 
 def _im2col_step(group: list[_Im2col]) -> Step:
     first = group[0]
-    src_buf = first.src_ref.buffer
-    dst_buf = first.dst_ref.buffer
-    if len(group) == 1:
-        idx, valid = first.idx, first.valid
-    else:
-        idx = np.concatenate([g.idx for g in group])
-        valid = np.concatenate([g.valid for g in group])
-    invalid = ~valid
+    idx = _stacked(group, lambda g: g.idx)
+    invalid = ~_stacked(group, lambda g: g.valid)
+    src = _At(first.src_ref.buffer, idx)
+    dst = _At(
+        first.dst_ref.buffer,
+        np.arange(first.dst_start, group[-1].dst_stop, dtype=np.int64),
+    )
+    shape = idx.shape
     pad = first.pad
-    start, stop = first.dst_start, group[-1].dst_stop
-    checks = _gm_checks(group)
 
-    def step(resolved):
-        _check(resolved, checks)
-        rows = resolved[src_buf][idx]
-        rows[invalid] = pad
-        resolved[dst_buf][start:stop] = rows.reshape(-1)
+    def step(bufs, cols):
+        rows = src.take(bufs, cols)
+        tiles = len(rows)
+        rows = rows.reshape(tiles, *shape)
+        rows[:, invalid] = pad
+        dst.put(bufs, cols, rows.reshape(tiles, -1))
+
+    return step
+
+
+def _move(src: _At, dst: _At, accumulate: bool) -> Step:
+    if accumulate:
+
+        def step(bufs, cols):
+            dst.add(bufs, cols, src.take(bufs, cols))
+
+    else:
+
+        def step(bufs, cols):
+            dst.put(bufs, cols, src.get(bufs, cols))
 
     return step
 
 
 def _col2im_step(group: list[_Col2im]) -> Step:
     first = group[0]
-    src_buf = first.src_ref.buffer
-    dst_buf = first.dst_ref.buffer
-    if len(group) == 1:
-        s_idx, d_idx = first.src_idx, first.dst_idx
-    else:
-        s_idx = np.concatenate([g.src_idx for g in group])
-        d_idx = np.concatenate([g.dst_idx for g in group])
-    checks = _gm_checks(group)
-
-    def step(resolved):
-        _check(resolved, checks)
-        np.add.at(resolved[dst_buf], d_idx, resolved[src_buf][s_idx])
-
-    return step
+    return _move(
+        _At(first.src_ref.buffer, _stacked(group, lambda g: g.src_idx)),
+        _At(first.dst_ref.buffer, _stacked(group, lambda g: g.dst_idx),
+            add=True),
+        accumulate=True,
+    )
 
 
 def _copy_step(group: list[_Copy]) -> Step:
+    """A region copy, or a fused progression of them: each region is a
+    run, so whole regions move."""
     first = group[0]
-    src_buf = first.src_ref.buffer
-    dst_buf = first.dst_ref.buffer
-    acc = first.accumulate
-    n_el = first.src_ref.size
-    if len(group) == 1:
-        s0, d0 = first.src_ref.offset, first.dst_ref.offset
-        s1, d1 = s0 + n_el, d0 + n_el
+    lane = np.arange(first.src_ref.size, dtype=np.int64)
 
-        def step(resolved):
-            s_arr = resolved[src_buf]
-            d_arr = resolved[dst_buf]
-            if s1 > s_arr.size or d1 > d_arr.size:
-                raise IsaError("DataMove region escapes buffer")
-            if acc:
-                d_arr[d0:d1] += s_arr[s0:s1]
-            else:
-                d_arr[d0:d1] = s_arr[s0:s1]
+    def at(refs: list[MemRef], add: bool = False) -> _At:
+        starts = np.array([r.offset for r in refs], dtype=np.int64)
+        return _At(refs[0].buffer, starts[:, None] + lane, add)
 
-        return step
-
-    lane = np.arange(n_el, dtype=np.int64)
-    s_idx = (
-        np.array([g.src_ref.offset for g in group], dtype=np.int64)[:, None]
-        + lane
-    ).reshape(-1)
-    d_idx = (
-        np.array([g.dst_ref.offset for g in group], dtype=np.int64)[:, None]
-        + lane
-    ).reshape(-1)
-    checks = _gm_checks(group)
-
-    def step(resolved):
-        _check(resolved, checks)
-        vals = resolved[src_buf][s_idx]
-        if acc:
-            # Destination rows are disjoint (fusion requires it), so the
-            # buffered fancy-index add touches each element exactly once.
-            resolved[dst_buf][d_idx] += vals
-        else:
-            resolved[dst_buf][d_idx] = vals
-
-    return step
+    return _move(
+        at([g.src_ref for g in group]),
+        at([g.dst_ref for g in group], first.accumulate),
+        first.accumulate,
+    )
 
 
 def _mmad_step(rec: _Mmad) -> Step:
+    """Keeps a per-tile float32 loop: a batched ``matmul`` may sum in
+    another order."""
     instr = rec.instr
     fr = FRACTAL_ROWS * FRACTAL_ROWS
-    a_buf, a_off = instr.a.buffer, instr.a.offset
-    b_buf, b_off = instr.b.buffer, instr.b.offset
-    c_buf, c_off = instr.c.buffer, instr.c.offset
+    square = (FRACTAL_ROWS, FRACTAL_ROWS)
+
+    def region(ref: MemRef, n: int) -> _At:
+        return _At(ref.buffer, np.arange(ref.offset, ref.offset + n))
+
+    a = region(instr.a, instr.repeat * fr)
+    b = region(instr.b, instr.repeat * fr)
+    c = region(instr.c, fr)
     repeat, init = instr.repeat, instr.init
 
-    def step(resolved):
-        a_arr = resolved[a_buf]
-        b_arr = resolved[b_buf]
-        out = resolved[c_buf][c_off : c_off + fr].reshape(
-            FRACTAL_ROWS, FRACTAL_ROWS
-        )
-        acc = (
-            np.zeros((FRACTAL_ROWS, FRACTAL_ROWS), dtype=np.float32)
-            if init
-            else out.astype(np.float32)
-        )
-        for r in range(repeat):
-            a = a_arr[a_off + r * fr : a_off + (r + 1) * fr]
-            b = b_arr[b_off + r * fr : b_off + (r + 1) * fr]
-            acc += a.reshape(FRACTAL_ROWS, FRACTAL_ROWS).astype(
-                np.float32
-            ) @ b.reshape(FRACTAL_ROWS, FRACTAL_ROWS).astype(np.float32)
-        out[:] = acc.astype(out.dtype)
+    def step(bufs, cols):
+        a_rows, b_rows = a.get(bufs, cols), b.get(bufs, cols)
+        c_rows = c.get(bufs, cols)
+        out = np.empty_like(c_rows)
+        for t in range(len(c_rows)):
+            acc = (
+                np.zeros(square, dtype=np.float32)
+                if init
+                else c_rows[t].reshape(square).astype(np.float32)
+            )
+            for r in range(repeat):
+                part = slice(r * fr, (r + 1) * fr)
+                acc += a_rows[t, part].reshape(square).astype(
+                    np.float32
+                ) @ b_rows[t, part].reshape(square).astype(np.float32)
+            out[t] = acc.astype(out.dtype).reshape(-1)
+        c.put(bufs, cols, out)
 
     return step
 
 
-def _make_step(group: list[_Record]) -> Step:
-    kind = group[0].kind
-    if kind == "ew":
-        return _ew_step(group)
-    if kind == "seq":
-        return _seq_step(group[0])
-    if kind == "reduce":
-        return _reduce_step(group[0])
-    if kind == "fill":
-        return _fill_step(group)
-    if kind == "im2col":
-        return _im2col_step(group)
-    if kind == "col2im":
-        return _col2im_step(group)
-    if kind == "copy":
-        return _copy_step(group)
-    return _mmad_step(group[0])
+_STEPS = {
+    "ew": _ew_step,
+    "seq": lambda group: _seq_step(group[0]),
+    "reduce": lambda group: _reduce_step(group[0]),
+    "fill": _fill_step,
+    "im2col": _im2col_step,
+    "col2im": _col2im_step,
+    "copy": _copy_step,
+    "mmad": lambda group: _mmad_step(group[0]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -740,34 +829,56 @@ class KernelStats:
 class CompiledKernel:
     """The whole program's data effect as a list of batched steps.
 
-    Call with ``kernel(core, program)`` where ``program`` is the program
-    it was compiled from; ``core`` serves each global-memory tensor from
-    the running tile's delta on (:meth:`repro.sim.aicore.AICore.view`),
-    and the kernel asks it for that delta only to name absolute indices
-    when a step escapes a tensor.
+    Call with ``kernel(cores, program, gm, deltas)``: ``program`` is the
+    program it was compiled from, and tile ``i`` of the batch runs on
+    ``cores[i]`` with its global-memory tensors at ``deltas[i]`` (tensor
+    name -> element offset; ``None`` for none).  Each step runs once for
+    the whole batch.  The caller keeps the batch exact: at most one tile
+    per core, and only tiles whose global-memory hazards allow it
+    (:meth:`admits`).
     """
 
     def __init__(
         self,
         program_name: str,
-        instructions: int,
         steps: tuple[Step, ...],
         extents: dict[str, int | None],
+        reach: dict[str, tuple[int, int]],
+        guarded: tuple[str, ...],
         stats: KernelStats,
     ) -> None:
         self.program_name = program_name
-        self.instructions = instructions
         self.steps = steps
         #: Buffer name -> elements the steps address: a scratch-pad's
         #: extent, ``None`` for a global-memory tensor.
         self.extents = extents
+        #: Global-memory tensor -> ``(lo, hi)``, the inclusive element
+        #: span the steps address relative to a tile's delta.
+        self.reach = reach
+        #: Written global-memory tensors whose tile windows must be
+        #: disjoint within a batch: written by more than one step, or
+        #: read by any step.
+        self.guarded = guarded
         self.stats = stats
 
-    def __call__(self, ctx, program: Program) -> None:
-        if len(program.instructions) != self.instructions:
+    def admits(self, batch: list, deltas) -> bool:
+        """Whether a tile at ``deltas`` may join tiles at ``batch`` (their
+        delta maps) without reordering a global-memory hazard: its span
+        on each guarded tensor is disjoint from every other tile's."""
+        for name in self.guarded:
+            lo, hi = self.reach[name]
+            d = deltas.get(name, 0) if deltas else 0
+            for other in batch:
+                e = other.get(name, 0) if other else 0
+                if abs(d - e) <= hi - lo:
+                    return False
+        return True
+
+    def __call__(self, cores, program: Program, gm=None, deltas=None):
+        if len(program.instructions) != self.stats.instructions:
             raise SimulationError(
                 f"compiled kernel mismatch for program "
-                f"{program.name!r}: kernel covers {self.instructions} "
+                f"{program.name!r}: kernel covers {self.stats.instructions} "
                 f"instructions, program has {len(program.instructions)}"
             )
         if self.program_name and program.name != self.program_name:
@@ -775,16 +886,42 @@ class CompiledKernel:
                 f"compiled kernel mismatch: kernel was built for "
                 f"{self.program_name!r}, not {program.name!r}"
             )
-        resolved = {b: ctx.view(b, n) for b, n in self.extents.items()}
-        try:
-            for step in self.steps:
-                step(resolved)
-        except _Escape as esc:
-            d = ctx.delta(esc.buffer)
-            raise IsaError(
-                f"jit: element indices [{esc.lo + d}, {esc.hi + d}] "
-                f"escape buffer {esc.buffer!r} of size {esc.size + d}"
-            ) from None
+        tiles = len(cores)
+        deltas = deltas or [None] * tiles
+        bufs: dict[str, np.ndarray] = {}
+        cols: dict[str, np.ndarray] = {}
+        for name, (lo, hi) in self.reach.items():
+            if gm is None:
+                raise SimulationError(
+                    f"jit kernel {self.program_name!r} addresses "
+                    f"{name!r} but no global memory is attached"
+                )
+            arr = gm.view(name)
+            col = np.array(
+                [d.get(name, 0) if d else 0 for d in deltas], dtype=np.int64
+            )
+            bad = (col + lo < 0) | (col + hi >= arr.size)
+            if bad.any():
+                d = int(col[bad.argmax()])
+                raise IsaError(
+                    f"jit: element indices [{lo + d}, {hi + d}] "
+                    f"escape buffer {name!r} of size {arr.size}"
+                )
+            bufs[name] = arr
+            cols[name] = col
+        stores = {
+            name: [core.buffers[name].reserve(n)[:n] for core in cores]
+            for name, n in self.extents.items()
+            if n is not None
+        }
+        for name, rows in stores.items():
+            bufs[name] = rows[0][None] if tiles == 1 else np.array(rows)
+        for step in self.steps:
+            step(bufs, cols)
+        if tiles > 1:
+            for name, rows in stores.items():
+                for row, stacked in zip(rows, bufs[name]):
+                    row[:] = stacked
 
 
 def compile_program(program: Program) -> CompiledKernel:
@@ -799,19 +936,41 @@ def compile_program(program: Program) -> CompiledKernel:
     ctx = CompileContext()
     for instr in program.instructions:
         instr.compile(ctx)
+    groups = _fuse(ctx.records)
     extents: dict[str, int | None] = {}
-    for rec in ctx.records:
-        for buf, _, hi in rec.spans():
-            if buf in SCRATCH_PADS:
-                extents[buf] = max(extents.get(buf) or 0, hi + 1)
-            else:
+    reach: dict[str, tuple[int, int]] = {}
+    # A global-memory tensor written in exactly one step and read in
+    # none runs exactly for any batch; any other written tensor needs
+    # disjoint tile windows.
+    writers: dict[str, int] = {}
+    read: set[str] = set()
+    for group in groups:
+        written: set[str] = set()
+        for rec in group:
+            reads, writes = rec.reads(), rec.writes()
+            read.update(buf for buf, _, _ in reads)
+            written.update(buf for buf, _, _ in writes)
+            for buf, lo, hi in reads + writes:
+                if buf in SCRATCH_PADS:
+                    extents[buf] = max(extents.get(buf) or 0, hi + 1)
+                    continue
                 extents[buf] = None
-    steps = tuple(_make_step(g) for g in _fuse(ctx.records))
+                if hi >= lo:
+                    cur = reach.get(buf, (lo, hi))
+                    reach[buf] = (min(cur[0], lo), max(cur[1], hi))
+        for buf in written:
+            writers[buf] = writers.get(buf, 0) + 1
+    guarded = tuple(sorted(
+        buf for buf, n in writers.items()
+        if buf in reach and (n > 1 or buf in read)
+    ))
+    steps = tuple(_STEPS[g[0].kind](g) for g in groups)
     return CompiledKernel(
         program_name=program.name,
-        instructions=len(program.instructions),
         steps=steps,
         extents=dict(sorted(extents.items())),
+        reach=dict(sorted(reach.items())),
+        guarded=guarded,
         stats=KernelStats(
             instructions=len(program.instructions), steps=len(steps)
         ),

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
@@ -409,7 +409,7 @@ def written_gm_tensors(program: "Program", gm) -> list[str]:
 
     Every ``instr.writes()`` buffer that ``gm`` holds (global memory
     refuses scratch-pad names) -- what a failed attempt's rollback
-    snapshots and what a silent JIT bit flip may land on.
+    snapshots.
     """
     return sorted({
         r.buffer
@@ -423,19 +423,22 @@ def apply_silent_flips_to_gm(
     gm,
     program: "Program",
     injection: Injection,
+    deltas: "Mapping[str, int] | None" = None,
 ) -> None:
-    """Apply an injection's silent bit flips to a program's *outputs*.
+    """Apply an injection's silent bit flips to a tile's *outputs*.
 
     The JIT path for silent-only plans: a fused kernel has no
     per-instruction boundaries, so an undetected scratch-pad flip is
     modelled by its observable effect instead -- one bit of one element
-    of a global-memory tensor the program writes, flipped after the
-    kernel completes.  Targeting is deterministic: the written GM
-    tensors (:func:`written_gm_tensors`) are taken in name order and
-    their elements concatenated into one flat index space;
-    ``offset`` picks the element modulo its total size and ``bit`` the
-    bit modulo the element width, mirroring the scratch-pad rule so one
-    plan is valid for any geometry.
+    the tile wrote to global memory, flipped after the tile's kernel
+    call.  Targeting is deterministic: the elements ``program`` writes
+    to each global-memory tensor (its ``instr.writes()`` regions, tensors
+    in name order), at the tile's ``deltas``, are concatenated into one
+    flat index space; ``offset`` picks the element modulo its total size and
+    ``bit`` the bit modulo the element width, mirroring the scratch-pad
+    rule so one plan is valid for any geometry.  A flip therefore never
+    lands in another tile's window, where that tile's store could
+    overwrite it.
 
     Raises :class:`~repro.errors.FaultInjectionError` if the injection
     carries anything but silent flips (the caller should have routed
@@ -450,11 +453,22 @@ def apply_silent_flips_to_gm(
             f"detected_flips="
             f"{[b for b in injection.bitflips if b.detected]}"
         )
+    spans: dict[str, list[np.ndarray]] = {}
+    for instr in program.instructions:
+        for r in instr.writes():
+            if r.buffer in gm.tensors:
+                spans.setdefault(r.buffer, []).append(
+                    np.arange(r.start, r.stop)
+                )
     targets = [
-        gm.tensors[nm]
-        for nm in written_gm_tensors(program, gm)
+        (
+            gm.tensors[nm],
+            np.unique(np.concatenate(spans[nm]))
+            + (deltas.get(nm, 0) if deltas else 0),
+        )
+        for nm in sorted(spans)
     ]
-    total = sum(t.size for t in targets)
+    total = sum(idx.size for _, idx in targets)
     if not total:
         raise FaultInjectionError(
             f"silent bit-flip targets program {program.name!r} which "
@@ -462,17 +476,14 @@ def apply_silent_flips_to_gm(
         )
     for b in injection.bitflips:
         pos = b.offset % total
-        for t in targets:
-            if pos < t.size:
-                idx = np.unravel_index(pos, t.shape)
-                itemsize = t.dtype.itemsize
-                word = np.asarray(t[idx]).view(
-                    _UINT_FOR_ITEMSIZE[itemsize]
-                ).copy()
-                word ^= word.dtype.type(1) << (b.bit % (8 * itemsize))
-                t[idx] = word.view(t.dtype)[()]
+        for t, idx in targets:
+            if pos < idx.size:
+                raw = t.view(_UINT_FOR_ITEMSIZE[t.dtype.itemsize])
+                raw[idx[pos]] ^= raw.dtype.type(1) << (
+                    b.bit % (8 * t.dtype.itemsize)
+                )
                 break
-            pos -= t.size
+            pos -= idx.size
 
 
 # ---------------------------------------------------------------------------

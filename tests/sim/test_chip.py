@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ASCEND910, ChipConfig
 from repro.errors import SimulationError
-from repro.isa import Mask, MemRef, Program, VectorDup, VectorOperand
+from repro.isa import DataMove, Mask, MemRef, Program, VectorDup, VectorOperand
 from repro.dtypes import FLOAT16
 from repro.ops import PoolSpec
 from repro.ops.registry import forward_impl
@@ -439,3 +439,170 @@ class TestLazyScratchpads:
         lazy, eager = stores
         assert lazy.tobytes() == eager.tobytes()
         assert np.count_nonzero(lazy) == 1
+
+
+# ---------------------------------------------------------------------------
+# JIT tile batches: one kernel call per batch, bit-identical to per-tile
+# runs whatever the core count.
+# ---------------------------------------------------------------------------
+
+BATCH_CONFIGS = (ChipConfig(num_cores=1), EQ_CFG, ASCEND910)
+
+
+def _variant_runs(kind, impl, op, mask, serialize=False):
+    """One plan (built for ASCEND910, 8 row tiles in each of 2 slices)
+    dispatched numerically and by the JIT on each of
+    :data:`BATCH_CONFIGS`: ``[(numeric, jit), ...]`` of output and mask
+    bytes.  A JIT call runs at most 1, 4 or 32 tiles."""
+    from dataclasses import replace
+
+    from repro.ops.reference import maxpool_argmax_ref
+    from repro.ops.registry import backward_impl
+    from repro.plan import dispatch
+    from repro.sim import ProgramCache
+    from repro.workloads import make_gradient
+
+    spec = PoolSpec.square(3, 2)
+    x = make_input(17, 17, 32, n=1, seed=5)
+    tensors = {"x": x}
+    if kind == "bwd":
+        oh, ow = spec.out_hw(17, 17)
+        tensors = {"grad": make_gradient(x.shape[1], oh, ow, seed=6)}
+        if op == "max":
+            tensors["mask"] = maxpool_argmax_ref(x, spec)
+        pool_impl = backward_impl(impl, op)
+    else:
+        pool_impl = forward_impl(impl, op, mask)
+    plan = plan_default(
+        kind, pool_impl, spec, FLOAT16, *x.shape[:4], ASCEND910,
+        execute="jit",
+    )
+    if serialize:
+        plan = replace(plan, serialize_slices=True)
+    runs = []
+    for cfg in BATCH_CONFIGS:
+        pair = []
+        for execute in ("numeric", "jit"):
+            p = replace(plan, execute=execute)
+            res = dispatch(p, lower(p, cfg, cache=ProgramCache()), cfg,
+                           **tensors)
+            pair.append((
+                res.output.tobytes(),
+                None if res.mask is None else res.mask.tobytes(),
+            ))
+        runs.append(tuple(pair))
+    return runs
+
+
+def _batch_variants():
+    from repro.ops.registry import backward_variants, forward_variants
+
+    cases = [
+        pytest.param("fwd", name, op, mask, id=f"fwd-{name}-{op}"
+                     + ("-mask" if mask else ""))
+        for name, op, mask in forward_variants()
+    ]
+    cases += [
+        pytest.param("bwd", name, op, False, id=f"bwd-{name}-{op}")
+        for name, op in backward_variants()
+    ]
+    return cases
+
+
+def _overlap_program():
+    """Stores ``out`` in two steps whose windows overlap those of the
+    neighbouring tiles: ``[0, 128)`` then ``[64, 192)``."""
+    ub = MemRef("UB", 0, 256, FLOAT16)
+    p = Program("two-stores")
+    p.emit(DataMove(MemRef("x", 0, 256, FLOAT16), ub))
+    p.emit(DataMove(MemRef("UB", 0, 128, FLOAT16),
+                    MemRef("out", 0, 128, FLOAT16)))
+    p.emit(DataMove(MemRef("UB", 128, 128, FLOAT16),
+                    MemRef("out", 64, 128, FLOAT16)))
+    return p
+
+
+class TestJitBatches:
+    @pytest.mark.parametrize("kind,impl,op,mask", _batch_variants())
+    def test_outputs_do_not_depend_on_core_count(self, kind, impl, op,
+                                                 mask):
+        runs = _variant_runs(kind, impl, op, mask)
+        for numeric, jit in runs:
+            assert jit == numeric
+        assert len({jit for _, jit in runs}) == 1
+
+    def test_serialized_slices(self):
+        runs = _variant_runs("bwd", "col2im", "avg", False, serialize=True)
+        for numeric, jit in runs:
+            assert jit == numeric
+        assert len({jit for _, jit in runs}) == 1
+
+    def test_overlapping_two_step_stores_split_the_batch(self):
+        """A tensor stored in two steps needs disjoint tile windows; the
+        overlapping tiles run one batch each, in per-tile order."""
+        from repro.sim import compile_program
+
+        prog = _overlap_program()
+        kernel = compile_program(prog)
+        assert kernel.guarded == ("out",)
+        deltas = [{"x": 256 * t, "out": 96 * t} for t in range(4)]
+
+        def run(execute, cfg):
+            gm = GlobalMemory()
+            gm.add("x", np.random.default_rng(1).standard_normal(1024)
+                   .astype(np.float16))
+            gm.zeros("out", 512, FLOAT16)
+            Chip(cfg, FLOAT16).run_tiles(
+                [prog] * 4, gm, execute=execute, deltas=deltas,
+            )
+            return gm.view("out").tobytes()
+
+        want = run("numeric", ChipConfig(num_cores=1))
+        assert run("jit", EQ_CFG) == want
+        assert run("jit", ChipConfig(num_cores=1)) == want
+
+    def test_a_core_sees_its_previous_tile(self):
+        """Each tile stores what ``UB`` holds, then loads its own ``x``
+        there: on 2 cores tile ``t`` stores tile ``t - 2``'s input, so
+        a batch never holds two tiles of one core."""
+        ub = MemRef("UB", 0, 128, FLOAT16)
+        prog = Program("stale")
+        prog.emit(DataMove(ub, MemRef("out", 0, 128, FLOAT16)))
+        prog.emit(DataMove(MemRef("x", 0, 128, FLOAT16), ub))
+        gm = GlobalMemory()
+        x = np.arange(1, 769).astype(np.float16)
+        gm.add("x", x)
+        gm.zeros("out", 768, FLOAT16)
+        Chip(ChipConfig(num_cores=2), FLOAT16).run_tiles(
+            [prog] * 6, gm, execute="jit",
+            deltas=[{"x": 128 * t, "out": 128 * t} for t in range(6)],
+        )
+        out = gm.view("out")
+        assert not out[:256].any()
+        assert out[256:].tobytes() == x[:512].tobytes()
+
+    @pytest.mark.parametrize("cfg,calls", [(ASCEND910, 1), (EQ_CFG, 7)])
+    def test_one_kernel_call_per_batch(self, monkeypatch, cfg, calls):
+        """A serve-open-shaped request (26 tiles of one kernel) is one
+        kernel call on 32 cores and ceil(26 / 4) calls on 4."""
+        from repro.plan import dispatch
+        from repro.sim import CompiledKernel, ProgramCache
+
+        sizes = []
+        call = CompiledKernel.__call__
+
+        def spy(self, cores, *args, **kwargs):
+            sizes.append(len(cores))
+            return call(self, cores, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledKernel, "__call__", spy)
+        x = make_input(28, 28, 32, n=1, seed=0)
+        plan = plan_default(
+            "fwd", forward_impl("im2col", "max", True),
+            PoolSpec.square(3, 2), FLOAT16, *x.shape[:4], ASCEND910,
+            execute="jit",
+        )
+        low = lower(plan, cfg, cache=ProgramCache())
+        dispatch(plan, low, cfg, x=x)
+        assert sum(sizes) == 26
+        assert len(sizes) == calls

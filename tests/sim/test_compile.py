@@ -295,6 +295,18 @@ class TestRelocation:
                 template, gm, execute="jit", compiled=kernel,
                 deltas={"out": 4096},  # escapes out's 4096
             )
+        # In a batch only the last tile escapes: the error names its
+        # absolute indices (its store is out[64:320] at delta 3840),
+        # and no tile of the batch ran.
+        deltas = [{"out": 0}, {"out": 512}, {"out": 3840}]
+        with pytest.raises(
+            IsaError, match=r"\[3904, 4159\] escape buffer 'out' of size 4096"
+        ):
+            Chip(ChipConfig(num_cores=4), DT).run_tiles(
+                [template] * 3, gm, execute="jit", compiled=[kernel] * 3,
+                deltas=deltas,
+            )
+        assert not gm.view("out").any()
 
 
 # ---------------------------------------------------------------------------

@@ -598,3 +598,54 @@ class TestSilentOnlyPlans:
         diff = gm.tensors["out"].view(np.uint16)
         assert diff[2] == 1 << 1
         assert np.count_nonzero(diff) == 1
+
+    def test_flip_lands_in_the_tile_window_at_its_delta(self):
+        from repro.sim.faults import Injection, apply_silent_flips_to_gm
+
+        gm = fresh_gm("out")
+        inj = Injection(
+            tile=0, core=0, attempt=0,
+            bitflips=(BitFlip(tile=0, offset=128 + 5, bit=3,
+                              detected=False),),
+        )
+        # store_program writes out[0:128]; at delta 128 that is
+        # out[128:256], and the offset wraps modulo its 128 elements.
+        apply_silent_flips_to_gm(gm, store_program(), inj, {"out": 128})
+        diff = gm.tensors["out"].view(np.uint16)
+        assert np.flatnonzero(diff).tolist() == [133]
+        assert diff[133] == 1 << 3
+
+
+class TestSilentFlipsUnderJit:
+    def test_every_flip_changes_the_output(self):
+        """One silent flip per run, on each of 6 tiles at 43 offsets
+        spread over the output: each run's output differs from the
+        fault-free one (a flip in another tile's window could be
+        overwritten by that tile's store)."""
+        from repro.ops import PoolSpec
+        from repro.ops.registry import forward_impl
+        from repro.plan import dispatch, lower, plan_default
+        from repro.sim import ProgramCache
+        from repro.workloads import make_input
+
+        x = make_input(20, 20, 32, n=1, seed=0)
+        assert x.shape == (1, 2, 20, 20, 16)
+        plan = plan_default(
+            "fwd", forward_impl("im2col", "max"), PoolSpec.square(3, 2),
+            FLOAT16, *x.shape[:4], CFG4, execute="jit",
+        )
+        low = lower(plan, CFG4, cache=ProgramCache())
+        assert sum(map(len, low.groups)) == 6
+        clean = dispatch(plan, low, CFG4, x=x).output.tobytes()
+        same = [
+            (tile, offset)
+            for tile in range(6)
+            for offset in range(0, 43 * 61, 61)
+            if dispatch(
+                plan, low, CFG4, x=x,
+                faults=FaultPlan((BitFlip(
+                    tile=tile, offset=offset, detected=False,
+                ),)),
+            ).output.tobytes() == clean
+        ]
+        assert same == []

@@ -23,6 +23,7 @@ from repro.expr import (
 )
 from repro.isa import Program
 from repro.sim import AICore, GlobalMemory
+from repro.tik import KernelBuilder
 
 C0 = 16
 IH = 35
@@ -64,11 +65,12 @@ def listing2_cycles(schedule):
 
 def _run(stage, sizes, schedule):
     core = AICore(ASCEND910)
+    kb = KernelBuilder(ASCEND910)
     gm = GlobalMemory()
     rng = np.random.default_rng(0)
     binding = {}
     for name, size in sizes.items():
-        ref = core.alloc("UB", size, name)
+        ref = kb.alloc("UB", size, name)
         core.view("UB")[ref.offset:ref.end] = rng.standard_normal(
             size
         ).astype(np.float16)

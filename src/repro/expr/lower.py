@@ -8,6 +8,8 @@ few) vector instruction(s).  Scalar loop management is charged through
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from ..dtypes import DType
@@ -30,6 +32,29 @@ from .nodes import (
 from .schedule import DEFAULT_SCHEDULE, Schedule
 from .stage import Stage, fill_stage
 from .vectorize import VectorPlan, plan_stage, stage_max_repeat
+
+
+#: The operand table lent to the lowering running in this context (see
+#: :func:`shared_operands`); ``None`` outside a cache build.
+_OPERANDS: ContextVar["dict[VectorOperand, VectorOperand] | None"] = (
+    ContextVar("operands", default=None)
+)
+
+
+@contextmanager
+def shared_operands(table: "dict[VectorOperand, VectorOperand]"):
+    """Lend ``table`` to every stage lowered inside the block.
+
+    Each operand a stage emits is looked up by value in the table, so
+    equal operands in different programs are one object.  The lender
+    (:class:`repro.sim.progcache.ProgramCache`) owns the table and
+    drops it together with the programs it serves.
+    """
+    token = _OPERANDS.set(table)
+    try:
+        yield
+    finally:
+        _OPERANDS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -120,7 +145,10 @@ def _lower_one(
     spans, the repeat strides and the instruction constructor.  The
     per-point work is a base offset per operand, from per-axis
     coefficient rows, and operands repeating within the stage (the
-    same base, span and slot) are one shared, immutable object.
+    same base, span and slot) are one shared, immutable object.  Inside
+    :func:`shared_operands` a new operand is also looked up in the lent
+    table, so equal operands of every program built there are one
+    object too.
     """
     plan = plan_stage(
         stage, dtype,
@@ -202,6 +230,7 @@ def _lower_one(
 
     shared: list[dict[tuple[int, int], VectorOperand]] = [{} for _ in refs]
     per_slot = list(zip(refs, rep_strides, shared))
+    table = _OPERANDS.get()
     emit = program.emit
     for base in zip(*bases):
         for shifts, spans, mask, rep in chunks:
@@ -212,9 +241,12 @@ def _lower_one(
                 key = (b + shift, span)
                 op = seen.get(key)
                 if op is None:
-                    op = seen[key] = VectorOperand(
+                    op = VectorOperand(
                         MemRef(ref.buffer, key[0], span, dtype), 1, rs
                     )
+                    if table is not None:
+                        op = table.setdefault(op, op)
+                    seen[key] = op
                 ops.append(op)
             emit(build(ops, mask, rep))
 

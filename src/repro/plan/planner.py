@@ -174,23 +174,27 @@ class ExecutionPlan:
     def num_slices(self) -> int:
         return self.n * self.c1
 
+    # The geometry below is memoized by module-level functions keyed by
+    # the fields it reads, never on the instance: a plan travels (in
+    # pickles, in JSON) as its fields alone.
+
     @property
     def out_hw(self) -> tuple[int, int]:
-        return self.spec.out_hw(self.ih, self.iw)
+        return self.image[2:]
 
     @property
     def image(self) -> tuple[int, int, int, int]:
         """``(ih, iw, oh, ow)`` -- the extents baked into GM offsets."""
-        return (self.ih, self.iw) + self.out_hw
+        return _image(self.spec, self.ih, self.iw)
 
     @property
     def full_params(self) -> Im2ColParams:
-        return self.spec.with_image(self.ih, self.iw)
+        return _full_params(self.spec, self.ih, self.iw)
 
     @property
     def tiles(self) -> tuple[TileGeom, ...]:
         """The tile geometries this plan's chunk produces."""
-        return tuple(tiles_for_chunk(self.full_params, self.chunk))
+        return _tiles(self.spec, self.ih, self.iw, self.chunk)
 
     @property
     def tensors(self) -> tuple[GMTensor, ...]:
@@ -199,29 +203,9 @@ class ExecutionPlan:
         tile's operands, the per-tile deltas, the
         tensor-vs-plan check, GM setup and read-back all derive from it.
         """
-        ih, iw, oh, ow = self.image
-        c0 = dtype_by_name(self.dtype).c0
-        lead = (self.n, self.c1)
-        image, grid = lead + (ih, iw, c0), lead + (oh, ow, c0)
-        fwd = self.kind == "fwd"
-        mask = (
-            (GMTensor(
-                "mask", "Argmax mask", "gm_mask_planes", fwd,
-                lead + (self.spec.kh, self.spec.kw, oh, ow, c0), True,
-            ),)
-            if self.with_mask or (not fwd and self.op == "max")
-            else ()
-        )
-        if fwd:
-            return (
-                GMTensor("x", "input", "gm_in", False, image, False),
-                GMTensor("out", "output", "gm_out", True, grid, True),
-                *mask,
-            )
-        return (
-            GMTensor("grad", "gradient", "gm_grad", False, grid, True),
-            *mask,
-            GMTensor("dx", "input gradient", "gm_dx", True, image, False),
+        return _tensors(
+            self.kind, self.op, self.with_mask, self.dtype, self.spec,
+            self.n, self.c1, self.ih, self.iw,
         )
 
     def to_dict(self) -> dict:
@@ -303,6 +287,55 @@ class ExecutionPlan:
             raise PlanError(
                 f"unknown timing model {self.model!r}"
             ) from None
+
+
+@lru_cache(maxsize=1024)
+def _full_params(spec: "PoolSpec", ih: int, iw: int) -> Im2ColParams:
+    return spec.with_image(ih, iw)
+
+
+@lru_cache(maxsize=1024)
+def _image(spec: "PoolSpec", ih: int, iw: int) -> tuple[int, int, int, int]:
+    return (ih, iw) + _full_params(spec, ih, iw).out_hw()
+
+
+@lru_cache(maxsize=1024)
+def _tiles(
+    spec: "PoolSpec", ih: int, iw: int, chunk: int
+) -> tuple[TileGeom, ...]:
+    return tuple(tiles_for_chunk(_full_params(spec, ih, iw), chunk))
+
+
+@lru_cache(maxsize=1024)
+def _tensors(
+    kind: str, op: str, with_mask: bool, dtype: str, spec: "PoolSpec",
+    n: int, c1: int, ih: int, iw: int,
+) -> tuple[GMTensor, ...]:
+    """:attr:`ExecutionPlan.tensors` of the plan with these fields."""
+    ih, iw, oh, ow = _image(spec, ih, iw)
+    c0 = dtype_by_name(dtype).c0
+    lead = (n, c1)
+    image, grid = lead + (ih, iw, c0), lead + (oh, ow, c0)
+    fwd = kind == "fwd"
+    mask = (
+        (GMTensor(
+            "mask", "Argmax mask", "gm_mask_planes", fwd,
+            lead + (spec.kh, spec.kw, oh, ow, c0), True,
+        ),)
+        if with_mask or (not fwd and op == "max")
+        else ()
+    )
+    if fwd:
+        return (
+            GMTensor("x", "input", "gm_in", False, image, False),
+            GMTensor("out", "output", "gm_out", True, grid, True),
+            *mask,
+        )
+    return (
+        GMTensor("grad", "gradient", "gm_grad", False, grid, True),
+        *mask,
+        GMTensor("dx", "input gradient", "gm_dx", True, image, False),
+    )
 
 
 @lru_cache(maxsize=1024)

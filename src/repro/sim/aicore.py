@@ -15,6 +15,7 @@ order, so numeric results cannot depend on the timing model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -23,7 +24,7 @@ from ..config import ChipConfig
 from ..dtypes import FLOAT16, DType
 from ..errors import SimulationError
 from ..isa.program import Program
-from .buffers import Allocator, ScratchBuffer
+from .buffers import ScratchBuffer
 from .memory import GlobalMemory
 from .modes import check_modes
 from .scheduler import ExecutionModel, resolve_model
@@ -112,15 +113,24 @@ def summarize(
     )
 
 
+#: :meth:`ChipConfig.buffer_specs`, built once per configuration and
+#: shared read-only by every core built from it.
+_buffer_specs = lru_cache(maxsize=64)(ChipConfig.buffer_specs)
+
+
 @dataclass
 class AICore:
-    """Scalar + Vector + Cube units, private buffers, and the SCU."""
+    """Scalar + Vector + Cube units, private buffers, and the SCU.
+
+    A core holds no allocation state: kernels allocate through
+    :class:`~repro.tik.KernelBuilder`, which records what they declared
+    live in :attr:`Program.allocations`.
+    """
 
     config: ChipConfig
     dtype: DType = FLOAT16
     core_id: int = 0
     buffers: dict[str, ScratchBuffer] = field(init=False)
-    allocators: dict[str, Allocator] = field(init=False)
     _gm: GlobalMemory | None = field(init=False, default=None)
     #: The running tile's global-memory deltas (tensor name -> elements).
     _deltas: Mapping[str, int] = field(init=False, default_factory=dict)
@@ -128,10 +138,7 @@ class AICore:
     def __post_init__(self) -> None:
         self.buffers = {
             name: ScratchBuffer(spec, self.dtype)
-            for name, spec in self.config.buffer_specs().items()
-        }
-        self.allocators = {
-            name: Allocator.for_buffer(buf) for name, buf in self.buffers.items()
+            for name, spec in _buffer_specs(self.config).items()
         }
 
     # -- ExecutionContext protocol -------------------------------------
@@ -158,14 +165,6 @@ class AICore:
         """Where the running tile's view of global-memory tensor
         ``buffer`` starts (0 outside a run, or with no delta)."""
         return self._deltas.get(buffer, 0)
-
-    # -- allocation helpers used by kernel builders --------------------
-    def alloc(self, buffer: str, size_elems: int, name: str = ""):
-        return self.allocators[buffer].alloc(size_elems, name)
-
-    def reset_allocations(self) -> None:
-        for alloc in self.allocators.values():
-            alloc.reset()
 
     # -- execution ------------------------------------------------------
     def run(

@@ -92,13 +92,14 @@ class ScratchBuffer:
     def poison(self, value: float) -> None:
         """Fill the whole backing store with a sentinel value.
 
-        Used by the sanitizer's strict mode on ``reset_allocations()``:
-        zero is a *plausible* pooling value, so zero-init can mask reads
-        of never-written scratch-pad data.  A poison sentinel (a finite,
-        fp16-exact value far outside the test data range -- see
-        :data:`repro.sim.sanitizer.POISON_VALUE`) makes stale or
-        uninitialized reads corrupt the numerics visibly and lets the
-        shadow state attribute the corruption to the offending read.
+        Used by the sanitizer's strict mode at the start of every
+        program: zero is a *plausible* pooling value, so zero-init can
+        mask reads of never-written scratch-pad data.  A poison
+        sentinel (a finite, fp16-exact value far outside the test data
+        range -- see :data:`repro.sim.sanitizer.POISON_VALUE`) makes
+        stale or uninitialized reads corrupt the numerics visibly and
+        lets the shadow state attribute the corruption to the offending
+        read.
         """
         self.data.fill(value)
 
@@ -120,10 +121,6 @@ class Allocator:
     _next: int = 0
     high_water_bytes: int = 0
     _live: dict[str, MemRef] = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def for_buffer(cls, buffer: ScratchBuffer) -> "Allocator":
-        return cls(buffer.spec, buffer.dtype)
 
     @property
     def capacity_elems(self) -> int:

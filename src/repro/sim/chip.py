@@ -22,17 +22,17 @@ groups), which picks per work item between the plain run and the
 resilient one.  With neither supplied (the default), every item takes
 the plain run: the resilience machinery is zero-cost when idle.
 
-Scratch-pad reuse between tiles is **intentional**: ``_run_one`` resets
-each core's allocators before a tile but deliberately never calls
-:meth:`~repro.sim.buffers.ScratchBuffer.clear` -- real hardware does
-not zero a scratch-pad between kernels, and a correct kernel
-initializes everything it reads, so clearing would only add cost and
-hide bugs.  The consequence is that a *buggy* kernel can silently read
-the previous tile's data (and, because :class:`ScratchBuffer` storage
-grows zero-filled, a freshly built chip can mask even that).  Storage
-grows only as far as it is used: cycles mode allocates none, a JIT
-kernel reserves just the extent its steps address, and a grown store
-keeps what earlier tiles wrote.  Under the JIT, one kernel call runs a
+Scratch-pad reuse between tiles is **intentional**: the chip
+deliberately never calls :meth:`~repro.sim.buffers.ScratchBuffer.clear`
+between tiles -- real hardware does not zero a scratch-pad between
+kernels, and a correct kernel initializes everything it reads, so
+clearing would only add cost and hide bugs.  The consequence is that
+a *buggy* kernel can silently read the previous tile's data (and,
+because :class:`ScratchBuffer` storage grows zero-filled, a freshly
+built chip can mask even that).  Storage grows only as far as it is
+used: cycles mode allocates none, a JIT kernel reserves just the
+extent its steps address, and a grown store keeps what earlier tiles
+wrote.  Under the JIT, one kernel call runs a
 batch of tiles over ``(tiles, extent)`` stacks of their cores' stores,
 and a batch holds at most one tile per core, so each core's store
 still passes from one of its tiles to the next exactly as per-tile
@@ -358,9 +358,10 @@ class _ResilientDispatch:
                         f"{min(b.at_instruction, n)}/{n} of {prog.name!r} "
                         f"(attempt {inj.attempt})"
                     )
-        return self.chip._run_one(
-            self.chip.cores[core_id], prog, self.gm, self.collect_trace,
-            self.execute, summary, model, injection=inj, deltas=deltas,
+        return self.chip.cores[core_id].run(
+            prog, self.gm, collect_trace=self.collect_trace,
+            execute=self.execute, summary=summary, model=model,
+            injection=inj, deltas=deltas,
         )
 
     # -- rollback -------------------------------------------------------
@@ -522,37 +523,6 @@ class Chip:
         core_id = index % len(self.cores)
         return core_id, self.cores[core_id]
 
-    def _run_one(
-        self,
-        core: AICore,
-        prog: Program,
-        gm: GlobalMemory | None,
-        collect_trace: bool,
-        execute: str,
-        summary: RunResult | None,
-        model,
-        sanitizer: "Sanitizer | None" = None,
-        injection: Injection | None = None,
-        deltas=None,
-    ) -> RunResult:
-        # Note: allocators are reset per tile (the JIT never
-        # allocates) but the scratch-pad *contents* are deliberately
-        # not cleared -- see the module docstring.  Strict mode poisons
-        # them instead.
-        if execute == "numeric":
-            core.reset_allocations()
-        return core.run(
-            prog,
-            gm,
-            collect_trace=collect_trace,
-            execute=execute,
-            summary=summary,
-            model=model,
-            injection=injection,
-            sanitize=sanitizer,
-            deltas=deltas,
-        )
-
     def run_tiles(
         self,
         programs: list[Program],
@@ -711,10 +681,12 @@ class Chip:
                             if silent_jit else None,
                         )
                     else:
-                        res = self._run_one(
-                            core, prog, gm, collect_trace, execute,
-                            summary, model,
-                            sanitizers[core_id] if sanitizers else None,
+                        res = core.run(
+                            prog, gm, collect_trace=collect_trace,
+                            execute=execute, summary=summary, model=model,
+                            sanitize=(
+                                sanitizers[core_id] if sanitizers else None
+                            ),
                             deltas=delta,
                         )
                     per_core_cycles[core_id] += res.cycles + launch

@@ -363,28 +363,35 @@ class CompileContext:
 
 
 class _WriteSet:
-    """Sorted per-buffer element-index sets a fusion group has written;
-    membership tests gate read-after-write / write-after-write."""
+    """Per-buffer boolean masks of the element indices a fusion group
+    has written; membership tests gate read-after-write /
+    write-after-write.  Adding a record and testing one cost time
+    linear in its own indices, not in the group's."""
 
     def __init__(self) -> None:
         self._by_buf: dict[str, np.ndarray] = {}
 
     def add(self, buffer: str, idx: np.ndarray) -> None:
-        arr = np.unique(idx.reshape(-1))
-        prev = self._by_buf.get(buffer)
-        self._by_buf[buffer] = (
-            arr if prev is None else np.union1d(prev, arr)
-        )
+        flat = idx.reshape(-1)
+        if not flat.size:
+            return
+        mask = self._by_buf.get(buffer)
+        top = int(flat.max()) + 1
+        if mask is None or mask.size < top:
+            grown = np.zeros(
+                top if mask is None else max(top, 2 * mask.size), bool
+            )
+            if mask is not None:
+                grown[: mask.size] = mask
+            self._by_buf[buffer] = mask = grown
+        mask[flat] = True
 
     def intersects(self, buffer: str, idx: np.ndarray) -> bool:
-        prev = self._by_buf.get(buffer)
-        if prev is None or prev.size == 0:
+        mask = self._by_buf.get(buffer)
+        if mask is None:
             return False
         flat = idx.reshape(-1)
-        pos = np.minimum(
-            np.searchsorted(prev, flat), prev.size - 1
-        )
-        return bool(np.any(prev[pos] == flat))
+        return bool(mask[flat[flat < mask.size]].any())
 
 
 def _ew_joins(first: _Ew, cand: _Record, ws: _WriteSet) -> bool:

@@ -24,7 +24,12 @@ benchmark figures run on.
 This mirrors how implicit-GEMM stacks amortize im2col setup across
 invocations (the indirection buffer of the Indirect Convolution
 Algorithm is built once and reused; only a base pointer moves per
-call).
+call).  The same rule applies to the addressing state the programs
+hold: the cache owns one table of the vector operands its programs
+use, lent to the lowering on every miss
+(:func:`repro.expr.lower.shared_operands`), so an operand equal in
+value across programs is one object, and the table is dropped with
+the programs whenever an entry leaves the cache.
 
 Thread safety
 -------------
@@ -52,6 +57,8 @@ from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from ..config import ChipConfig
+from ..expr.lower import shared_operands
+from ..isa.operand import VectorOperand
 from ..isa.program import Program
 from .aicore import RunResult, summarize
 from .scheduler import ExecutionModel, resolve_model
@@ -170,6 +177,11 @@ class ProgramCache:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
         self._entries: OrderedDict[ProgramKey, _Entry] = OrderedDict()
+        #: Every vector operand of the cached programs, keyed by value
+        #: (see :func:`~repro.expr.lower.shared_operands`).  Replaced
+        #: whenever an entry leaves, so it never keeps a dropped
+        #: program's operands alive.
+        self._operands: dict[VectorOperand, VectorOperand] = {}
         self._lock = threading.RLock()
         self.stats = CacheStats()
 
@@ -181,14 +193,20 @@ class ProgramCache:
         with self._lock:
             return key in self._entries
 
+    def programs(self) -> list[Program]:
+        """The cached programs, least recently used first."""
+        with self._lock:
+            return [entry.program for entry in self._entries.values()]
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._operands = {}
             self.stats = CacheStats()
 
     def invalidate(self, key: ProgramKey) -> bool:
         """Drop ``key``'s entry (program, memoized summaries **and**
-        the memoized compiled kernel).
+        the memoized compiled kernel), and the operand table.
 
         Returns whether an entry was actually removed.  This is the
         recovery hook paired with the resilient dispatcher's
@@ -200,6 +218,7 @@ class ProgramCache:
         with self._lock:
             if self._entries.pop(key, None) is None:
                 return False
+            self._operands = {}
             self.stats.invalidations += 1
             return True
 
@@ -210,6 +229,8 @@ class ProgramCache:
 
         Atomic: two threads racing on a cold key serialize on the
         cache lock, the loser observing the winner's entry as a hit.
+        ``build`` runs with the cache's operand table lent to the
+        lowering, so its operands are shared with every cached program.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -218,7 +239,13 @@ class ProgramCache:
                 self.stats.hits += 1
                 return entry.program
             self.stats.misses += 1
-            program = build()
+            try:
+                with shared_operands(self._operands):
+                    program = build()
+            except BaseException:
+                # The failed build's operands belong to no program.
+                self._operands = {}
+                raise
             self._insert(key, _Entry(program))
             return program
 
@@ -232,6 +259,7 @@ class ProgramCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
+                self._operands = {}
                 self.stats.evictions += 1
 
     def summary(

@@ -14,8 +14,8 @@ Per scratch-pad buffer the sanitizer keeps a byte-per-element *shadow
 state* array:
 
 * ``POISONED`` -- never allocated by any program on this core;
-* ``FREED``    -- allocated by a *previous* program, then freed when the
-  next tile reset the allocators (reading it is the classic
+* ``FREED``    -- allocated by a *previous* program on this core and
+  not by the current one (reading it is the classic
   stale-data-from-the-previous-tile bug that zero-init masks);
 * ``UNINIT``   -- allocated by the current program but never written;
 * ``INIT``     -- written by the current program.
@@ -357,10 +357,11 @@ class Sanitizer:
     """Strict-mode shadow-state checker for one core's execution.
 
     One instance tracks one core; keep it alive across tiles (the chip
-    dispatcher does) so allocations freed by a previous tile's
-    ``reset_allocations()`` are remembered as ``FREED`` and stale reads
-    get the precise ``stale-read`` diagnosis rather than the generic
-    poison one.
+    dispatcher does) so a previous tile's allocations (its program's
+    :attr:`~repro.isa.program.Program.allocations`) are remembered as
+    ``FREED`` when the next program begins, and stale reads get the
+    precise ``stale-read`` diagnosis rather than the generic poison
+    one.
 
     ``halt=True`` (the default) raises :class:`SanitizerError` at the
     first violation; ``halt=False`` records violations into

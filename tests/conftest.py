@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import ASCEND910, ASCEND910_SINGLE_CORE
 from repro.sim import AICore, GlobalMemory
+from repro.tik import KernelBuilder
 
 
 @pytest.fixture
@@ -18,6 +19,13 @@ def rng() -> np.random.Generator:
 def core() -> AICore:
     """A fresh single AI Core with empty buffers."""
     return AICore(ASCEND910)
+
+
+@pytest.fixture
+def kb() -> KernelBuilder:
+    """A kernel builder to allocate scratch-pad regions from, the way
+    kernels allocate them (a core holds no allocation state)."""
+    return KernelBuilder(ASCEND910)
 
 
 @pytest.fixture

@@ -27,6 +27,7 @@ from repro.expr.vectorize import stage_max_repeat
 from repro.isa import Program
 from repro.isa.instruction import operand_table
 from repro.sim import AICore, GlobalMemory
+from repro.tik import KernelBuilder
 
 C0 = 16
 
@@ -36,13 +37,14 @@ class Runner:
 
     def __init__(self):
         self.core = AICore(ASCEND910)
+        self.kb = KernelBuilder(ASCEND910)
         self.gm = GlobalMemory()
         self.binding = {}
         self.decls = {}
 
     def tensor(self, name, shape, data=None, strides=None):
         decl = TensorDecl(name, shape, FLOAT16, strides)
-        ref = self.core.alloc("UB", decl.size_elems, name)
+        ref = self.kb.alloc("UB", decl.size_elems, name)
         if data is not None:
             flat = self.core.view("UB")[ref.offset:ref.end]
             if strides is None:

@@ -20,6 +20,7 @@ from repro.expr import (
 )
 from repro.isa import Program
 from repro.sim import AICore, GlobalMemory
+from repro.tik import KernelBuilder
 
 C0 = 16
 
@@ -37,9 +38,10 @@ def maxpool_stage(ih=9, sh=2):
 def run_with(schedule, rng):
     stage, inp, out, oh = maxpool_stage()
     core = AICore(ASCEND910)
+    kb = KernelBuilder(ASCEND910)
     gm = GlobalMemory()
-    in_ref = core.alloc("UB", 9 * 9 * C0)
-    out_ref = core.alloc("UB", oh * oh * C0)
+    in_ref = kb.alloc("UB", 9 * 9 * C0)
+    out_ref = kb.alloc("UB", oh * oh * C0)
     x = rng.standard_normal((9, 9, C0)).astype(np.float16)
     core.view("UB")[in_ref.offset:in_ref.end] = x.reshape(-1)
     prog = Program("s")

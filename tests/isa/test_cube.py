@@ -8,16 +8,18 @@ from repro.dtypes import FRACTAL_ROWS
 from repro.errors import IsaError, RepeatError
 from repro.isa import Mmad, Program
 from repro.sim import AICore, GlobalMemory
+from repro.tik import KernelBuilder
 
 FR = FRACTAL_ROWS * FRACTAL_ROWS
 
 
 def setup(rng, k=3):
     core = AICore(ASCEND910)
+    kb = KernelBuilder(ASCEND910)
     gm = GlobalMemory()
-    a_ref = core.alloc("L0A", k * FR)
-    b_ref = core.alloc("L0B", k * FR)
-    c_ref = core.alloc("L0C", FR)
+    a_ref = kb.alloc("L0A", k * FR)
+    b_ref = kb.alloc("L0B", k * FR)
+    c_ref = kb.alloc("L0C", FR)
     a = rng.standard_normal((k, 16, 16)).astype(np.float16)
     b = rng.standard_normal((k, 16, 16)).astype(np.float16)
     core.view("L0A")[a_ref.offset:a_ref.end] = a.reshape(-1)

@@ -10,6 +10,7 @@ from repro.dtypes import FLOAT16, FRACTAL_ROWS
 from repro.fractal import im2col_nc1hwc0
 from repro.isa import Im2ColLoad, Im2ColParams, Program
 from repro.sim import AICore, GlobalMemory
+from repro.tik import KernelBuilder
 
 C0 = FLOAT16.c0
 
@@ -45,12 +46,13 @@ def test_mode1_planes_match_golden(geom, seed):
                           pt=pad, pb=pad, pl=pad, pr=pad)
     img = rng.integers(-8, 9, (c1e, ih, iw, C0)).astype(np.float16)
     core = AICore(ASCEND910)
+    kb = KernelBuilder(ASCEND910)
     gm = GlobalMemory()
-    src = core.alloc("L1", img.size)
+    src = kb.alloc("L1", img.size)
     core.view("L1")[src.offset:src.end] = img.reshape(-1)
     c1 = seed % c1e
     plane = params.plane_rows() * C0
-    dst = core.alloc("UB", kh * kw * plane)
+    dst = kb.alloc("UB", kh * kw * plane)
     prog = Program("fuzz")
     for xk in range(kh):
         for yk in range(kw):
@@ -90,10 +92,11 @@ def test_mode0_stream_matches_golden(geom, seed):
     rng = np.random.default_rng(seed)
     img = rng.integers(-8, 9, (c1e, ih, iw, C0)).astype(np.float16)
     core = AICore(ASCEND910)
+    kb = KernelBuilder(ASCEND910)
     gm = GlobalMemory()
-    src = core.alloc("L1", img.size)
+    src = kb.alloc("L1", img.size)
     core.view("L1")[src.offset:src.end] = img.reshape(-1)
-    dst = core.alloc("UB", k_depth * FRACTAL_ROWS * C0)
+    dst = kb.alloc("UB", k_depth * FRACTAL_ROWS * C0)
     prog = Program("mode0")
     prog.emit(Im2ColLoad(
         src=src, dst=dst, params=params, c1=0, xk=0, yk=0,

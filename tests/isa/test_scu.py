@@ -18,6 +18,7 @@ from repro.isa import (
     Program,
 )
 from repro.sim import AICore, GlobalMemory
+from repro.tik import KernelBuilder
 
 COST = ASCEND910.cost
 C0 = FLOAT16.c0
@@ -59,20 +60,20 @@ class TestIm2ColParams:
             Im2ColParams(ih=2, iw=2, kh=5, kw=5, sh=1, sw=1)
 
 
-def load_image(core, shape, rng, buffer="L1"):
+def load_image(core, kb, shape, rng, buffer="L1"):
     """Place a random (C1?, Ih, Iw, C0) image into a buffer region."""
-    ref = core.alloc(buffer, int(np.prod(shape)))
+    ref = kb.alloc(buffer, int(np.prod(shape)))
     data = rng.standard_normal(shape).astype(np.float16)
     core.view(buffer)[ref.offset:ref.end] = data.reshape(-1)
     return ref, data
 
 
 class TestIm2ColLoad:
-    def run_planes(self, core, gm, src, params, pad_value=0.0, c1=0):
+    def run_planes(self, core, kb, gm, src, params, pad_value=0.0, c1=0):
         """Issue one repeat-mode-1 Im2Col per (xk, yk), as the pooling
         kernels do, and return the planes as an array."""
         plane = params.plane_rows() * C0
-        dst = core.alloc("UB", params.kh * params.kw * plane)
+        dst = kb.alloc("UB", params.kh * params.kw * plane)
         prog = Program("im2col")
         for xk in range(params.kh):
             for yk in range(params.kw):
@@ -88,18 +89,20 @@ class TestIm2ColLoad:
 
     def test_matches_golden_exact_fractals(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=8, iw=8, kh=2, kw=2, sh=2, sw=2)
-        src, img = load_image(core, (8, 8, C0), rng)
-        got = self.run_planes(core, gm, src, p)
+        src, img = load_image(core, kb, (8, 8, C0), rng)
+        got = self.run_planes(core, kb, gm, src, p)
         ref = im2col_nc1hwc0(img[None, None], 2, 2, 2, 2)[0, 0]
         assert np.array_equal(got.reshape(2, 2, 16, C0),
                               ref.reshape(2, 2, 16, C0))
 
     def test_matches_golden_partial_final_fractal(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=11, iw=11, kh=3, kw=3, sh=2, sw=2)
-        src, img = load_image(core, (11, 11, C0), rng)
-        got = self.run_planes(core, gm, src, p, pad_value=-9.0)
+        src, img = load_image(core, kb, (11, 11, C0), rng)
+        got = self.run_planes(core, kb, gm, src, p, pad_value=-9.0)
         ref = im2col_nc1hwc0(img[None, None], 3, 3, 2, 2)[0, 0]
         oh, ow = p.out_hw()
         valid = got[:, :, : oh * ow].reshape(3, 3, oh, ow, C0)
@@ -109,10 +112,11 @@ class TestIm2ColLoad:
 
     def test_padding_on_the_fly(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=6, iw=6, kh=3, kw=3, sh=2, sw=2,
                          pt=1, pb=1, pl=1, pr=1)
-        src, img = load_image(core, (6, 6, C0), rng)
-        got = self.run_planes(core, gm, src, p, pad_value=-4.0)
+        src, img = load_image(core, kb, (6, 6, C0), rng)
+        got = self.run_planes(core, kb, gm, src, p, pad_value=-4.0)
         ref = im2col_nc1hwc0(
             img[None, None], 3, 3, 2, 2, 1, 1, 1, 1, pad_value=-4.0
         )[0, 0]
@@ -122,18 +126,20 @@ class TestIm2ColLoad:
 
     def test_c1_selection(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=8, iw=8, kh=2, kw=2, sh=2, sw=2)
-        src, img = load_image(core, (3, 8, 8, C0), rng)  # C1=3
-        got = self.run_planes(core, gm, src, p, c1=2)
+        src, img = load_image(core, kb, (3, 8, 8, C0), rng)  # C1=3
+        got = self.run_planes(core, kb, gm, src, p, c1=2)
         ref = im2col_nc1hwc0(img[None], 2, 2, 2, 2)[0, 2]
         assert np.array_equal(got.reshape(2, 2, 16, C0),
                               ref.reshape(2, 2, 16, C0))
 
     def test_first_patch_offset(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=16, iw=16, kh=2, kw=2, sh=2, sw=2)  # 64 patches
-        src, img = load_image(core, (16, 16, C0), rng)
-        dst = core.alloc("UB", FRACTAL_ROWS * C0)
+        src, img = load_image(core, kb, (16, 16, C0), rng)
+        dst = kb.alloc("UB", FRACTAL_ROWS * C0)
         prog = Program("t")
         prog.emit(Im2ColLoad(src=src, dst=dst, params=p, c1=0, xk=1, yk=0,
                              first_patch=32, repeat=1))
@@ -146,9 +152,10 @@ class TestIm2ColLoad:
         # Section III-C: "the input in Figure 5 can be fully loaded by
         # issuing a single Im2Col ... with repeat mode 0".
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=8, iw=8, kh=2, kw=2, sh=2, sw=2)
-        src, img = load_image(core, (2, 8, 8, C0), rng)  # C1=2
-        dst = core.alloc("UB", 8 * FRACTAL_ROWS * C0)
+        src, img = load_image(core, kb, (2, 8, 8, C0), rng)  # C1=2
+        dst = kb.alloc("UB", 8 * FRACTAL_ROWS * C0)
         prog = Program("t")
         prog.emit(Im2ColLoad(src=src, dst=dst, params=p, c1=0, xk=0, yk=0,
                              repeat=8, repeat_mode=0))
@@ -162,11 +169,12 @@ class TestIm2ColLoad:
         # The paper's Figure 5: 8x8 input, k=(2,2), s=(2,2); the first
         # (blue) fractal holds the top-left element of all 16 patches.
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         img = np.arange(8 * 8 * C0, dtype=np.float16).reshape(8, 8, C0)
-        src = core.alloc("L1", img.size)
+        src = kb.alloc("L1", img.size)
         core.view("L1")[src.offset:src.end] = img.reshape(-1)
         p = Im2ColParams(ih=8, iw=8, kh=2, kw=2, sh=2, sw=2)
-        dst = core.alloc("UB", FRACTAL_ROWS * C0)
+        dst = kb.alloc("UB", FRACTAL_ROWS * C0)
         prog = Program("t")
         prog.emit(Im2ColLoad(src=src, dst=dst, params=p, c1=0, xk=0, yk=0))
         core.run(prog, gm)
@@ -177,12 +185,13 @@ class TestIm2ColLoad:
 
     def test_validation(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=8, iw=8, kh=2, kw=2, sh=2, sw=2)
-        src, _ = load_image(core, (8, 8, C0), rng)
-        small = core.alloc("UB", 8)
+        src, _ = load_image(core, kb, (8, 8, C0), rng)
+        small = kb.alloc("UB", 8)
         with pytest.raises(IsaError):
             Im2ColLoad(src=src, dst=small, params=p, c1=0, xk=0, yk=0)
-        big = core.alloc("UB", FRACTAL_ROWS * C0)
+        big = kb.alloc("UB", FRACTAL_ROWS * C0)
         with pytest.raises(IsaError):
             Im2ColLoad(src=src, dst=big, params=p, c1=0, xk=0, yk=0,
                        repeat_mode=2)
@@ -192,9 +201,10 @@ class TestIm2ColLoad:
 
     def test_cycle_cost(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=8, iw=8, kh=2, kw=2, sh=2, sw=2)
-        src, _ = load_image(core, (8, 8, C0), rng)
-        dst = core.alloc("UB", 4 * FRACTAL_ROWS * C0)
+        src, _ = load_image(core, kb, (8, 8, C0), rng)
+        dst = kb.alloc("UB", 4 * FRACTAL_ROWS * C0)
         i = Im2ColLoad(src=src, dst=dst, params=p, c1=0, xk=0, yk=0,
                        repeat=4, repeat_mode=0)
         assert i.cycles(COST) == (
@@ -203,11 +213,11 @@ class TestIm2ColLoad:
 
 
 class TestCol2ImStore:
-    def run_merge(self, core, gm, planes, params):
+    def run_merge(self, core, kb, gm, planes, params):
         plane = params.plane_rows() * C0
-        src = core.alloc("UB", params.kh * params.kw * plane)
+        src = kb.alloc("UB", params.kh * params.kw * plane)
         core.view("UB")[src.offset:src.end] = planes.reshape(-1)
-        dst = core.alloc("UB", params.ih * params.iw * C0)
+        dst = kb.alloc("UB", params.ih * params.iw * C0)
         core.view("UB")[dst.offset:dst.end] = 0
         prog = Program("col2im")
         for xk in range(params.kh):
@@ -236,10 +246,11 @@ class TestCol2ImStore:
 
     def test_matches_golden(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=9, iw=9, kh=3, kw=3, sh=2, sw=2)
         oh, ow = p.out_hw()
         cols, padded = self._planes_from_golden(rng, p)
-        got = self.run_merge(core, gm, padded, p)
+        got = self.run_merge(core, kb, gm, padded, p)
         ref = col2im_nc1hwc0(
             cols.reshape(1, 1, 3, 3, oh, ow, C0), 9, 9, 2, 2
         )[0, 0]
@@ -247,12 +258,13 @@ class TestCol2ImStore:
 
     def test_partial_fractal_patches_skipped(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=11, iw=11, kh=3, kw=3, sh=2, sw=2)  # 25 patches
         oh, ow = p.out_hw()
         cols, padded = self._planes_from_golden(rng, p)
         # poison the pad rows: they must never be accumulated
         padded[:, :, oh * ow:] = np.float16(1000.0)
-        got = self.run_merge(core, gm, padded, p)
+        got = self.run_merge(core, kb, gm, padded, p)
         ref = col2im_nc1hwc0(
             cols.reshape(1, 1, 3, 3, oh, ow, C0), 11, 11, 2, 2
         )[0, 0]
@@ -260,11 +272,12 @@ class TestCol2ImStore:
 
     def test_padding_halo_dropped(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=6, iw=6, kh=3, kw=3, sh=2, sw=2,
                          pt=1, pb=1, pl=1, pr=1)
         oh, ow = p.out_hw()
         cols, padded = self._planes_from_golden(rng, p)
-        got = self.run_merge(core, gm, padded, p)
+        got = self.run_merge(core, kb, gm, padded, p)
         ref = col2im_nc1hwc0(
             cols.reshape(1, 1, 3, 3, oh, ow, C0), 6, 6, 2, 2, 1, 1, 1, 1
         )[0, 0]
@@ -274,10 +287,11 @@ class TestCol2ImStore:
         # Section III-D: "Col2Im requires its output to be initialized
         # with zeros" -- the instruction accumulates onto what's there.
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=8, iw=8, kh=2, kw=2, sh=2, sw=2)
-        src = core.alloc("UB", p.plane_rows() * C0)
+        src = kb.alloc("UB", p.plane_rows() * C0)
         core.view("UB")[src.offset:src.end] = 1
-        dst = core.alloc("UB", 8 * 8 * C0)
+        dst = kb.alloc("UB", 8 * 8 * C0)
         core.view("UB")[dst.offset:dst.end] = 5
         prog = Program("t")
         prog.emit(Col2ImStore(src=src, dst=dst, params=p, c1=0, xk=0, yk=0))
@@ -287,9 +301,10 @@ class TestCol2ImStore:
 
     def test_cycle_cost(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=8, iw=8, kh=2, kw=2, sh=2, sw=2)
-        src = core.alloc("UB", p.plane_rows() * C0)
-        dst = core.alloc("UB", 8 * 8 * C0)
+        src = kb.alloc("UB", p.plane_rows() * C0)
+        dst = kb.alloc("UB", 8 * 8 * C0)
         i = Col2ImStore(src=src, dst=dst, params=p, c1=0, xk=0, yk=0)
         assert i.cycles(COST) == (
             COST.issue_cycles + COST.col2im_fractal_cycles
@@ -297,9 +312,10 @@ class TestCol2ImStore:
 
     def test_validation(self, rng, gm):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         p = Im2ColParams(ih=8, iw=8, kh=2, kw=2, sh=2, sw=2)
-        src = core.alloc("UB", p.plane_rows() * C0)
-        dst = core.alloc("UB", 8 * 8 * C0)
+        src = kb.alloc("UB", p.plane_rows() * C0)
+        dst = kb.alloc("UB", 8 * 8 * C0)
         with pytest.raises(IsaError):
             Col2ImStore(src=src, dst=dst.slice(0, 100), params=p,
                         c1=0, xk=0, yk=0)
@@ -322,14 +338,15 @@ class TestIm2colCol2imDualityOnCore:
 
         rng = np.random.default_rng(ih * 31 + k * 7 + s)
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         gm = GlobalMemory()
         p = Im2ColParams(ih=ih, iw=ih, kh=k, kw=k, sh=s, sw=s)
         img = rng.integers(-3, 4, (ih, ih, C0)).astype(np.float16)
-        src = core.alloc("L1", img.size)
+        src = kb.alloc("L1", img.size)
         core.view("L1")[src.offset:src.end] = img.reshape(-1)
         plane = p.plane_rows() * C0
-        planes = core.alloc("UB", p.kh * p.kw * plane)
-        out = core.alloc("UB", ih * ih * C0)
+        planes = kb.alloc("UB", p.kh * p.kw * plane)
+        out = kb.alloc("UB", ih * ih * C0)
         prog = Program("dual")
         for xk in range(k):
             for yk in range(k):
@@ -357,10 +374,11 @@ class TestIm2colCol2imDualityOnCore:
 class TestDataMove:
     def test_gm_to_scratch(self, rng):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         gm = GlobalMemory()
         data = rng.standard_normal(256).astype(np.float16)
         src = gm.add("x", data)
-        dst = core.alloc("UB", 256)
+        dst = kb.alloc("UB", 256)
         prog = Program("t")
         prog.emit(DataMove(src, dst))
         core.run(prog, gm)
@@ -368,9 +386,10 @@ class TestDataMove:
 
     def test_accumulate_mode(self, rng):
         core = AICore(ASCEND910)
+        kb = KernelBuilder(ASCEND910)
         gm = GlobalMemory()
         out = gm.add("y", np.ones(64, np.float16))
-        src = core.alloc("UB", 64)
+        src = kb.alloc("UB", 64)
         core.view("UB")[src.offset:src.end] = 2
         prog = Program("t")
         prog.emit(DataMove(src, out, accumulate=True))

@@ -25,16 +25,18 @@ from repro.isa import (
     VectorOperand,
 )
 from repro.sim import AICore, GlobalMemory
+from repro.tik import KernelBuilder
 
 COST = ASCEND910.cost
 
 
 def setup_core(rng, n=512):
     core = AICore(ASCEND910)
+    kb = KernelBuilder(ASCEND910)
     gm = GlobalMemory()
-    src0 = core.alloc("UB", n)
-    src1 = core.alloc("UB", n)
-    dst = core.alloc("UB", n)
+    src0 = kb.alloc("UB", n)
+    src1 = kb.alloc("UB", n)
+    dst = kb.alloc("UB", n)
     a = rng.standard_normal(n).astype(np.float16)
     b = rng.standard_normal(n).astype(np.float16)
     core.view("UB")[src0.offset:src0.end] = a

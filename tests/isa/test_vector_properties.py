@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.config import ASCEND910
 from repro.isa import Mask, Program, VectorBinary, VectorOperand
 from repro.sim import AICore, GlobalMemory
+from repro.tik import KernelBuilder
 
 OPS = {
     "vmax": np.maximum,
@@ -50,9 +51,10 @@ def test_binary_matches_oracle(op, mask_bits, repeat, d_rep, b_rep, b_blk, seed)
     rng = np.random.default_rng(seed)
     n = 4096
     core = AICore(ASCEND910)
+    kb = KernelBuilder(ASCEND910)
     gm = GlobalMemory()
-    d_ref = core.alloc("UB", n)
-    b_ref = core.alloc("UB", n)
+    d_ref = kb.alloc("UB", n)
+    b_ref = kb.alloc("UB", n)
     d0 = rng.integers(-8, 9, n).astype(np.float16)
     b0 = rng.integers(-8, 9, n).astype(np.float16)
     core.view("UB")[d_ref.offset:d_ref.end] = d0
@@ -81,8 +83,9 @@ def test_dup_matches_oracle(repeat, rep_stride, value, seed):
     rng = np.random.default_rng(seed)
     n = 4096
     core = AICore(ASCEND910)
+    kb = KernelBuilder(ASCEND910)
     gm = GlobalMemory()
-    ref = core.alloc("UB", n)
+    ref = kb.alloc("UB", n)
     before = rng.standard_normal(n).astype(np.float16)
     core.view("UB")[ref.offset:ref.end] = before
     op = VectorOperand(ref, rep_stride=rep_stride)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -177,6 +177,19 @@ class TestPlanIdentity:
         assert restored.plan == res.plan
         assert restored.cycles == res.cycles
         assert np.array_equal(restored.output, res.output)
+
+    def test_geometry_memo_travels_with_no_plan(self):
+        """Plan geometry is memoized off the instance: a plan pickles
+        to the same bytes before and after its geometry is read."""
+        plan = plan_default(
+            "fwd", forward_impl("im2col", "max", True), SPEC, FLOAT16,
+            1, 2, 28, 28, ASCEND910,
+        )
+        before = pickle.dumps(plan)
+        assert plan.tiles and plan.tensors
+        assert plan.image and plan.full_params
+        assert pickle.dumps(plan) == before
+        assert set(vars(plan)) == {f.name for f in fields(plan)}
 
 
 class TestResolvePlan:

@@ -138,6 +138,21 @@ class TestByteIdentity:
         assert np.array_equal(clone.output, res.output)
         assert clone.cycles == res.cycles
 
+    def test_reading_plan_geometry_leaves_the_envelope_unchanged(self):
+        async def go():
+            async with PoolService(workers=1) as svc:
+                return await svc.maxpool(_x(), SPEC)
+
+        res = run(go())
+        before = pickle.dumps(res)
+        plan = res.result.plan
+        # The worker lowered and ran this plan: it still pickles like
+        # a fresh one, so no geometry travelled with it.
+        fresh = type(plan).from_json(plan.to_json())
+        assert pickle.dumps(plan) == pickle.dumps(fresh)
+        assert plan.tiles and plan.tensors
+        assert pickle.dumps(res) == before
+
     def test_traces_only_when_requested(self):
         async def go():
             async with PoolService(workers=1) as svc:

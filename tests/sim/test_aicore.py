@@ -18,8 +18,8 @@ from repro.dtypes import FLOAT16
 from repro.sim import AICore, GlobalMemory
 
 
-def simple_program(core):
-    d = core.alloc("UB", 128)
+def simple_program(kb):
+    d = kb.alloc("UB", 128)
     prog = Program("t")
     prog.emit(VectorDup(VectorOperand(d), 1.5, Mask.full(), 1))
     return prog, d
@@ -29,15 +29,15 @@ class TestAICore:
     def test_buffers_present(self, core):
         assert set(core.buffers) == {"L1", "L0A", "L0B", "L0C", "UB"}
 
-    def test_run_returns_cycles_and_trace(self, core, gm):
-        prog, _ = simple_program(core)
+    def test_run_returns_cycles_and_trace(self, core, gm, kb):
+        prog, _ = simple_program(kb)
         res = core.run(prog, gm)
         assert res.cycles == prog.static_cycles(ASCEND910.cost)
         assert res.instructions == 1
         assert res.trace.issues("vector_dup") == 1
 
-    def test_trace_disabled(self, core, gm):
-        prog, _ = simple_program(core)
+    def test_trace_disabled(self, core, gm, kb):
+        prog, _ = simple_program(kb)
         res = core.run(prog, gm, collect_trace=False)
         assert res.trace.issues() == 0
         assert res.cycles > 0
@@ -47,28 +47,22 @@ class TestAICore:
         with pytest.raises(SimulationError):
             core.view("some_gm_tensor")
 
-    def test_gm_detached_after_run(self, core, gm):
+    def test_gm_detached_after_run(self, core, gm, kb):
         gm.add("x", np.zeros(4, np.float16))
-        prog, _ = simple_program(core)
+        prog, _ = simple_program(kb)
         core.run(prog, gm)
         with pytest.raises(SimulationError):
             core.view("x")
 
-    def test_scalar_loop_trips_in_cycles(self, core, gm):
-        prog, _ = simple_program(core)
+    def test_scalar_loop_trips_in_cycles(self, core, gm, kb):
+        prog, _ = simple_program(kb)
         base = core.run(prog, gm).cycles
         prog.scalar_loop_trips = 100
         assert core.run(prog, gm).cycles == base + 100 * ASCEND910.cost.loop_cycles
 
-    def test_reset_allocations(self, core):
-        core.alloc("UB", 1000)
-        core.reset_allocations()
-        r = core.alloc("UB", 1000)
-        assert r.offset == 0
-
-    def test_vector_utilization_reported(self, core, gm):
-        d = core.alloc("UB", 256)
-        s = core.alloc("UB", 256)
+    def test_vector_utilization_reported(self, core, gm, kb):
+        d = kb.alloc("UB", 256)
+        s = kb.alloc("UB", 256)
         prog = Program("t")
         prog.emit(VADD(VectorOperand(d), VectorOperand(d),
                        VectorOperand(s), Mask.first(16), 1))
@@ -89,37 +83,37 @@ class TestSummaryGuard:
     """``AICore.run`` must reject a precomputed summary that belongs to
     a *different* program instead of silently reporting its cycles."""
 
-    def _two_programs(self, core):
-        prog, _ = simple_program(core)
+    def _two_programs(self, kb):
+        prog, _ = simple_program(kb)
         other = Program("other")
-        d = core.alloc("UB", 256)
-        s = core.alloc("UB", 256)
+        d = kb.alloc("UB", 256)
+        s = kb.alloc("UB", 256)
         other.emit(VADD(VectorOperand(d), VectorOperand(d),
                         VectorOperand(s), Mask.full(), 1))
         other.emit(VADD(VectorOperand(d), VectorOperand(d),
                         VectorOperand(s), Mask.full(), 1))
         return prog, other
 
-    def test_matching_summary_accepted(self, core, gm):
+    def test_matching_summary_accepted(self, core, gm, kb):
         from repro.sim import summarize
 
-        prog, _ = simple_program(core)
+        prog, _ = simple_program(kb)
         summary = summarize(prog, ASCEND910)
         res = core.run(prog, gm, execute="cycles", summary=summary)
         assert res is summary
 
-    def test_instruction_count_mismatch_raises(self, core, gm):
+    def test_instruction_count_mismatch_raises(self, core, gm, kb):
         from repro.sim import summarize
 
-        prog, other = self._two_programs(core)
+        prog, other = self._two_programs(kb)
         summary = summarize(other, ASCEND910)
         with pytest.raises(SimulationError, match="summary"):
             core.run(prog, gm, execute="cycles", summary=summary)
 
-    def test_name_mismatch_raises(self, core, gm):
+    def test_name_mismatch_raises(self, core, gm, kb):
         from repro.sim import summarize
 
-        prog, other = self._two_programs(core)
+        prog, other = self._two_programs(kb)
         # Same instruction count, different program name.
         renamed = Program("imposter")
         renamed.instructions = list(prog.instructions)
@@ -133,9 +127,9 @@ class TestLaneUtilizationGuard:
     a trace that was never collected -- an empty record list would
     silently read as "no vector instructions"."""
 
-    def test_uncollected_trace_raises(self, core, gm):
-        d = core.alloc("UB", 256)
-        s = core.alloc("UB", 256)
+    def test_uncollected_trace_raises(self, core, gm, kb):
+        d = kb.alloc("UB", 256)
+        s = kb.alloc("UB", 256)
         prog = Program("t")
         prog.emit(VADD(VectorOperand(d), VectorOperand(d),
                        VectorOperand(s), Mask.first(16), 1))
@@ -143,8 +137,8 @@ class TestLaneUtilizationGuard:
         with pytest.raises(SimulationError, match="collect"):
             res.vector_lane_utilization
 
-    def test_no_vector_instructions_is_none(self, core, gm):
-        d = core.alloc("UB", 64)
+    def test_no_vector_instructions_is_none(self, core, gm, kb):
+        d = kb.alloc("UB", 64)
         prog = Program("dma-only")
         prog.emit(DataMove(MemRef("x", 0, 64, FLOAT16), d))
         gm.add("x", np.zeros(64, np.float16))
@@ -157,11 +151,11 @@ class TestSummaryGuardAcrossModels:
     models reject a summary built for a different program."""
 
     @pytest.mark.parametrize("model", ["serial", "pipelined"])
-    def test_mismatch_rejected(self, core, gm, model):
+    def test_mismatch_rejected(self, core, gm, model, kb):
         from repro.sim import summarize
 
         prog = Program("a")
-        d = core.alloc("UB", 128)
+        d = kb.alloc("UB", 128)
         prog.emit(VectorDup(VectorOperand(d), 1.0, Mask.full(), 1))
         other = Program("b")
         other.emit(VectorDup(VectorOperand(d), 1.0, Mask.full(), 1))
@@ -172,12 +166,12 @@ class TestSummaryGuardAcrossModels:
                      model=model)
 
     @pytest.mark.parametrize("model", ["serial", "pipelined"])
-    def test_different_tile_slot_rejected(self, core, gm, model):
+    def test_different_tile_slot_rejected(self, core, gm, model, kb):
         """Names compare plainly: a different tile token is a different
         program."""
         from repro.sim import summarize
 
-        d = core.alloc("UB", 128)
+        d = kb.alloc("UB", 128)
         prog = Program("pool-t2")
         prog.emit(VectorDup(VectorOperand(d), 1.5, Mask.full(), 1))
         summary = summarize(prog, ASCEND910, model=model)

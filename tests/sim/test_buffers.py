@@ -152,11 +152,6 @@ class TestAllocator:
         assert a.used_bytes == 200
         assert a.free_bytes == 824
 
-    def test_for_buffer_constructor(self):
-        buf = ScratchBuffer(BufferSpec("L1", 128), FLOAT16)
-        a = Allocator.for_buffer(buf)
-        assert a.capacity_elems == 64
-
     def test_refs_name_the_buffer(self):
         r = make_alloc().alloc(4)
         assert r.buffer == "UB"

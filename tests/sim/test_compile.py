@@ -229,6 +229,51 @@ class TestFusion:
         assert kernel.stats.steps == 1
         assert kernel.stats.instructions == 8
 
+    def test_write_set_tracks_every_index_added(self):
+        from repro.sim.compile import _WriteSet
+
+        ws = _WriteSet()
+        assert not ws.intersects("UB", np.arange(4))
+        ws.add("UB", np.array([[3, 9], [9, 1]]))
+        ws.add("UB", np.array([], dtype=np.int64))
+        ws.add("UB", np.array([40]))  # grows past the first extent
+        hits = [i for i in range(64) if ws.intersects("UB", np.array([i]))]
+        assert hits == [1, 3, 9, 40]
+        assert ws.intersects("UB", np.array([100, 7, 40]))
+        assert not ws.intersects("UB", np.array([0, 2, 1000]))
+        assert not ws.intersects("L1", np.array([3]))
+
+    #: Fused steps of the kernels behind the serve-open benchmark's
+    #: requests (3x3/s2 maxpool with the Argmax mask through Im2col and
+    #: its Col2im backward, 1x2 slices of 16 channels): one program per
+    #: plan, and these counts must not move with the fusion's
+    #: bookkeeping.
+    SERVE_OPEN_STEPS = {
+        (28, 28): (51, 6), (24, 20): (51, 6), (20, 24): (51, 6),
+        (16, 16): (45, 6),
+    }
+
+    @pytest.mark.parametrize("hw", sorted(SERVE_OPEN_STEPS))
+    def test_serve_open_kernels_keep_their_step_counts(self, hw):
+        from repro.ops import PoolSpec
+        from repro.ops.registry import backward_impl, forward_impl
+        from repro.plan import lower, plan_default
+        from repro.sim import ProgramCache
+
+        steps = []
+        for kind, impl in (
+            ("fwd", forward_impl("im2col", "max", True)),
+            ("bwd", backward_impl("col2im", "max")),
+        ):
+            plan = plan_default(
+                kind, impl, PoolSpec.square(3, 2), DT, 1, 2, *hw, CFG,
+                execute="jit",
+            )
+            kernels = lower(plan, CFG, cache=ProgramCache()).kernels
+            (kernel,) = {id(k): k for g in kernels for k in g}.values()
+            steps.append(kernel.stats.steps)
+        assert tuple(steps) == self.SERVE_OPEN_STEPS[hw]
+
     def test_same_value_dups_fuse(self):
         p = Program("dups-s0-t0")
         for r in range(4):

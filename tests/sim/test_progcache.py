@@ -13,6 +13,9 @@ Covers the layers of the compiled-program cache:
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,12 +26,13 @@ from repro.isa.mask import Mask
 from repro.isa.operand import MemRef, VectorOperand
 from repro.isa.program import Program
 from repro.isa.scu import DataMove
-from repro.isa.vector import VMAX
+from repro.isa.vector import VMAX, VectorBinary
 from repro.ops import PoolSpec
 from repro.ops.base import run_backward, run_forward
 from repro.ops.reference import maxpool_argmax_ref
 from repro.ops.registry import backward_impl, forward_impl
-from repro.plan import ExecutionPlan
+from repro.expr.lower import _OPERANDS
+from repro.plan import ExecutionPlan, lower, plan_cycles, plan_default
 from repro.sim import (
     PROGRAM_CACHE,
     AICore,
@@ -41,6 +45,13 @@ from repro.workloads import make_gradient, make_input
 
 DT = FLOAT16
 SMALL = ChipConfig(num_cores=4)
+
+_SPEC = importlib.util.spec_from_file_location(
+    "program_memory",
+    Path(__file__).resolve().parents[2] / "benchmarks" / "program_memory.py",
+)
+program_memory = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(program_memory)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +330,92 @@ class TestInvalidate:
         second = cache.summary(key, prog, ASCEND910)
         assert second.cycles == first.cycles
         assert cache.stats.summary_fallbacks == 1
+
+
+class TestSharedOperands:
+    """The cache owns one table of vector operands, lent to every
+    lowering it runs: equal operands of different cached programs are
+    one object, the programs themselves are unchanged, and the table
+    never outlives the programs it serves."""
+
+    #: :func:`program_memory.digest` of the programs the figure call set
+    #: caches, as built before operands were shared across programs.
+    FIGURE_PROGRAMS_DIGEST = (
+        "16660ea2eb362639b8aca93c5dc1bd8d7199896ed8ea314a2cb75dce54f6ddeb"
+    )
+
+    @staticmethod
+    def _plan(with_mask=False):
+        return plan_default(
+            "fwd", forward_impl("im2col", "max", with_mask),
+            PoolSpec.square(3, 1), DT, 1, 1, 9, 9, ASCEND910_SINGLE_CORE,
+        )
+
+    def test_figure_programs_equal_the_unshared_builds(self):
+        cache = ProgramCache()
+        program_memory.fill(cache, models=("serial",))
+        programs = cache.programs()
+        assert program_memory.digest(programs) == self.FIGURE_PROGRAMS_DIGEST
+        counts = program_memory.census(programs)
+        assert counts["instructions"] == 86_007
+        assert counts["VectorOperand values"] == 30_549
+
+    def test_equal_operand_in_two_programs_is_one_object(self):
+        cache = ProgramCache()
+        for with_mask in (False, True):
+            plan_cycles(
+                self._plan(with_mask), ASCEND910_SINGLE_CORE, cache=cache
+            )
+        a, b = (
+            [
+                op for ins in p if isinstance(ins, VectorBinary)
+                for op in (ins.dst, ins.src0, ins.src1)
+            ]
+            for p in cache.programs()
+        )
+        first = {op: op for op in a}
+        common = [op for op in b if op in first]
+        assert common
+        assert all(first[op] is op for op in common)
+
+    def test_table_is_lent_only_during_a_build(self):
+        cache = ProgramCache()
+        lent = []
+
+        def build():
+            lent.append(_OPERANDS.get())
+            return Program("p")
+
+        cache.get_or_build(_key(), build)
+        assert len(lent) == 1 and lent[0] is cache._operands
+        assert _OPERANDS.get() is None
+
+    @pytest.mark.parametrize(
+        "drop", ["clear", "evict", "invalidate", "failed-build"]
+    )
+    def test_table_dropped_with_its_programs(self, drop):
+        cache = ProgramCache(maxsize=1)
+        plan = self._plan()
+        lower(plan, ASCEND910_SINGLE_CORE, cache=cache)
+        assert cache._operands
+        if drop == "clear":
+            cache.clear()
+        elif drop == "failed-build":
+            def build():
+                lower(self._plan(with_mask=True), ASCEND910_SINGLE_CORE)
+                raise CompileError("build failed after lowering")
+
+            with pytest.raises(CompileError):
+                cache.get_or_build(_key(), build)
+            assert len(cache) == 1
+        elif drop == "evict":
+            cache.get_or_build(_key(), lambda: Program("other"))
+            assert cache.stats.evictions == 1
+        else:
+            (geom,) = plan.tiles
+            key = plan_key(plan, geom.params, ASCEND910_SINGLE_CORE)
+            assert cache.invalidate(key)
+        assert cache._operands == {}
 
 
 class TestCompiledMemo:

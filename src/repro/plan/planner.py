@@ -17,8 +17,9 @@ of the Indirect Convolution Algorithm (arXiv 1907.02129):
   choices are byte-identical to the historical heuristic;
   :func:`resolve_plan` additionally accepts an explicit plan (the
   autotuner's output) or the opt-in ``"autotuned"`` table lookup.
-* **lower** -- :func:`lower` turns a plan into programs: the *only*
-  place :class:`~repro.tik.KernelBuilder` runs for pooling.  Programs,
+* **lower** -- :func:`lower` turns a plan into work items
+  (:class:`~repro.sim.WorkItem`): the *only* place
+  :class:`~repro.tik.KernelBuilder` runs for pooling.  Programs,
   summaries and compiled JIT kernels are keyed into the
   :class:`~repro.sim.ProgramCache` by the plan
   (:func:`repro.sim.progcache.plan_key`), one entry per tile-local
@@ -26,8 +27,8 @@ of the Indirect Convolution Algorithm (arXiv 1907.02129):
   global-memory deltas.
 * **dispatch** -- :func:`dispatch` is the one shared driver: the
   tensor-vs-plan check, global memory setup, one grouped chip run,
-  cache/faults/retry/sanitize/compiled threading and result read-back,
-  written exactly once for forward and backward.
+  faults/retry/sanitize threading and result read-back, written
+  exactly once for forward and backward.
 
 The autotuner (:mod:`repro.plan.autotune`) searches the plan space
 with :func:`plan_cycles`, which costs a candidate through the
@@ -55,9 +56,8 @@ from ..sim import (
     Chip,
     GlobalMemory,
     ProgramCache,
-    RunResult,
+    WorkItem,
     check_execute,
-    compile_program,
     plan_key,
     resolve_model,
 )
@@ -558,27 +558,23 @@ def _build_tile_program(
 
 @dataclass
 class Lowering:
-    """The lowered form of one plan: work items in dispatch shape, plus
-    the cache-shared summaries and compiled kernels when a cache is
-    used.
+    """The lowered form of one plan: its work items in dispatch shape.
 
     ``groups`` is what :meth:`~repro.sim.Chip.run_tile_groups` takes:
     one group per ``(N, C1)`` slice when ``plan.serialize_slices`` pins
-    each slice to one core, otherwise one single-tile group per tile.
-    Either way tiles appear slice-major, and ``summaries``/``kernels``/
-    ``deltas`` mirror ``groups``.  With a cache every ``(slice, tile)``
-    holds the base program of its tile-local geometry, and ``deltas``
-    (outside cycles mode, which touches no data) its per-tensor
-    :meth:`GMTensor.offset`; uncached, each holds a fresh build at its
-    true position and ``deltas`` is ``None``.
+    each slice to one core, otherwise one single-tile group per tile;
+    either way tiles appear slice-major.  With a cache every item holds
+    the base program of its tile-local geometry with its cached summary
+    and (under ``execute="jit"``) kernel, and outside cycles mode, which
+    touches no data, its per-tensor :meth:`GMTensor.offset` deltas;
+    cycles-mode items carry no deltas, so every tile of one geometry
+    shares one item.  Uncached, each item is a bare fresh build at its
+    true position.
     """
 
     plan: ExecutionPlan
     tiles: tuple[TileGeom, ...]
-    groups: list[list[Program]]
-    summaries: list[list[RunResult]] | None = None
-    kernels: list[list] | None = None
-    deltas: list[list[dict[str, int]]] | None = None
+    groups: list[list[WorkItem]]
 
 
 def _dispatch_shape(plan: ExecutionPlan, per_slice) -> list[list]:
@@ -596,7 +592,7 @@ def lower(
     cache: ProgramCache | None = None,
     collect_trace: bool = True,
 ) -> Lowering:
-    """Lower a plan to tile programs (stage two of the pipeline).
+    """Lower a plan to work items (stage two of the pipeline).
 
     With a cache, one program is lowered per tile-local geometry
     (``TileGeom.params``: loaded rows and local padding), built at row
@@ -610,33 +606,29 @@ def lower(
     slices; no per-tile program is built.  The
     implementation is instantiated from the registry only when a
     program is built (a cache miss).  ``cache=None`` builds each tile
-    at its true position instead: the independent reference the
-    equivalence tests compare against.
+    at its true position instead, with no summary or kernel (the chip
+    compiles each under ``execute="jit"``): the independent reference
+    the equivalence tests compare against.
     """
     dtype = dtype_by_name(plan.dtype)
-    execute = plan.execute
     tiles = plan.tiles
-    num_slices = plan.num_slices
+    slices = range(plan.num_slices)
 
     if cache is None:
         impl = _impl_for_plan(plan)
-        groups = _dispatch_shape(plan, (
+        per_slice = (
             [
-                _build_tile_program(plan, impl, slice_idx, geom, config, dtype)
+                WorkItem(_build_tile_program(
+                    plan, impl, slice_idx, geom, config, dtype
+                ))
                 for geom in tiles
             ]
-            for slice_idx in range(num_slices)
-        ))
-        kernels = (
-            [[compile_program(p) for p in group] for group in groups]
-            if execute == "jit"
-            else None
+            for slice_idx in slices
         )
-        return Lowering(plan=plan, tiles=tiles, groups=groups,
-                        kernels=kernels)
+        return Lowering(plan, tiles, _dispatch_shape(plan, per_slice))
 
     m = resolve_model(plan.model)
-    built: dict = {}  # tile-local geometry -> (program, summary, kernel)
+    built: dict = {}  # tile-local geometry -> its shared work item
     for geom in tiles:
         if geom.params in built:
             continue
@@ -649,34 +641,26 @@ def lower(
                 config, dtype,
             ),
         )
-        built[geom.params] = (
+        built[geom.params] = WorkItem(
             prog,
             cache.summary(key, prog, config, collect_trace, model=m),
-            cache.compiled(key, prog) if execute == "jit" else None,
+            cache.compiled(key, prog) if plan.execute == "jit" else None,
         )
-    progs, summaries, kernels = zip(*(built[g.params] for g in tiles))
-    deltas = None
-    if execute != "cycles":
+    row = [built[g.params] for g in tiles]
+    if plan.execute == "cycles":
+        per_slice = (row for _ in slices)
+    else:
         tensors = plan.tensors
-        deltas = _dispatch_shape(plan, (
-            [{t.name: t.offset(slice_idx, geom) for t in tensors}
-             for geom in tiles]
-            for slice_idx in range(num_slices)
-        ))
-    return Lowering(
-        plan=plan,
-        tiles=tiles,
-        groups=_dispatch_shape(plan, (progs for _ in range(num_slices))),
-        summaries=_dispatch_shape(
-            plan, (summaries for _ in range(num_slices))
-        ),
-        kernels=(
-            _dispatch_shape(plan, (kernels for _ in range(num_slices)))
-            if execute == "jit"
-            else None
-        ),
-        deltas=deltas,
-    )
+        per_slice = (
+            [
+                item._replace(deltas={
+                    t.name: t.offset(slice_idx, geom) for t in tensors
+                })
+                for item, geom in zip(row, tiles)
+            ]
+            for slice_idx in slices
+        )
+    return Lowering(plan, tiles, _dispatch_shape(plan, per_slice))
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +728,9 @@ def dispatch(
 
     The tensors are checked against the plan (:func:`check_tensors`),
     then global-memory setup from the plan's tensor table, one grouped
-    chip run under the plan's timing model (the lowering is already in
-    dispatch shape), resilience / sanitizer / compiled-kernel threading
-    and result read-back happen here exactly once for both directions.
+    chip run of the lowering's work items under the plan's timing
+    model, resilience / sanitizer threading and result read-back happen
+    here exactly once for both directions.
     Under ``execute="cycles"`` no global memory exists and the result
     carries ``output=None`` (and ``mask=None``); numeric and JIT runs
     read the written tensors back from simulated global memory.
@@ -770,13 +754,10 @@ def dispatch(
         gm,
         collect_trace=collect_trace,
         execute=plan.execute,
-        summaries=lowering.summaries,
         model=resolve_model(plan.model),
         faults=faults,
         retry=retry,
         sanitize=sanitize,
-        compiled=lowering.kernels,
-        deltas=lowering.deltas,
     )
 
     output = out_mask = None

@@ -5,7 +5,7 @@
 * :mod:`repro.sim.aicore`  -- one AI Core executing a Program.
 * :mod:`repro.sim.chip`    -- the multi-core chip and tile scheduling.
 * :mod:`repro.sim.modes`   -- the execute modes and the one check of
-  how they compose with sanitize/faults/retry/compiled kernels.
+  how they compose with sanitize/faults/retry.
 * :mod:`repro.sim.trace`   -- per-instruction execution traces.
 * :mod:`repro.sim.scheduler` -- pluggable timing models (serial/pipelined).
 * :mod:`repro.sim.compile` -- the NumPy JIT: lowered programs fused
@@ -57,7 +57,7 @@ from .scheduler import (
     resolve_model,
 )
 from .aicore import AICore, RunResult, summarize
-from .chip import Chip, ChipRunResult
+from .chip import Chip, ChipRunResult, WorkItem
 from .compile import (
     CompileContext,
     CompiledKernel,
@@ -90,6 +90,7 @@ __all__ = [
     "summarize",
     "Chip",
     "ChipRunResult",
+    "WorkItem",
     "EXECUTE_MODES",
     "check_execute",
     "ExecutionModel",

@@ -31,7 +31,6 @@ from .scheduler import ExecutionModel, resolve_model
 from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .compile import CompiledKernel
     from .faults import Injection
     from .sanitizer import Sanitizer, SanitizerReport
 
@@ -177,7 +176,6 @@ class AICore:
         model: "str | ExecutionModel | None" = None,
         injection: "Injection | None" = None,
         sanitize: "bool | Sanitizer | None" = None,
-        compiled: "CompiledKernel | None" = None,
         deltas: Mapping[str, int] | None = None,
     ) -> RunResult:
         """Execute ``program``; returns cycles and the trace.
@@ -190,20 +188,15 @@ class AICore:
           analytically.  The cost model is data-independent, so the
           returned cycle count is identical to the numeric mode's; only
           the buffer contents are left untouched.  ``gm`` may be ``None``.
-        * ``"jit"`` -- apply the program's data effect through a
-          compiled batch kernel (:mod:`repro.sim.compile`):
-          bit-identical buffer contents and the exact same cycle
-          accounting as ``"numeric"``, at a fraction of the dispatch
-          cost.  ``compiled`` optionally supplies the kernel (typically
-          from :meth:`repro.sim.progcache.ProgramCache.compiled`);
-          without it the program is compiled on the spot.  Incompatible
-          with ``sanitize=`` and ``injection=``, which instrument the
-          per-instruction interpreter loop the JIT exists to skip.
+
+        ``"jit"`` is refused with a
+        :class:`~repro.errors.SimulationError`: compiled kernels run a
+        batch of tiles at once, so :meth:`repro.sim.Chip.run_tiles` is
+        the only way into the JIT.
 
         ``deltas`` maps global-memory tensor names to the element offset
-        this tile sits at (see :meth:`view`): every mode below runs the
-        program unchanged, at that offset.  ``None`` runs it where its
-        operands point.
+        this tile sits at (see :meth:`view`): the program runs unchanged,
+        at that offset.  ``None`` runs it where its operands point.
 
         ``model`` picks the timing model (name, instance or ``None``
         for the default serial model); it shapes *when* cycles elapse,
@@ -238,10 +231,13 @@ class AICore:
         :class:`~repro.errors.SanitizerError` and the resulting
         :class:`RunResult` carries the sanitizer's report.
         """
-        check_modes(
-            execute, sanitize=sanitize, injection=injection,
-            compiled=compiled,
-        )
+        check_modes(execute, sanitize=sanitize, injection=injection)
+        if execute == "jit":
+            raise SimulationError(
+                "AICore.run does not execute 'jit': compiled kernels run "
+                "batches of tiles through Chip.run_tiles / "
+                "Chip.run_tile_groups"
+            )
         if sanitize:
             from .sanitizer import resolve_sanitizer
 
@@ -256,15 +252,6 @@ class AICore:
                     "numeric execution requires global memory"
                 )
             check_deltas(deltas)
-            if execute == "jit":
-                if compiled is None:
-                    from .compile import compile_program
-
-                    compiled = compile_program(program)
-                # A batch of one: the chip batches tiles through the
-                # same call.
-                compiled([self], program, gm, [deltas])
-        if execute == "numeric":
             self._gm = gm
             self._deltas = deltas or {}
             try:

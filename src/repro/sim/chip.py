@@ -41,9 +41,10 @@ Strict mode (``sanitize=True``) closes the hole: buffers are
 poison-filled at each tile start and the shadow state flags any read of
 freed or never-written elements (see :mod:`repro.sim.sanitizer`).
 
-A work item is a program plus its tile's global-memory ``deltas``
-(tensor name -> element offset): the cached lowering runs one base
-program per tile-local geometry at every ``(N, C1)`` slice and row
+A tile travels as one :class:`WorkItem`: its program, plus the cached
+summary, the compiled kernel and the global-memory ``deltas`` (tensor
+name -> element offset) it runs with.  The cached lowering runs one
+base program per tile-local geometry at every ``(N, C1)`` slice and row
 window, and the core serves each tensor as a view from the delta on
 (:meth:`~repro.sim.aicore.AICore.view`).
 """
@@ -51,6 +52,7 @@ window, and the core serves each tensor as a view from the delta on
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from ..dtypes import FLOAT16, DType
 from ..errors import CoreFailure, DeadlineExceeded, SimulationError
 from ..isa.program import Program
 from .aicore import AICore, RunResult, check_deltas, summarize
-from .compile import compile_program
+from .compile import CompiledKernel, compile_program
 from .faults import (
     CoverageLedger,
     DegradationEvent,
@@ -78,6 +80,29 @@ from .modes import check_modes
 from .sanitizer import Sanitizer, SanitizerReport
 from .scheduler import SERIAL, ExecutionModel, resolve_model
 from .trace import pooled_lane_utilization
+
+
+class WorkItem(NamedTuple):
+    """One tile as the chip runs it: a program and what it runs with.
+
+    The paper deals each ``(N, C1[, row-chunk])`` tile to an AI Core;
+    this is that tile.  Like the indirection buffer of the Indirect
+    Convolution Algorithm (arXiv 1907.02129), one shared program serves
+    many tiles, each reaching its own data by base-pointer ``deltas``.
+    """
+
+    #: The tile program; a cached lowering shares one per tile-local
+    #: geometry.
+    program: Program
+    #: Precomputed :class:`RunResult` of ``program`` (typically from
+    #: the program cache); ``None`` accounts the tile afresh.
+    summary: RunResult | None = None
+    #: ``program``'s compiled kernel, only under ``execute="jit"``;
+    #: ``None`` compiles each distinct program once per chip run.
+    kernel: CompiledKernel | None = None
+    #: Global-memory deltas (tensor name -> element offset) the tile
+    #: runs at; ``None`` runs it where its operands point.
+    deltas: Mapping[str, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -172,7 +197,6 @@ class _ResilientDispatch:
         collect_trace: bool,
         execute: str,
         model: "str | ExecutionModel | None",
-        deltas: list | None = None,
     ) -> None:
         self.chip = chip
         self.injector = injector
@@ -181,8 +205,6 @@ class _ResilientDispatch:
         self.collect_trace = collect_trace
         self.execute = execute
         self.model = resolve_model(model)
-        #: Flat per-tile global-memory deltas (``None``: none given).
-        self.deltas = deltas
         n = len(chip.cores)
         self.per_core_cycles = [0] * n
         self.launch = chip.config.cost.tile_launch_cycles
@@ -241,11 +263,7 @@ class _ResilientDispatch:
 
     # -- one work item --------------------------------------------------
     def run_item(
-        self,
-        tile: int,
-        core_id: int,
-        prog: Program,
-        summary: RunResult | None,
+        self, tile: int, core_id: int, item: WorkItem
     ) -> tuple[int, RunResult]:
         """Execute one work item to completion (or exhaust retries).
 
@@ -253,8 +271,9 @@ class _ResilientDispatch:
         tile, so grouped dispatch can keep the rest of a group on the
         reassigned core.
         """
+        prog = item.program
         core_id = self.place(core_id)
-        cur_summary = self._preflight_summary(tile, prog, summary)
+        cur_summary = self._preflight_summary(tile, prog, item.summary)
         cur_model = self.model
         attempt = 0
         while True:
@@ -274,8 +293,7 @@ class _ResilientDispatch:
                 ):
                     snapshot = self._snapshot(prog)
                 res = self._attempt(
-                    core_id, prog, cur_summary, cur_model, inj,
-                    self.deltas[tile] if self.deltas else None,
+                    core_id, prog, cur_summary, cur_model, inj, item.deltas
                 )
                 cycles = res.cycles + (inj.stall if inj is not None else 0)
                 if (
@@ -448,11 +466,12 @@ class _Batch:
         self.deltas: list = []
 
     def add(
-        self, core_id: int, core: AICore, program: Program, kernel,
-        deltas, summary: RunResult | None, injection: Injection | None,
+        self, core_id: int, core: AICore, item: WorkItem,
+        injection: Injection | None,
     ) -> RunResult:
         """Queue one tile and return its result (cycles and trace
         never depend on the data pass)."""
+        program, summary, kernel, deltas = item
         if summary is not None:
             AICore._check_summary(program, summary)
         check_deltas(deltas)
@@ -529,13 +548,10 @@ class Chip:
         gm: GlobalMemory | None,
         collect_trace: bool = True,
         execute: str = "numeric",
-        summaries: list[RunResult | None] | None = None,
         model: "str | ExecutionModel | None" = None,
         faults: "FaultPlan | FaultInjector | None" = None,
         retry: RetryPolicy | None = None,
         sanitize: bool = False,
-        compiled: list | None = None,
-        deltas: list | None = None,
     ) -> ChipRunResult:
         """Execute tile programs round-robin over the cores.
 
@@ -543,16 +559,13 @@ class Chip:
         run (logically) in parallel, so the chip's cycle count is the
         slowest core's total.  Each tile pays the block-dispatch
         overhead ``tile_launch_cycles``.  This is
-        :meth:`run_tile_groups` with every program its own one-tile
-        group; ``summaries``, ``compiled`` and ``deltas`` are flat, one
-        (possibly ``None``) entry per program.
+        :meth:`run_tile_groups` with every program a one-tile group of
+        a bare :class:`WorkItem`: no summary, kernel or deltas.
 
-        ``execute``, ``summaries`` and ``model`` forward to
-        :meth:`AICore.run`: ``execute="cycles"`` skips data execution
-        (``gm`` may be ``None``), ``summaries`` -- one optional
-        precomputed :class:`RunResult` per program, typically from the
-        program cache -- lets repeated tiles skip per-instruction
-        accounting, and ``model`` selects the timing model.
+        ``execute="numeric"`` (the default) interprets each program
+        (:meth:`AICore.run`), ``execute="cycles"`` skips data execution
+        (``gm`` may be ``None``), and ``model`` selects the timing
+        model.
 
         ``faults`` / ``retry`` switch on the resilient dispatcher (see
         the module docstring); both ``None`` (the default) runs every
@@ -566,82 +579,64 @@ class Chip:
         report lands in :attr:`ChipRunResult.sanitizer`.  Incompatible
         with ``faults``/``retry`` and ``execute="cycles"``/``"jit"``.
 
-        ``execute="jit"`` runs the tiles through their compiled
-        kernels (:mod:`repro.sim.compile`), one call per batch of
-        consecutive tiles sharing a program and kernel (at most one
-        tile per core; see :class:`_Batch`); ``compiled`` optionally
-        supplies one kernel per program (typically shared by every tile
-        of one cached program), mirroring ``summaries``, and without it
-        each distinct program is compiled once.  Incompatible with
-        ``faults``/``retry`` (silent-only plans excepted) and
-        ``sanitize``.
-
-        ``deltas`` optionally gives each program the global-memory
-        deltas its tile runs at (see :meth:`AICore.run`); ``None`` runs
-        every program where its operands point.
+        ``execute="jit"`` runs the tiles through compiled kernels
+        (:mod:`repro.sim.compile`), one call per batch of consecutive
+        tiles sharing a program and kernel (at most one tile per core;
+        see :class:`_Batch`): the chip is the only way into the JIT.
+        Incompatible with ``faults``/``retry`` (silent-only plans
+        excepted) and ``sanitize``.
         """
         if not programs:
             raise SimulationError("run_tiles called with no tile programs")
         return self.run_tile_groups(
-            [[prog] for prog in programs],
+            [[WorkItem(prog)] for prog in programs],
             gm,
             collect_trace=collect_trace,
             execute=execute,
-            summaries=_one_per_tile(summaries, programs, "summaries"),
             model=model,
             faults=faults,
             retry=retry,
             sanitize=sanitize,
-            compiled=_one_per_tile(compiled, programs, "compiled kernels"),
-            deltas=_one_per_tile(deltas, programs, "deltas"),
         )
 
     def run_tile_groups(
         self,
-        groups: list[list[Program]],
+        groups: list[list[WorkItem]],
         gm: GlobalMemory | None,
         collect_trace: bool = True,
         execute: str = "numeric",
-        summaries: list[list[RunResult | None]] | None = None,
         model: "str | ExecutionModel | None" = None,
         faults: "FaultPlan | FaultInjector | None" = None,
         retry: RetryPolicy | None = None,
         sanitize: bool = False,
-        compiled: list | None = None,
-        deltas: list | None = None,
     ) -> ChipRunResult:
-        """Execute groups of tiles; each group stays on one core.
+        """Execute groups of work items; each group stays on one core.
 
         The one dispatch loop: groups are dealt round-robin to cores
         (:meth:`_dispatch`) and a group's tiles run serially on its
         core.  Multi-tile groups serve tiles that must be serialised --
         e.g. the row-chunked backward tiles of one (N, C1) slice, whose
         accumulate-DMA stores overlap and may not race across cores;
-        :meth:`run_tiles` passes one-tile groups.  ``summaries``,
-        ``compiled`` and ``deltas`` are nested to mirror ``groups``;
-        every other argument behaves as in :meth:`run_tiles`.  Under the
-        resilient dispatcher (``faults`` / ``retry``), a reassigned tile
-        drags the rest of its group to the new core, preserving the
-        group's one-core serialisation invariant.
+        :meth:`run_tiles` passes one-tile groups.  Each
+        :class:`WorkItem` brings its own summary (cycle accounting and
+        trace are skipped; a summary of another program raises), kernel
+        and deltas; an item carrying a kernel outside ``execute="jit"``
+        is refused.  Every other argument behaves as in
+        :meth:`run_tiles`.  Under the resilient dispatcher (``faults`` /
+        ``retry``), a reassigned tile drags the rest of its group to the
+        new core, preserving the group's one-core serialisation
+        invariant.
         """
         if not groups or not all(groups):
             raise SimulationError("run_tile_groups needs non-empty groups")
-        sizes = list(map(len, groups))
-        for nested, name, item in (
-            (summaries, "summaries", "summary"),
-            (compiled, "compiled kernels", "kernel"),
-            (deltas, "deltas", "delta map"),
+        check_modes(execute, sanitize=sanitize, faults=faults, retry=retry)
+        if execute != "jit" and any(
+            item.kernel is not None for group in groups for item in group
         ):
-            if nested is not None and list(map(len, nested)) != sizes:
-                raise SimulationError(
-                    f"{name} do not mirror groups: need one (possibly "
-                    f"None) {item} per tile program, nested exactly like "
-                    "the groups"
-                )
-        check_modes(
-            execute, sanitize=sanitize, faults=faults, retry=retry,
-            compiled=compiled,
-        )
+            raise SimulationError(
+                "a work item carries a compiled kernel, which only "
+                "execute='jit' runs"
+            )
         sanitizers = (
             [Sanitizer(self.config) for _ in self.cores] if sanitize else None
         )
@@ -652,7 +647,6 @@ class Chip:
             resilient = _ResilientDispatch(
                 self, injector, retry or RetryPolicy(), gm, collect_trace,
                 execute, model,
-                [d for group in deltas for d in group] if deltas else None,
             )
         per_core_cycles = (
             resilient.per_core_cycles if resilient is not None
@@ -663,31 +657,26 @@ class Chip:
         results: list[RunResult] = []
         for gidx, group in enumerate(groups):
             core_id, core = self._dispatch(gidx)
-            for pidx, prog in enumerate(group):
+            for item in group:
                 tile = len(results)
-                summary = summaries[gidx][pidx] if summaries else None
-                delta = deltas[gidx][pidx] if deltas else None
                 if resilient is not None:
-                    core_id, res = resilient.run_item(
-                        tile, core_id, prog, summary
-                    )
+                    core_id, res = resilient.run_item(tile, core_id, item)
                 else:
                     if batch is not None:
                         res = batch.add(
-                            core_id, core, prog,
-                            compiled[gidx][pidx] if compiled else None,
-                            delta, summary,
+                            core_id, core, item,
                             injector.injection(tile, core_id, 0)
                             if silent_jit else None,
                         )
                     else:
                         res = core.run(
-                            prog, gm, collect_trace=collect_trace,
-                            execute=execute, summary=summary, model=model,
+                            item.program, gm, collect_trace=collect_trace,
+                            execute=execute, summary=item.summary,
+                            model=model,
                             sanitize=(
                                 sanitizers[core_id] if sanitizers else None
                             ),
-                            deltas=delta,
+                            deltas=item.deltas,
                         )
                     per_core_cycles[core_id] += res.cycles + launch
                 results.append(res)
@@ -718,16 +707,3 @@ class Chip:
             resilience=resilience,
             sanitizer=sanitizer,
         )
-
-
-def _one_per_tile(items: list | None, programs: list[Program], what: str):
-    """Flat per-program ``items`` as one-tile groups (``None`` stays
-    ``None``), rejecting a count that does not match ``programs``."""
-    if items is None:
-        return None
-    if len(items) != len(programs):
-        raise SimulationError(
-            f"run_tiles got {len(items)} {what} for {len(programs)} tile "
-            f"programs; {what} must correspond 1:1 with tiles"
-        )
-    return [[item] for item in items]

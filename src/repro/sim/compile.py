@@ -38,8 +38,9 @@ Design constraints, in order:
   ``(tiles, extent)`` stack of the batch's cores' stores (``S[:, idx]``
   with the base index arrays) and every global-memory index array
   shifted by the batch's per-tile delta column (``deltas[:, None] +
-  idx``, computed per call).  The caller keeps a batch exact
-  (:meth:`repro.sim.chip.Chip.run_tile_groups`): at most one tile per
+  idx``, computed per call).  The chip is the only caller
+  (:meth:`repro.sim.chip.Chip.run_tile_groups`; ``AICore.run`` refuses
+  ``execute="jit"``), and it keeps a batch exact: at most one tile per
   core, and tiles share a batch only where the kernel's global-memory
   hazards allow (:meth:`CompiledKernel.admits`).  Accumulating writes
   add tile by tile, each element's additions in index order
@@ -48,7 +49,8 @@ Design constraints, in order:
   sequential repeat its per-repeat loop.  One escape check per
   global-memory tensor runs before any step, at the batch's smallest
   and largest delta, and names the first escaping tile's absolute
-  indices.  One tile is a batch of one.
+  indices.  A work item that brings no kernel has its program
+  compiled once per chip run.
 
 * **The slice rule.**  An index array that is one contiguous run
   becomes a slice at compile time, so a step over it reads and writes

@@ -5,10 +5,10 @@
 simulator validate against, each raising its own layer's error type
 through :func:`check_execute`.  :func:`check_modes` is the single
 exclusivity check between the execute mode and the opt-in execution
-features -- strict memory checking (``sanitize``), fault injection
-(``injection``/``faults``/``retry``) and supplied JIT kernels
-(``compiled``) -- shared by :meth:`repro.sim.AICore.run` and the
-:class:`repro.sim.Chip` dispatchers.
+features -- strict memory checking (``sanitize``) and fault injection
+(``injection``/``faults``/``retry``) -- shared by
+:meth:`repro.sim.AICore.run` and the :class:`repro.sim.Chip`
+dispatchers.
 """
 
 from __future__ import annotations
@@ -39,11 +39,9 @@ def check_modes(
     injection=None,
     faults=None,
     retry=None,
-    compiled=None,
 ) -> None:
     """Reject execute-mode / feature combinations no run can honour.
 
-    * ``compiled=`` kernels only make sense with ``execute="jit"``.
     * ``execute="jit"`` composes with *silent-only* fault plans (every
       fault an undetected :class:`BitFlip`, applied to the kernel's
       written global-memory tensors post-execute); detected faults,
@@ -57,14 +55,11 @@ def check_modes(
       faults corrupt scratch-pad state on purpose.
     * per-instruction ``injection=`` is interpreter-only.
 
-    Every other conflict raises :class:`~repro.errors.SimulationError`.
+    A compiled kernel travels on its :class:`~repro.sim.chip.WorkItem`,
+    and the chip refuses one outside ``execute="jit"``.  Every other
+    conflict raises :class:`~repro.errors.SimulationError`.
     """
     check_execute(execute)
-    if compiled is not None and execute != "jit":
-        raise SimulationError(
-            "compiled= supplies JIT kernels and is only meaningful "
-            "with execute='jit'"
-        )
     if execute == "jit":
         _check_jit_faults(faults, retry)
     if sanitize:

@@ -71,12 +71,11 @@ def addressed(program, deltas):
 
 def work_items(lowering):
     """``(program, instructions addressed, deltas)`` per tile, flat."""
-    flat = [prog for group in lowering.groups for prog in group]
-    deltas = (
-        [d for group in lowering.deltas for d in group]
-        if lowering.deltas is not None else [{}] * len(flat)
-    )
-    return [(p, addressed(p, d), d) for p, d in zip(flat, deltas)]
+    return [
+        (item.program, addressed(item.program, item.deltas or {}),
+         item.deltas or {})
+        for group in lowering.groups for item in group
+    ]
 
 
 def fwd_plan(execute: str = "numeric") -> ExecutionPlan:
@@ -468,8 +467,8 @@ class TestRowRelocation:
         instruction count is refused."""
         plan = self.plan("padded-tail")
         low = lower(plan, ASCEND910, cache=ProgramCache())
-        progs = [g[0] for g in low.groups]
-        sums = [s[0] for s in low.summaries]
+        progs = [g[0].program for g in low.groups]
+        sums = [g[0].summary for g in low.groups]
         pairs = [
             (a, b) for a in range(len(progs)) for b in range(len(progs))
             if len(progs[a]) == len(progs[b])
@@ -483,6 +482,77 @@ class TestRowRelocation:
         kernel = compile_program(progs[a])
         with pytest.raises(SimulationError, match="kernel mismatch"):
             kernel(core, progs[b])
+
+
+class TestUncachedJitCompiles:
+    """``lower(cache=None)`` compiles nothing: under ``execute="jit"``
+    the chip compiles each fresh tile program exactly once per call,
+    and the run equals the cached JIT run and the interpreter's, byte
+    for byte."""
+
+    SPEC = PoolSpec.square(3, 2)
+
+    @pytest.mark.parametrize("kind", ["fwd", "bwd"])
+    def test_each_tile_program_compiles_once_per_call(
+        self, kind, monkeypatch
+    ):
+        import repro.sim.chip as chip_mod
+
+        compiled = []
+        real = chip_mod.compile_program
+
+        def spy(program):
+            compiled.append(program)
+            return real(program)
+
+        monkeypatch.setattr(chip_mod, "compile_program", spy)
+        x = make_input(17, 17, 32, n=1, seed=2)
+        if kind == "fwd":
+            impl = forward_impl("im2col", "max", True)
+        else:
+            impl = backward_impl("col2im", "max")
+
+        def plan(execute):
+            return plan_default(
+                kind, impl, self.SPEC, FLOAT16, 1, 2, 17, 17, ASCEND910,
+                execute=execute,
+            )
+
+        given = {"x": x}
+        if kind == "bwd":
+            oh, ow = plan("jit").out_hw
+            given = {
+                "grad": make_gradient(2, oh, ow, n=1, seed=3),
+                "mask": maxpool_argmax_ref(x, self.SPEC),
+            }
+        jit = plan("jit")
+        low = lower(jit, ASCEND910, cache=None)
+        assert not compiled
+        progs = [item.program for group in low.groups for item in group]
+        assert len(progs) > 1
+        assert all(item.kernel is None for g in low.groups for item in g)
+        runs = []
+        for _ in range(2):
+            runs.append(dispatch(jit, low, ASCEND910, **given))
+            assert list(map(id, compiled)) == list(map(id, progs))
+            compiled.clear()
+        runs.append(dispatch(
+            jit, lower(jit, ASCEND910, cache=ProgramCache()), ASCEND910,
+            **given,
+        ))
+        assert not compiled  # cached items carry their kernels
+        numeric = plan("numeric")
+        runs.append(dispatch(
+            numeric, lower(numeric, ASCEND910), ASCEND910, **given
+        ))
+        want = runs[-1]
+        assert (want.mask is not None) == (kind == "fwd")
+        for got in runs:
+            assert got.output.tobytes() == want.output.tobytes()
+            assert (got.mask is None) == (want.mask is None)
+            if want.mask is not None:
+                assert got.mask.tobytes() == want.mask.tobytes()
+            assert got.cycles == want.cycles
 
 
 class TestDispatchChecksTensors:

@@ -42,6 +42,13 @@ class TestAICore:
         assert res.trace.issues() == 0
         assert res.cycles > 0
 
+    def test_jit_is_refused_naming_the_chip(self, core, gm, kb):
+        """Compiled kernels run batches of tiles, so the chip is the
+        only way into the JIT."""
+        prog, _ = simple_program(kb)
+        with pytest.raises(SimulationError, match=r"Chip\.run_tiles"):
+            core.run(prog, gm, execute="jit")
+
     def test_gm_access_requires_attachment(self, core):
         # view() outside run() must not silently read stale memory
         with pytest.raises(SimulationError):

@@ -17,7 +17,9 @@ from repro.sim import (
     FaultPlan,
     GlobalMemory,
     RetryPolicy,
+    WorkItem,
 )
+from repro.sim.aicore import summarize
 from repro.workloads import make_input
 
 
@@ -27,6 +29,11 @@ def tile_program(repeat=1, offset=0):
     p = Program(f"tile-{offset}")
     p.emit(VectorDup(VectorOperand(d), 1.0, Mask.full(), repeat))
     return p
+
+
+def items(groups):
+    """Groups of programs as groups of bare work items."""
+    return [[WorkItem(p) for p in group] for group in groups]
 
 
 LAUNCH = ASCEND910.cost.tile_launch_cycles
@@ -80,7 +87,7 @@ class TestChip:
     def test_groups_serialise_on_one_core(self, gm):
         chip = Chip(ASCEND910)
         group = [tile_program(repeat=10) for _ in range(4)]
-        res = chip.run_tile_groups([group], gm)
+        res = chip.run_tile_groups(items([group]), gm)
         per = group[0].static_cycles(ASCEND910.cost) + LAUNCH
         assert res.cycles == 4 * per  # serial, despite 32 cores
         assert res.cores_used == 1
@@ -89,7 +96,7 @@ class TestChip:
         chip = Chip(ASCEND910)
         g1 = [tile_program(repeat=10)] * 2
         g2 = [tile_program(repeat=10)] * 2
-        res = chip.run_tile_groups([g1, g2], gm)
+        res = chip.run_tile_groups(items([g1, g2]), gm)
         per = tile_program(repeat=10).static_cycles(ASCEND910.cost) + LAUNCH
         assert res.cycles == 2 * per
         assert res.cores_used == 2
@@ -155,29 +162,14 @@ class TestDispatchValidation:
         with pytest.raises(SimulationError, match="negative"):
             Chip(ASCEND910)._dispatch(-1)
 
-    def test_summaries_length_mismatch_rejected(self, gm):
-        chip = Chip(ChipConfig(num_cores=2))
-        progs = [tile_program(), tile_program()]
-        with pytest.raises(SimulationError, match="1 summaries for 2"):
-            chip.run_tiles(progs, gm, summaries=[None])
-
-    def test_group_summaries_shape_mismatch_rejected(self, gm):
-        chip = Chip(ChipConfig(num_cores=2))
-        groups = [[tile_program(), tile_program()], [tile_program()]]
-        # wrong outer length
-        with pytest.raises(SimulationError, match="mirror groups"):
-            chip.run_tile_groups(groups, gm, summaries=[[None, None]])
-        # wrong inner length
-        with pytest.raises(SimulationError, match="mirror groups"):
-            chip.run_tile_groups(
-                groups, gm, summaries=[[None], [None]]
-            )
-
     def test_matching_summaries_accepted(self, gm):
-        chip = Chip(ChipConfig(num_cores=2))
-        progs = [tile_program(), tile_program()]
-        res = chip.run_tiles(progs, gm, summaries=[None, None])
+        cfg = ChipConfig(num_cores=2)
+        progs = [tile_program(), tile_program(repeat=2)]
+        res = Chip(cfg).run_tile_groups(
+            [[WorkItem(p, summarize(p, cfg))] for p in progs], gm
+        )
         assert res.tiles == 2
+        assert res.per_tile == tuple(summarize(p, cfg) for p in progs)
 
 
 class TestPerCoreBreakdown:
@@ -220,7 +212,7 @@ class TestPerCoreBreakdown:
         cfg = ChipConfig(num_cores=2)
         chip = Chip(cfg)
         g = [tile_program(repeat=5)] * 2
-        res = chip.run_tile_groups([g, g, g], gm)
+        res = chip.run_tile_groups(items([g, g, g]), gm)
         per = g[0].static_cycles(cfg.cost) + LAUNCH
         # groups 0 and 2 land on core 0, group 1 on core 1
         assert res.per_core_cycles == (4 * per, 2 * per)
@@ -243,20 +235,15 @@ EQ_CFG = ChipConfig(num_cores=4)
 
 
 def _pool_tiles(execute):
-    """Real forward MaxPool tile programs (6 tiles over 4 cores), their
-    JIT kernels under ``execute="jit"``, and a global memory to run them
-    against (``None`` in cycles mode)."""
+    """Real forward MaxPool tile programs (6 tiles over 4 cores) and a
+    global memory to run them against (``None`` in cycles mode)."""
     x = make_input(17, 17, 48, n=1, seed=3)
     plan = plan_default(
         "fwd", forward_impl("im2col", "max"), PoolSpec.square(3, 2),
         FLOAT16, 1, 3, 17, 17, EQ_CFG, execute=execute,
     )
     lowering = lower(plan, EQ_CFG, cache=None)
-    progs = [p for group in lowering.groups for p in group]
-    kernels = (
-        [k for group in lowering.kernels for k in group]
-        if lowering.kernels is not None else None
-    )
+    progs = [item.program for group in lowering.groups for item in group]
 
     def fresh_gm():
         if execute == "cycles":
@@ -267,7 +254,7 @@ def _pool_tiles(execute):
         gm.zeros("out", plan.num_slices * oh * ow * FLOAT16.c0, FLOAT16)
         return gm
 
-    return progs, kernels, fresh_gm
+    return progs, fresh_gm
 
 
 def _eq_cases():
@@ -299,19 +286,17 @@ def _eq_cases():
 class TestFlatGroupedEquivalence:
     @pytest.mark.parametrize("execute,model,extra", _eq_cases())
     def test_run_tiles_equals_single_tile_groups(self, execute, model, extra):
-        progs, kernels, fresh_gm = _pool_tiles(execute)
+        progs, fresh_gm = _pool_tiles(execute)
         runs = []
         for grouped in (False, True):
             gm = fresh_gm()
             chip = Chip(EQ_CFG, FLOAT16)
             kwargs = dict(extra, execute=execute, model=model)
             if grouped:
-                if kernels is not None:
-                    kwargs["compiled"] = [[k] for k in kernels]
-                res = chip.run_tile_groups([[p] for p in progs], gm, **kwargs)
+                res = chip.run_tile_groups(
+                    items([p] for p in progs), gm, **kwargs
+                )
             else:
-                if kernels is not None:
-                    kwargs["compiled"] = kernels
                 res = chip.run_tiles(progs, gm, **kwargs)
             runs.append((res, gm))
         (flat, flat_gm), (grouped, grouped_gm) = runs
@@ -331,10 +316,10 @@ class TestFlatGroupedEquivalence:
                 assert arr.tobytes() == grouped_gm.tensors[name].tobytes()
 
     def test_reassigned_group_stays_on_one_core(self):
-        progs, _, fresh_gm = _pool_tiles("numeric")
+        progs, fresh_gm = _pool_tiles("numeric")
         # Group 0 (tiles 0-2) is dealt to core 0; tile 1 crashes there
         # and moves to core 1, dragging tile 2 with it.
-        groups = [progs[:3], progs[3:]]
+        groups = items([progs[:3], progs[3:]])
         res = Chip(EQ_CFG, FLOAT16).run_tile_groups(
             groups, fresh_gm(),
             faults=FaultPlan((Crash(tile=1, core=0, at_instruction=1),)),
@@ -413,8 +398,8 @@ class TestLazyScratchpads:
         named = {
             b
             for group in lower(plan, ASCEND910, cache=None).groups
-            for prog in group
-            for ins in prog.instructions
+            for item in group
+            for ins in item.program.instructions
             for b in ins.buffers()
         } & scratch
         (chip,) = built_chips
@@ -545,16 +530,17 @@ class TestJitBatches:
         prog = _overlap_program()
         kernel = compile_program(prog)
         assert kernel.guarded == ("out",)
-        deltas = [{"x": 256 * t, "out": 96 * t} for t in range(4)]
+        groups = [
+            [WorkItem(prog, deltas={"x": 256 * t, "out": 96 * t})]
+            for t in range(4)
+        ]
 
         def run(execute, cfg):
             gm = GlobalMemory()
             gm.add("x", np.random.default_rng(1).standard_normal(1024)
                    .astype(np.float16))
             gm.zeros("out", 512, FLOAT16)
-            Chip(cfg, FLOAT16).run_tiles(
-                [prog] * 4, gm, execute=execute, deltas=deltas,
-            )
+            Chip(cfg, FLOAT16).run_tile_groups(groups, gm, execute=execute)
             return gm.view("out").tobytes()
 
         want = run("numeric", ChipConfig(num_cores=1))
@@ -573,9 +559,12 @@ class TestJitBatches:
         x = np.arange(1, 769).astype(np.float16)
         gm.add("x", x)
         gm.zeros("out", 768, FLOAT16)
-        Chip(ChipConfig(num_cores=2), FLOAT16).run_tiles(
-            [prog] * 6, gm, execute="jit",
-            deltas=[{"x": 128 * t, "out": 128 * t} for t in range(6)],
+        Chip(ChipConfig(num_cores=2), FLOAT16).run_tile_groups(
+            [
+                [WorkItem(prog, deltas={"x": 128 * t, "out": 128 * t})]
+                for t in range(6)
+            ],
+            gm, execute="jit",
         )
         out = gm.view("out")
         assert not out[:256].any()

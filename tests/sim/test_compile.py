@@ -13,12 +13,13 @@ Covers the compilation contract at every layer:
   instruction without ``compile()`` raises
   :class:`~repro.errors.CompileError` naming its opcode (there is no
   interpreter fallback);
-* the mode is mutually exclusive with ``sanitize=`` and raw
-  ``injection=`` at the core layer; at the chip layer *silent-only*
-  fault plans (undetected :class:`BitFlip`) compose with the JIT
-  (flips land on written global-memory tensors post-execute) while
-  anything needing per-instruction boundaries raises a precise
-  :class:`~repro.errors.PlanError`;
+* the chip is the only way into the JIT: the mode is mutually
+  exclusive with ``sanitize=`` and raw ``injection=``, *silent-only*
+  fault plans (undetected :class:`BitFlip`) compose with it (flips
+  land on written global-memory tensors post-execute) while anything
+  needing per-instruction boundaries raises a precise
+  :class:`~repro.errors.PlanError`, and a work item's kernel runs only
+  under ``execute="jit"``;
 * kernel/program mismatches raise instead of silently mis-executing.
 
 Whole-operator bit-identity is enforced end-to-end by
@@ -33,7 +34,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import ASCEND910, SCRATCH_PADS, ChipConfig
+from repro.config import (
+    ASCEND910,
+    ASCEND910_SINGLE_CORE,
+    SCRATCH_PADS,
+    ChipConfig,
+)
 from repro.dtypes import FLOAT16
 from repro.errors import CompileError, IsaError, SimulationError
 from repro.isa.instruction import Instruction
@@ -50,12 +56,14 @@ from repro.sim import (
     FaultPlan,
     GlobalMemory,
     RetryPolicy,
+    WorkItem,
     compile_program,
 )
 from tests.isa.test_operands import _samples
 
 DT = FLOAT16
 CFG = ASCEND910
+ONE = ASCEND910_SINGLE_CORE
 SMALL = ChipConfig(num_cores=2)
 
 
@@ -72,14 +80,18 @@ def _gm(n_x: int = 4096, n_out: int = 4096, seed: int = 0) -> GlobalMemory:
 
 
 def _run_both(program: Program, seed: int = 0):
-    """Interpreter and JIT results of ``program`` on identical memory."""
+    """Interpreter and JIT results of ``program`` on identical memory,
+    the JIT's through a one-core chip."""
     ref_gm = _gm(seed=seed)
     jit_gm = _gm(seed=seed)
-    ref_core = AICore(CFG, DT)
-    jit_core = AICore(CFG, DT)
-    ref = ref_core.run(program, ref_gm)
-    jit = jit_core.run(program, jit_gm, execute="jit")
+    ref = AICore(CFG, DT).run(program, ref_gm)
+    (jit,) = Chip(ONE, DT).run_tiles([program], jit_gm, execute="jit").per_tile
     return ref, jit, ref_gm, jit_gm
+
+
+def _items(program: Program, deltas, kernel=None) -> list[list[WorkItem]]:
+    """One-tile groups running ``program`` at each delta map."""
+    return [[WorkItem(program, kernel=kernel, deltas=d)] for d in deltas]
 
 
 def _sample_program() -> Program:
@@ -269,8 +281,8 @@ class TestFusion:
                 kind, impl, PoolSpec.square(3, 2), DT, 1, 2, *hw, CFG,
                 execute="jit",
             )
-            kernels = lower(plan, CFG, cache=ProgramCache()).kernels
-            (kernel,) = {id(k): k for g in kernels for k in g}.values()
+            groups = lower(plan, CFG, cache=ProgramCache()).groups
+            (kernel,) = {i.kernel for g in groups for i in g}
             steps.append(kernel.stats.steps)
         assert tuple(steps) == self.SERVE_OPEN_STEPS[hw]
 
@@ -324,10 +336,7 @@ class TestRelocation:
             deltas = {"x": delta, "out": delta}
             ref_gm, jit_gm = _gm(seed=7), _gm(seed=7)
             AICore(CFG, DT).run(template, ref_gm, deltas=deltas)
-            AICore(CFG, DT).run(
-                template, jit_gm, execute="jit", compiled=kernel,
-                deltas=deltas,
-            )
+            kernel([AICore(CFG, DT)], template, jit_gm, [deltas])
             assert np.array_equal(ref_gm.view("out"), jit_gm.view("out"))
             assert ref_gm.view("out")[delta + 64 : delta + 320].any()
 
@@ -336,10 +345,8 @@ class TestRelocation:
         kernel = compile_program(template)
         gm = _gm()
         with pytest.raises(IsaError, match="escape"):
-            AICore(CFG, DT).run(
-                template, gm, execute="jit", compiled=kernel,
-                deltas={"out": 4096},  # escapes out's 4096
-            )
+            # escapes out's 4096
+            kernel([AICore(CFG, DT)], template, gm, [{"out": 4096}])
         # In a batch only the last tile escapes: the error names its
         # absolute indices (its store is out[64:320] at delta 3840),
         # and no tile of the batch ran.
@@ -347,9 +354,8 @@ class TestRelocation:
         with pytest.raises(
             IsaError, match=r"\[3904, 4159\] escape buffer 'out' of size 4096"
         ):
-            Chip(ChipConfig(num_cores=4), DT).run_tiles(
-                [template] * 3, gm, execute="jit", compiled=[kernel] * 3,
-                deltas=deltas,
+            Chip(ChipConfig(num_cores=4), DT).run_tile_groups(
+                _items(template, deltas, kernel), gm, execute="jit",
             )
         assert not gm.view("out").any()
 
@@ -399,7 +405,7 @@ class TestExtents:
         low = lower(plan, SMALL, cache=ProgramCache())
         dispatch(plan, low, SMALL, x=x)
         (chip,) = chips
-        kernels = [k for group in low.kernels for k in group]
+        kernels = [item.kernel for group in low.groups for item in group]
         reach = {
             name: max(k.extents.get(name) or 0 for k in kernels)
             for name in SCRATCH_PADS
@@ -422,12 +428,12 @@ class TestExtents:
         large.emit(
             DataMove(MemRef("UB", 0, 256, DT), MemRef("out", 0, 256, DT))
         )
-        kernels = [compile_program(small), compile_program(large)]
+        group = [
+            WorkItem(p, kernel=compile_program(p)) for p in (small, large)
+        ]
         gm = _gm(seed=2)
         chip = Chip(ChipConfig(num_cores=1), DT)
-        chip.run_tile_groups(
-            [[small, large]], gm, execute="jit", compiled=[kernels],
-        )
+        chip.run_tile_groups([group], gm, execute="jit")
         out = gm.view("out")
         assert np.array_equal(out[:64], gm.view("x")[:64])
         assert not out[64:256].any()
@@ -438,7 +444,7 @@ class TestExtents:
         program = Program("huge")
         program.emit(VectorDup(_vop("UB", cap - 64), 1.0, Mask.full()))
         with pytest.raises(IsaError):
-            AICore(CFG, DT).run(program, _gm(), execute="jit")
+            Chip(ONE, DT).run_tiles([program], _gm(), execute="jit")
         with pytest.raises(IsaError):
             AICore(CFG, DT).run(program, _gm())
 
@@ -456,11 +462,12 @@ def test_every_shipped_class_compiles_bit_identically(instr):
     cores = []
     for execute in ("numeric", "jit"):
         rng = np.random.default_rng(5)
-        core = AICore(CFG, DT)
+        chip = Chip(ONE, DT)
+        (core,) = chip.cores
         for name in sorted(SCRATCH_PADS):
             core.view(name)[:4096] = rng.standard_normal(4096)
         gm = _gm(seed=5)
-        core.run(program, gm, execute=execute)
+        chip.run_tiles([program], gm, execute=execute)
         cores.append((core, gm))
     (ref, ref_gm), (jit, jit_gm) = cores
     for name in sorted(SCRATCH_PADS):
@@ -504,12 +511,12 @@ class TestUncompilable:
             compile_program(_opaque_program())
 
     def test_jit_run_names_the_opcode(self):
-        core, gm = AICore(CFG, DT), _gm()
+        chip, gm = Chip(ONE, DT), _gm()
         with pytest.raises(CompileError, match="_opaque"):
-            core.run(_opaque_program(), gm, execute="jit")
+            chip.run_tiles([_opaque_program()], gm, execute="jit")
         assert not gm.view("out").any()  # nothing ran
         # The interpreter still runs the program.
-        core.run(_opaque_program(), gm)
+        chip.run_tiles([_opaque_program()], gm)
         assert gm.view("out").any()
 
 
@@ -519,27 +526,32 @@ class TestUncompilable:
 
 class TestGuards:
     def test_jit_rejects_sanitize(self):
-        core = AICore(CFG, DT)
+        chip = Chip(ONE, DT)
         with pytest.raises(SimulationError, match="sanitized"):
-            core.run(_sample_program(), _gm(), execute="jit", sanitize=True)
+            chip.run_tiles(
+                [_sample_program()], _gm(), execute="jit", sanitize=True
+            )
 
     def test_jit_rejects_injection(self):
         from repro.sim.faults import Injection
+        from repro.sim.modes import check_modes
 
-        core = AICore(CFG, DT)
         inj = Injection(
             tile=0, core=0, attempt=0, bitflips=(BitFlip(tile=0),)
         )
         with pytest.raises(SimulationError, match="injection"):
-            core.run(
-                _sample_program(), _gm(), execute="jit", injection=inj
-            )
+            check_modes("jit", injection=inj)
 
     def test_compiled_requires_jit_mode(self):
-        core = AICore(CFG, DT)
-        kernel = compile_program(_sample_program())
+        """An item carrying a kernel is refused before any tile runs."""
+        p = _sample_program()
+        gm = _gm()
         with pytest.raises(SimulationError, match="execute='jit'"):
-            core.run(_sample_program(), _gm(), compiled=kernel)
+            Chip(ONE, DT).run_tile_groups(
+                [[WorkItem(p)], [WorkItem(p, kernel=compile_program(p))]],
+                gm,
+            )
+        assert not gm.view("out").any()
 
     def test_chip_rejects_jit_with_nonsilent_faults(self):
         from repro.errors import PlanError
@@ -588,19 +600,13 @@ class TestGuards:
         np.testing.assert_array_equal(g1.tensors["out"], g2.tensors["out"])
 
     def test_chip_rejects_compiled_without_jit(self):
-        chip = Chip(SMALL, DT)
-        kernel = compile_program(_sample_program())
-        with pytest.raises(SimulationError, match="execute='jit'"):
-            chip.run_tiles([_sample_program()], _gm(), compiled=[kernel])
-
-    def test_chip_rejects_mismatched_kernel_count(self):
-        chip = Chip(SMALL, DT)
-        kernel = compile_program(_sample_program())
-        with pytest.raises(SimulationError, match="compiled"):
-            chip.run_tiles(
-                [_sample_program()], _gm(), execute="jit",
-                compiled=[kernel, kernel],
-            )
+        p = _sample_program()
+        item = WorkItem(p, kernel=compile_program(p))
+        for execute, gm in (("numeric", _gm()), ("cycles", None)):
+            with pytest.raises(SimulationError, match="execute='jit'"):
+                Chip(SMALL, DT).run_tile_groups(
+                    [[item]], gm, execute=execute
+                )
 
     def test_kernel_rejects_wrong_program(self):
         kernel = compile_program(_sample_program())
@@ -608,17 +614,19 @@ class TestGuards:
         other.emit(
             DataMove(MemRef("x", 0, 32, DT), MemRef("UB", 0, 32, DT))
         )
-        core = AICore(CFG, DT)
         with pytest.raises(SimulationError, match="mismatch"):
-            core.run(other, _gm(), execute="jit", compiled=kernel)
+            Chip(ONE, DT).run_tile_groups(
+                [[WorkItem(other, kernel=kernel)]], _gm(), execute="jit",
+            )
 
     def test_kernel_rejects_same_length_different_name(self):
         p = _sample_program()
         kernel = compile_program(p)
         renamed = Program("imposter-s0-t0", list(p.instructions))
-        core = AICore(CFG, DT)
         with pytest.raises(SimulationError, match="mismatch"):
-            core.run(renamed, _gm(), execute="jit", compiled=kernel)
+            Chip(ONE, DT).run_tile_groups(
+                [[WorkItem(renamed, kernel=kernel)]], _gm(), execute="jit",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -627,25 +635,24 @@ class TestGuards:
 
 class TestChipDispatch:
     def test_run_tiles_jit_matches_numeric(self):
-        progs = [_sample_program()] * 4
+        prog = _sample_program()
         deltas = [{"x": 512 * s, "out": 512 * s} for s in range(4)]
         ref_gm, jit_gm = _gm(seed=11), _gm(seed=11)
-        ref = Chip(SMALL, DT).run_tiles(progs, ref_gm, deltas=deltas)
-        jit = Chip(SMALL, DT).run_tiles(
-            progs, jit_gm, execute="jit", deltas=deltas
+        ref = Chip(SMALL, DT).run_tile_groups(_items(prog, deltas), ref_gm)
+        jit = Chip(SMALL, DT).run_tile_groups(
+            _items(prog, deltas), jit_gm, execute="jit"
         )
         assert np.array_equal(ref_gm.view("out"), jit_gm.view("out"))
         assert ref.cycles == jit.cycles
         assert ref.total_work_cycles == jit.total_work_cycles
 
-    def test_run_tiles_accepts_precompiled_kernels(self):
+    def test_run_tile_groups_accepts_item_kernels(self):
         template = _sample_program()
         kernel = compile_program(template)
         deltas = [{"x": 512 * s, "out": 512 * s} for s in range(3)]
         ref_gm, jit_gm = _gm(seed=13), _gm(seed=13)
-        Chip(SMALL, DT).run_tiles([template] * 3, ref_gm, deltas=deltas)
-        Chip(SMALL, DT).run_tiles(
-            [template] * 3, jit_gm, execute="jit", compiled=[kernel] * 3,
-            deltas=deltas,
+        Chip(SMALL, DT).run_tile_groups(_items(template, deltas), ref_gm)
+        Chip(SMALL, DT).run_tile_groups(
+            _items(template, deltas, kernel), jit_gm, execute="jit"
         )
         assert np.array_equal(ref_gm.view("out"), jit_gm.view("out"))

@@ -32,6 +32,7 @@ from repro.sim import (
     ResilienceReport,
     RetryPolicy,
     Stall,
+    WorkItem,
     resolve_injector,
 )
 from repro.sim.aicore import summarize
@@ -405,12 +406,12 @@ class TestCoverageLedger:
 
         real = chip_mod._ResilientDispatch.run_item
 
-        def skip_ledger(self, tile, core_id, prog, summary):
+        def skip_ledger(self, tile, core_id, item):
             if tile == 1:  # complete the tile but "forget" the record
-                cid, res = real(self, tile, core_id, prog, summary)
+                cid, res = real(self, tile, core_id, item)
                 del self.ledger._completed[tile]
                 return cid, res
-            return real(self, tile, core_id, prog, summary)
+            return real(self, tile, core_id, item)
 
         monkeypatch.setattr(
             chip_mod._ResilientDispatch, "run_item", skip_ledger
@@ -430,13 +431,12 @@ class TestDegradation:
         prog = store_program("real")
         wrong = summarize(Program("other"), CFG2)
         # historical path: hard error
+        item = [[WorkItem(prog, wrong)]]
         with pytest.raises(SimulationError, match="summary mismatch"):
-            Chip(CFG2).run_tiles([prog], fresh_gm("out"),
-                                 summaries=[wrong])
+            Chip(CFG2).run_tile_groups(item, fresh_gm("out"))
         # resilient path: degradation event + correct accounting
-        res = Chip(CFG2).run_tiles(
-            [prog], fresh_gm("out"), summaries=[wrong],
-            retry=RetryPolicy(),
+        res = Chip(CFG2).run_tile_groups(
+            item, fresh_gm("out"), retry=RetryPolicy(),
         )
         rep = res.resilience
         assert [d.kind for d in rep.degradations] == ["cached-to-fresh"]
@@ -474,7 +474,7 @@ class TestZeroCostWhenIdle:
         assert res.per_core_cycles == base.per_core_cycles
 
     def test_groups_empty_plan_identical(self):
-        g = [store_program(f"g{i}") for i in range(3)]
+        g = [WorkItem(store_program(f"g{i}")) for i in range(3)]
         base = Chip(CFG2).run_tile_groups([g, g], fresh_gm("out"))
         res = Chip(CFG2).run_tile_groups([g, g], fresh_gm("out"),
                                          retry=RetryPolicy())
@@ -487,8 +487,8 @@ class TestGroupedResilience:
     def test_reassigned_tile_drags_group(self):
         """After a mid-group failure moves the tile, the remainder of
         the group follows it (one-core serialisation preserved)."""
-        g0 = [store_program(f"a{i}", offset=0) for i in range(3)]
-        g1 = [store_program(f"b{i}", offset=128) for i in range(2)]
+        g0 = [WorkItem(store_program(f"a{i}", offset=0)) for i in range(3)]
+        g1 = [WorkItem(store_program(f"b{i}", offset=128)) for i in range(2)]
         gm = fresh_gm("out")
         res = Chip(CFG2).run_tile_groups(
             [g0, g1], gm,

@@ -36,8 +36,10 @@ from repro.plan import ExecutionPlan, lower, plan_cycles, plan_default
 from repro.sim import (
     PROGRAM_CACHE,
     AICore,
+    Chip,
     GlobalMemory,
     ProgramCache,
+    WorkItem,
     compile_program,
     plan_key,
 )
@@ -95,6 +97,13 @@ def _gm(seed: int = 0) -> GlobalMemory:
     return gm
 
 
+def _run(items, gm, execute="numeric", **kwargs):
+    """Run work items as one-tile groups on a one-core chip."""
+    return Chip(ASCEND910_SINGLE_CORE).run_tile_groups(
+        [[item] for item in items], gm, execute=execute, **kwargs
+    )
+
+
 class TestDeltaDispatch:
     """The interpreter and the JIT run one base program at a delta
     bit-identically to a fresh build at the true position, and a delta
@@ -107,11 +116,12 @@ class TestDeltaDispatch:
         base, fresh = _tile(), _tile(x_off, out_off)
         at_delta, built = _gm(), _gm()
         kernel = compile_program(base) if execute == "jit" else None
-        AICore(ASCEND910).run(
-            base, at_delta, execute=execute, compiled=kernel,
-            deltas={"x": x_off, "out": out_off},
+        _run(
+            [WorkItem(base, kernel=kernel,
+                      deltas={"x": x_off, "out": out_off})],
+            at_delta, execute,
         )
-        AICore(ASCEND910).run(fresh, built, execute=execute)
+        _run([WorkItem(fresh)], built, execute)
         for name in ("x", "out"):
             assert (
                 at_delta.view(name).tobytes() == built.view(name).tobytes()
@@ -124,26 +134,31 @@ class TestDeltaDispatch:
         outs = []
         for execute, compiled in (("numeric", None), ("jit", kernel)):
             gm = _gm(seed=3)
-            core = AICore(ASCEND910)
-            for s in range(4):
-                core.run(
-                    base, gm, execute=execute, compiled=compiled,
-                    deltas={"x": 64 * s, "out": 32 * s},
-                )
+            _run(
+                [
+                    WorkItem(base, kernel=compiled,
+                             deltas={"x": 64 * s, "out": 32 * s})
+                    for s in range(4)
+                ],
+                gm, execute,
+            )
             outs.append(gm.view("out").tobytes())
         assert outs[0] == outs[1]
 
     def test_resilient_retry_rolls_back_at_deltas(self):
         """A tile that crashes after accumulating at its delta is rolled
         back and retried: the result equals a fault-free run."""
-        from repro.sim import Chip, Crash, FaultPlan, RetryPolicy
+        from repro.sim import Crash, FaultPlan, RetryPolicy
 
-        progs = [_tile(accumulate=True)] * 4
-        deltas = [{"x": 64 * s, "out": 32 * s} for s in range(4)]
+        prog = _tile(accumulate=True)
+        groups = [
+            [WorkItem(prog, deltas={"x": 64 * s, "out": 32 * s})]
+            for s in range(4)
+        ]
         clean, faulty = _gm(seed=4), _gm(seed=4)
-        Chip(SMALL).run_tiles(progs, clean, deltas=deltas)
-        res = Chip(SMALL).run_tiles(
-            progs, faulty, deltas=deltas, retry=RetryPolicy(),
+        Chip(SMALL).run_tile_groups(groups, clean)
+        res = Chip(SMALL).run_tile_groups(
+            groups, faulty, retry=RetryPolicy(),
             faults=FaultPlan((Crash(tile=2, at_instruction=3),)),
         )
         assert res.resilience.retries == 1
@@ -153,9 +168,7 @@ class TestDeltaDispatch:
     def test_delta_past_tensor_end_raises(self, execute):
         gm = _gm()
         with pytest.raises(IsaError, match="escape"):
-            AICore(ASCEND910).run(
-                _tile(), gm, execute=execute, deltas={"out": 112},
-            )
+            _run([WorkItem(_tile(), deltas={"out": 112})], gm, execute)
         assert not gm.view("out").any()  # the store never ran
 
     def test_jit_escape_names_absolute_indices(self):
@@ -166,13 +179,12 @@ class TestDeltaDispatch:
             rows.emit(DataMove(
                 MemRef("x", 32 * r, 32, DT), MemRef("UB", 32 * r, 32, DT),
             ))
-        assert compile_program(rows).stats.steps == 1
+        kernel = compile_program(rows)
+        assert kernel.stats.steps == 1
         with pytest.raises(
             IsaError, match=r"\[224, 287\] escape buffer 'x' of size 256"
         ):
-            AICore(ASCEND910).run(
-                rows, _gm(), execute="jit", deltas={"x": 224},
-            )
+            kernel([AICore(ASCEND910)], rows, _gm(), [{"x": 224}])
 
     def test_negative_delta_rejected(self):
         from repro.errors import SimulationError

@@ -118,3 +118,130 @@ def dtype_of(array: np.ndarray) -> DType:
         if d.np_dtype == array.dtype:
             return d
     raise LayoutError(f"unsupported array dtype {array.dtype}")
+
+
+# ---------------------------------------------------------------------------
+# fp16 arithmetic on float32 operands
+#
+# Every fp16 value is exact in binary32, so data can stay float32 while
+# keeping fp16 values.  Max, min, compare and copy of such values are
+# exact; add, subtract, multiply and divide computed in float32 and
+# rounded once to fp16 are correctly rounded, because binary32's 24
+# significand bits are at least 2 * 11 + 2 (S. A. Figueroa, "When is
+# double rounding innocuous?", ACM SIGNUM Newsletter 30(3), 1995).
+
+_F32 = np.dtype(np.float32)
+#: Smallest normal fp16 magnitude; fp16 spaces everything below it
+#: 2**-24 apart, which is float32's spacing on [0.5, 1).
+_HALF_TINY = 0x38800000
+_HALF_MAGIC = np.float32(0.5)
+#: Magnitudes from 65520 (the midpoint past fp16's largest finite
+#: value), infinities and NaNs.
+_HALF_OVER = 0x477FF000
+_HALF_SCALE = np.float32(2.0**-112)
+
+
+def jit_dtype(np_dtype) -> np.dtype:
+    """The dtype JIT kernels keep ``np_dtype`` data in: float32 for
+    float16 (see :func:`round_to_half`), any other dtype itself."""
+    np_dtype = np.dtype(np_dtype)
+    return _F32 if np_dtype == np.float16 else np_dtype
+
+
+def round_to_half(x: np.ndarray) -> np.ndarray:
+    """Float32 ``x`` rounded onto the fp16 grid, as a new float32 array.
+
+    Bit-identical to ``x.astype(np.float16).astype(np.float32)``: round
+    to nearest even, overflow to infinity, fp16 subnormals, signed
+    zeros, and a NaN's payload cut to fp16's 10 bits (kept nonzero).
+    It rounds the bit pattern as an integer (drop 13 bits, nearest
+    even) and handles subnormals by a magic add, at about a third of
+    the cost of the two conversions.
+    """
+    return _round_in_place(x.copy())
+
+
+def _round_in_place(x: np.ndarray, nans=None) -> np.ndarray:
+    """:func:`round_to_half` into ``x`` itself.  ``nans``, for
+    :func:`half_op`, is ``(a, b, keep)``: where operands ``a`` and
+    ``b`` are both NaN, the result is ``keep``'s NaN, quieted."""
+    u = x.view(np.uint32)
+    mag = u & 0x7FFFFFFF
+    over = mag >= _HALF_OVER
+    big = u[over] if over.any() else None
+    bit = u >> 13
+    bit &= 1
+    bit += 0x0FFF
+    u += bit
+    u &= 0xFFFFE000  # a finite value's sign bit survives the carry
+    if big is not None:
+        cut = big & 0xFFFFE000
+        # Past 65520 -> infinity; a NaN keeps its top payload bits.
+        cut[(cut & 0x7FFFFF) == 0] |= 0x2000
+        u[over] = np.where(
+            mag[over] > 0x7F800000, cut, (big & 0x80000000) | 0x7F800000
+        )
+        if nans is not None:
+            a, b, keep = nans
+            both = np.isnan(a) & np.isnan(b)
+            if both.any():
+                kept = np.broadcast_to(
+                    np.asarray(keep, np.float32), x.shape
+                ).view(np.uint32)
+                np.copyto(u, (kept | 0x00400000) & 0xFFFFE000, where=both)
+    # Nonzero magnitudes below the smallest normal (zero wraps round).
+    mag -= 1
+    tiny = mag < _HALF_TINY - 1
+    if tiny.any():
+        mag += 1
+        small = mag.view(np.float32)
+        with np.errstate(invalid="ignore"):  # signalling NaNs, unused
+            small += _HALF_MAGIC
+        small -= _HALF_MAGIC
+        mag |= u & 0x80000000
+        np.copyto(u, mag, where=tiny)
+    return x
+
+
+def to_half(x: np.ndarray) -> np.ndarray:
+    """Float32 ``x`` holding fp16 values, as float16.
+
+    For such values (:func:`round_to_half` results, widened fp16, NaN
+    payloads included) bit-identical to ``x.astype(np.float16)``, at
+    about a third of its cost: scaling by 2**-112 moves fp16's exponent
+    range, subnormals included, onto the bottom of float32's, where the
+    top 16 bits below the sign are the fp16 pattern.  Other values are
+    truncated, not rounded.
+    """
+    u = x.view(np.uint32)
+    scaled = np.abs(x)
+    with np.errstate(invalid="ignore"):  # signalling NaNs, fixed below
+        scaled *= _HALF_SCALE
+    h = scaled.view(np.uint32)
+    h >>= 13
+    special = h >= 0x3FC00  # infinities and NaNs, payloads unscaled
+    if special.any():
+        h[special] = ((u[special] >> 13) & 0x3FF) | 0x7C00
+    sign = u >> 16
+    sign &= 0x8000
+    h |= sign
+    return h.astype(np.uint16).view(np.float16)
+
+
+def half_op(op, nan_from: int | None = None):
+    """The fp16 ufunc ``op`` on float32 operands holding fp16 values:
+    computed in float32 and rounded once (:func:`round_to_half`).
+
+    Where both operands are NaN, float32 and fp16 loops may return
+    different operands' payloads.  ``nan_from`` names the operand (0 or
+    1) whose quieted NaN the fp16 operation returns there; ``None``
+    leaves float32's choice, for an ``op`` whose choice agrees.
+    """
+
+    def rounded(a, b):
+        r = op(a, b)
+        if nan_from is None:
+            return _round_in_place(r)
+        return _round_in_place(r, (a, b, (a, b)[nan_from]))
+
+    return rounded

@@ -21,6 +21,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from ..config import CostModel
+from ..dtypes import DType, half_op
 from ..errors import IsaError
 from .instruction import Instruction, check_bounds, check_repeat
 from .mask import Mask
@@ -53,6 +54,40 @@ _SCALAR_OPS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
     "vadds": lambda a, s: a + a.dtype.type(s),
     "vmuls": lambda a, s: a * a.dtype.type(s),
 }
+
+#: The ops as JIT kernels compute them on fp16 data held in float32
+#: (:func:`~repro.dtypes.jit_dtype`): max, min and compare are exact,
+#: and the arithmetic rounds once per step.  fp16 ``add`` and
+#: ``multiply`` return the second operand's NaN where both are NaN.
+_HALF_OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    **_BINARY_OPS,
+    "vadd": half_op(np.add, nan_from=1),
+    "vsub": half_op(np.subtract),
+    "vmul": half_op(np.multiply, nan_from=1),
+    "vdiv": half_op(_np_divide),
+}
+_HALF_OPS["vadds"] = _HALF_OPS["vadd"]
+_HALF_OPS["vmuls"] = _HALF_OPS["vmul"]
+
+
+def _jit_binary(op: str, dt: DType) -> Callable:
+    """What a JIT kernel computes binary ``op`` on ``dt`` data as."""
+    return _HALF_OPS[op] if dt.np_dtype == np.float16 else _BINARY_OPS[op]
+
+
+def _jit_scalar(op: str, dt: DType, imm: float) -> Callable:
+    """``op`` with immediate ``imm`` as a JIT kernel computes it: the
+    immediate is first rounded to ``dt``, as the interpreter rounds it.
+    Adding zero is a copy, exact without rounding."""
+    value = dt.np_dtype.type(imm)
+    if dt.np_dtype != np.float16:
+        base = _SCALAR_OPS[op]
+        return lambda a: base(a, value)
+    wide = np.float32(value)
+    if op == "vadds" and wide == 0:
+        return lambda a: a + wide
+    base = _HALF_OPS[op]
+    return lambda a: base(a, wide)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +164,7 @@ class VectorBinary(Instruction):
     def compile(self, ctx) -> None:
         dt = self.dst.ref.dtype
         lanes = self.mask.lanes(dt)
-        func = _BINARY_OPS[self.op]
+        func = _jit_binary(self.op, dt)
         d_idx = self.dst.element_indices(self.repeat, lanes)
         s0_idx = self.src0.element_indices(self.repeat, lanes)
         s1_idx = self.src1.element_indices(self.repeat, lanes)
@@ -262,12 +297,8 @@ class VectorScalar(Instruction):
     def compile(self, ctx) -> None:
         dt = self.dst.ref.dtype
         lanes = self.mask.lanes(dt)
-        base = _SCALAR_OPS[self.op]
         imm = self.imm
-
-        def func(a: np.ndarray) -> np.ndarray:
-            return base(a, imm)
-
+        func = _jit_scalar(self.op, dt, imm)
         d_idx = self.dst.element_indices(self.repeat, lanes)
         s_idx = self.src.element_indices(self.repeat, lanes)
         if self.repeat == 1 or (

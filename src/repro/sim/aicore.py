@@ -144,9 +144,11 @@ class AICore:
     def view(self, buffer: str) -> np.ndarray:
         """Flat, writable view of ``buffer``.
 
-        A scratch-pad serves its whole store.  A global-memory tensor is
-        served from the running tile's delta onwards, an O(1) NumPy
-        view, so one base program runs at any ``(slice, tile)``.
+        A scratch-pad serves its whole store (a read-only copy once a
+        JIT chip has made the store a row of its stack; see
+        :class:`~repro.sim.buffers.ScratchBuffer`).  A global-memory
+        tensor is served from the running tile's delta onwards, an O(1)
+        NumPy view, so one base program runs at any ``(slice, tile)``.
         """
         buf = self.buffers.get(buffer)
         if buf is not None:

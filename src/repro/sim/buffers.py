@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import BufferSpec
-from ..dtypes import DType
-from ..errors import AlignmentError, CapacityError, IsaError
+from ..dtypes import DType, jit_dtype
+from ..errors import AlignmentError, CapacityError, IsaError, SimulationError
 from ..isa.operand import MemRef
 
 
@@ -24,15 +24,19 @@ from ..isa.operand import MemRef
 class ScratchBuffer:
     """One scratch-pad memory with NumPy-backed contents.
 
-    The backing store is typed with the kernel's element dtype; kernels
-    in this reproduction are single-dtype (fp16), matching the paper.
+    The interpreter's store is typed with the chip's element dtype;
+    kernels in this reproduction are single-dtype (fp16), matching the
+    paper.  Storage grows on demand: :meth:`reserve` extends a
+    zero-filled store to the extent asked and keeps its prefix, and
+    :attr:`data` reserves the whole capacity.  Cycles-mode runs touch
+    no store; the interpreter, the sanitizer and fault injection read
+    :attr:`data`.
 
-    Storage grows on demand: :meth:`reserve` extends a zero-filled
-    store to the extent asked and keeps its prefix, and :attr:`data`
-    reserves the whole capacity.  Cycles-mode runs touch no store; a
-    JIT kernel reserves only the extent it computed at compile time
-    (a few KiB of a 256 KiB ``UB``); the interpreter, the sanitizer
-    and fault injection read :attr:`data`.  Observably the store still
+    On a chip that runs JIT kernels the store is instead a row of the
+    chip's :class:`ScratchStack` for this scratch-pad, holding
+    :func:`~repro.dtypes.jit_dtype` data (float32 for fp16), only as
+    wide as the kernels address; :attr:`data` then reads it back as a
+    read-only copy in the element dtype.  Observably the store still
     starts zeroed and is never cleared behind a kernel's back.
     """
 
@@ -41,40 +45,73 @@ class ScratchBuffer:
     _store: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The JIT stack whose row ``_row`` is the store, once bound.
+    _stack: "ScratchStack | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _row: int = field(default=0, init=False, repr=False, compare=False)
 
     def reserve(self, extent: int) -> np.ndarray:
         """The store, grown zero-filled to at least ``extent`` elements.
 
         Raises :class:`~repro.errors.IsaError` for an extent past the
-        buffer's capacity.
+        buffer's capacity, and :class:`~repro.errors.SimulationError`
+        once the store is a JIT stack row.
         """
         store = self._store
         if store is not None and store.size >= extent:
             return store
-        if extent > self.capacity_elems:
-            raise IsaError(
-                f"{self.name}: extent of {extent} elements escapes "
-                f"capacity {self.capacity_elems}"
+        if self._stack is not None:
+            raise SimulationError(
+                f"{self.name}: the store is a JIT stack row; the "
+                "interpreter does not run on a chip after its JIT run"
             )
+        self.check_extent(extent)
         grown = np.zeros(extent, dtype=self.dtype.np_dtype)
         if store is not None:
             grown[: store.size] = store
         self._store = grown
         return grown
 
+    def check_extent(self, extent: int) -> None:
+        """Raise :class:`~repro.errors.IsaError` for an extent past the
+        buffer's capacity."""
+        if extent > self.capacity_elems:
+            raise IsaError(
+                f"{self.name}: extent of {extent} elements escapes "
+                f"capacity {self.capacity_elems}"
+            )
+
+    def bind(self, stack: "ScratchStack", row: int) -> None:
+        """Make row ``row`` of ``stack`` the store, carrying over what
+        the store held."""
+        if self._store is not None:
+            stack.array[row, : self._store.size] = self._store
+            self._store = None
+        self._stack, self._row = stack, row
+
     @property
     def data(self) -> np.ndarray:
-        """The whole store, at full capacity."""
-        return self.reserve(self.capacity_elems)
+        """The whole store, at full capacity; a read-only copy in the
+        element dtype once the store is a JIT stack row."""
+        if self._stack is None:
+            return self.reserve(self.capacity_elems)
+        row = self._stack.array[self._row]
+        out = np.zeros(self.capacity_elems, self.dtype.np_dtype)
+        out[: row.size] = row
+        out.flags.writeable = False
+        return out
 
     @property
     def allocated(self) -> bool:
         """Whether any storage exists yet."""
-        return self._store is not None
+        return self._store is not None or self._stack is not None
 
     @property
     def extent(self) -> int:
         """Elements of storage that exist (0 before the first use)."""
+        if self._stack is not None:
+            return self._stack.array.shape[1]
         return 0 if self._store is None else self._store.size
 
     @property
@@ -86,7 +123,9 @@ class ScratchBuffer:
         return self.spec.capacity_bytes // self.dtype.itemsize
 
     def clear(self) -> None:
-        if self._store is not None:  # storage not yet grown reads as zeros
+        if self._stack is not None:
+            self._stack.array[self._row].fill(0)
+        elif self._store is not None:  # storage not yet grown reads as zeros
             self._store.fill(0)
 
     def poison(self, value: float) -> None:
@@ -102,6 +141,44 @@ class ScratchBuffer:
         read.
         """
         self.data.fill(value)
+
+
+class ScratchStack:
+    """One scratch-pad of every core of a JIT chip, as one array.
+
+    :attr:`array` is ``(cores, extent)`` of
+    :func:`~repro.dtypes.jit_dtype` data, and row ``i`` is core ``i``'s
+    store (:meth:`ScratchBuffer.bind`).  A kernel call on a batch of
+    consecutive cores computes on ``array[lo:hi]``, a view, so no store
+    is stacked or copied back.  Rows exist only for the cores a chip
+    run uses and columns only as far as its kernels address: both grow
+    zero-filled, keeping what the stores held.
+    """
+
+    def __init__(self, buffers: list[ScratchBuffer]) -> None:
+        #: Each core's buffer of this scratch-pad, by core id.
+        self.buffers = buffers
+        self.array = np.zeros((0, 0), jit_dtype(buffers[0].dtype.np_dtype))
+
+    def reserve(self, rows: int, extent: int) -> np.ndarray:
+        """:attr:`array`, grown to at least ``rows`` cores and
+        ``extent`` elements.
+
+        Raises :class:`~repro.errors.IsaError` for an extent past the
+        buffer's capacity.
+        """
+        have_rows, have = self.array.shape
+        if rows <= have_rows and extent <= have:
+            return self.array
+        fresh = self.buffers[have_rows:rows]
+        extent = max([extent, have] + [buf.extent for buf in fresh])
+        self.buffers[0].check_extent(extent)
+        grown = np.zeros((max(rows, have_rows), extent), self.array.dtype)
+        grown[:have_rows, :have] = self.array
+        self.array = grown
+        for row, buf in enumerate(fresh, have_rows):
+            buf.bind(self, row)
+        return grown
 
 
 @dataclass

@@ -32,9 +32,10 @@ because :class:`ScratchBuffer` storage grows zero-filled, a freshly
 built chip can mask even that).  Storage grows only as far as it is
 used: cycles mode allocates none, a JIT kernel reserves just the
 extent its steps address, and a grown store keeps what earlier tiles
-wrote.  Under the JIT, one kernel call runs a
-batch of tiles over ``(tiles, extent)`` stacks of their cores' stores,
-and a batch holds at most one tile per core, so each core's store
+wrote.  Under the JIT, the chip keeps each scratch-pad as one float32
+:class:`~repro.sim.buffers.ScratchStack` whose row ``i`` is core ``i``'s
+store, and one kernel call runs a batch of tiles on consecutive cores
+over a slice of those rows, one tile per core, so each core's store
 still passes from one of its tiles to the next exactly as per-tile
 runs pass it (see :class:`_Batch`).
 Strict mode (``sanitize=True``) closes the hole: buffers are
@@ -61,6 +62,7 @@ from ..dtypes import FLOAT16, DType
 from ..errors import CoreFailure, DeadlineExceeded, SimulationError
 from ..isa.program import Program
 from .aicore import AICore, RunResult, check_deltas, summarize
+from .buffers import ScratchStack
 from .compile import CompiledKernel, compile_program
 from .faults import (
     CoverageLedger,
@@ -443,10 +445,11 @@ class _ResilientDispatch:
 class _Batch:
     """Consecutive JIT work items that one kernel call runs together.
 
-    A batch shares one program and its kernel and holds at most one tile
-    per core: the kernel stacks one scratch-pad row per tile, and a
-    core's next tile must see what its previous one left there.  A tile
-    joins only where the kernel's global-memory hazards allow it
+    A batch shares one program and its kernel and runs on consecutive
+    cores, one tile each: the kernel computes on rows ``lo:hi`` of the
+    chip's scratch-pad stacks (:meth:`Chip._stores`), and a core's next
+    tile must see what its previous one left there.  A tile joins only
+    where the kernel's global-memory hazards allow it
     (:meth:`~repro.sim.compile.CompiledKernel.admits`); any other tile
     first runs the pending batch, and a tile carrying silent bit flips
     ends its batch, so the flips land right after it.  So after every
@@ -454,20 +457,22 @@ class _Batch:
     in dispatch order would have left.
     """
 
-    def __init__(self, gm: GlobalMemory | None, model, collect_trace):
+    def __init__(self, chip: "Chip", gm: GlobalMemory | None, model,
+                 collect_trace, rows: int):
+        self.chip = chip
         self.gm = gm
         self.model = model
         self.collect_trace = collect_trace
+        #: Cores the chip run deals tiles to: the stacks' row count.
+        self.rows = rows
         #: Kernels compiled here for programs given none, by ``id``.
         self.own: dict[int, object] = {}
         self.kernel = self.program = None
-        self.core_ids: list[int] = []
-        self.cores: list[AICore] = []
+        self.lo = self.hi = 0
         self.deltas: list = []
 
     def add(
-        self, core_id: int, core: AICore, item: WorkItem,
-        injection: Injection | None,
+        self, core_id: int, item: WorkItem, injection: Injection | None,
     ) -> RunResult:
         """Queue one tile and return its result (cycles and trace
         never depend on the data pass)."""
@@ -479,30 +484,33 @@ class _Batch:
             kernel = self.own.get(id(program))
             if kernel is None:
                 kernel = self.own[id(program)] = compile_program(program)
-        if self.cores and not (
+        if self.deltas and not (
             kernel is self.kernel
             and program is self.program
-            and core_id not in self.core_ids
+            and core_id == self.hi
             and kernel.admits(self.deltas, deltas)
         ):
             self.flush()
-        self.kernel, self.program = kernel, program
-        self.core_ids.append(core_id)
-        self.cores.append(core)
+        if not self.deltas:
+            self.kernel, self.program, self.lo = kernel, program, core_id
+        self.hi = core_id + 1
         self.deltas.append(deltas)
         if injection is not None:
             self.flush()
             apply_silent_flips_to_gm(self.gm, program, injection, deltas)
         return summary or summarize(
-            program, core.config, model=self.model,
+            program, self.chip.config, model=self.model,
             collect_trace=self.collect_trace,
         )
 
     def flush(self) -> None:
         """Run the pending tiles, if any."""
-        if self.cores:
-            self.kernel(self.cores, self.program, self.gm, self.deltas)
-            self.core_ids, self.cores, self.deltas = [], [], []
+        if self.deltas:
+            stores = self.chip._stores(
+                self.kernel.extents, self.rows, self.lo, self.hi
+            )
+            self.kernel(stores, self.program, self.gm, self.deltas)
+            self.deltas = []
 
 
 @dataclass
@@ -512,6 +520,10 @@ class Chip:
     config: ChipConfig
     dtype: DType = FLOAT16
     cores: list[AICore] = field(init=False)
+    #: Scratch-pad name -> the :class:`~repro.sim.buffers.ScratchStack`
+    #: JIT kernels compute on, built at the first batch addressing it;
+    #: cycles and interpreted runs build none.
+    stacks: dict[str, ScratchStack] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.config.num_cores <= 0:
@@ -520,6 +532,25 @@ class Chip:
             AICore(self.config, self.dtype, core_id=i)
             for i in range(self.config.num_cores)
         ]
+        self.stacks = {}
+
+    def _stores(
+        self, extents: Mapping[str, int | None], rows: int, lo: int, hi: int
+    ) -> dict[str, np.ndarray]:
+        """Rows ``lo:hi`` of the stack of each scratch-pad in
+        ``extents`` (name -> elements; ``None`` for global memory), each
+        stack grown to ``rows`` cores and the extent."""
+        out = {}
+        for name, n in extents.items():
+            if n is None:
+                continue
+            stack = self.stacks.get(name)
+            if stack is None:
+                stack = self.stacks[name] = ScratchStack(
+                    [core.buffers[name] for core in self.cores]
+                )
+            out[name] = stack.reserve(rows, n)[lo:hi]
+        return out
 
     def _dispatch(self, index: int) -> tuple[int, AICore]:
         """Round-robin deal: ``(core_id, core)`` for group ``index``.
@@ -653,7 +684,11 @@ class Chip:
             else [0] * len(self.cores)
         )
         launch = self.config.cost.tile_launch_cycles
-        batch = _Batch(gm, model, collect_trace) if execute == "jit" else None
+        batch = (
+            _Batch(self, gm, model, collect_trace,
+                   min(len(groups), len(self.cores)))
+            if execute == "jit" else None
+        )
         results: list[RunResult] = []
         for gidx, group in enumerate(groups):
             core_id, core = self._dispatch(gidx)
@@ -664,7 +699,7 @@ class Chip:
                 else:
                     if batch is not None:
                         res = batch.add(
-                            core_id, core, item,
+                            core_id, item,
                             injector.injection(tile, core_id, 0)
                             if silent_jit else None,
                         )

@@ -19,9 +19,9 @@ calls.
 Design constraints, in order:
 
 * **Bit identity.**  Every emitted step reproduces the interpreter's
-  NumPy statements exactly (same gathers, same scatter statements, same
-  accumulation order), so ``python -m repro.validate --jit`` can assert
-  byte-equal outputs.  Fusions are only performed when provably
+  results exactly (same elements, same rounding, same accumulation
+  order, same NaN payloads), so ``python -m repro.validate --jit`` can
+  assert byte-equal outputs.  Fusions are only performed when provably
   order-insensitive: elementwise groups require disjoint writes and no
   read-after-write, ``vmax``/``vmin`` repeat chains collapse through
   ``ufunc.reduce`` (exact -- no rounding, order-independent), Col2Im
@@ -34,17 +34,20 @@ Design constraints, in order:
 * **Tile batches.**  One kernel serves every tile of its program (a
   kernel is cached under the position-independent
   :func:`~repro.sim.progcache.plan_key`), and one call runs a whole
-  batch of them: each step runs once, over every scratch-pad as a
-  ``(tiles, extent)`` stack of the batch's cores' stores (``S[:, idx]``
-  with the base index arrays) and every global-memory index array
-  shifted by the batch's per-tile delta column (``deltas[:, None] +
-  idx``, computed per call).  The chip is the only caller
+  batch of them: each step runs once, over every scratch-pad as rows
+  of a ``(tiles, extent)`` stack (``S[:, idx]`` with the base index
+  arrays) and every global-memory index array shifted by the batch's
+  per-tile delta column (``deltas[:, None] + idx``, computed per call).
+  The chip is the only caller
   (:meth:`repro.sim.chip.Chip.run_tile_groups`; ``AICore.run`` refuses
-  ``execute="jit"``), and it keeps a batch exact: at most one tile per
-  core, and tiles share a batch only where the kernel's global-memory
-  hazards allow (:meth:`CompiledKernel.admits`).  Accumulating writes
-  add tile by tile, each element's additions in index order
-  (``np.add.at`` where indices repeat), as per-tile runs add them.  A
+  ``execute="jit"``): it owns the stacks, a row per core
+  (:class:`~repro.sim.buffers.ScratchStack`), and hands a batch on
+  consecutive cores their rows as views, so nothing is stacked or
+  copied back.  It keeps a batch exact: at most one tile per core, and
+  tiles share a batch only where the kernel's global-memory hazards
+  allow (:meth:`CompiledKernel.admits`).  Accumulating writes add tile
+  by tile, each element's additions in index order (in rounds of
+  distinct indices where indices repeat), as per-tile runs add them.  A
   Cube ``mmad`` keeps its per-tile float32 loop and a
   sequential repeat its per-repeat loop.  One escape check per
   global-memory tensor runs before any step, at the batch's smallest
@@ -59,10 +62,21 @@ Design constraints, in order:
   move as whole rows of an overlapping-window view.  Batching removes
   the per-tile dispatch, the slice rule the per-element index work.
 
+* **fp16 values, float32 arithmetic.**  Stacks hold
+  :func:`~repro.dtypes.jit_dtype` data, float32 for fp16 kernels, and
+  global memory stays fp16.  Every fp16 value is exact in float32, so
+  copies, fills, the Im2Col gather, ``vmax``/``vmin`` and compares run
+  unrounded, while each arithmetic step rounds once
+  (:func:`~repro.dtypes.half_op`: correctly rounded, because binary32
+  has at least 2 * 11 + 2 significand bits).  A call widens each
+  global-memory tensor it reads and never writes once, over the
+  batch's reach (:attr:`CompiledKernel.widened`); a store into global
+  memory rounds by assignment, and an accumulating one runs the
+  interpreter's own fp16 statement.
+
 * **Touch only what is used.**  The kernel records, per scratch-pad,
-  the extent its steps address, and each call reserves just that much
-  of the core's store (:meth:`repro.sim.buffers.ScratchBuffer.reserve`)
-  instead of the whole capacity.
+  the extent its steps address, and the chip's stacks grow only that
+  wide instead of to the whole capacity.
 """
 
 from __future__ import annotations
@@ -73,7 +87,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..config import SCRATCH_PADS
-from ..dtypes import FRACTAL_ROWS
+from ..dtypes import FRACTAL_ROWS, half_op, jit_dtype, to_half
 from ..errors import IsaError, SimulationError
 from ..isa.operand import MemRef
 from ..isa.program import Program
@@ -87,8 +101,9 @@ __all__ = [
 
 #: A compiled step: ``step(bufs, cols)`` runs once for a batch of
 #: tiles.  ``bufs`` maps a scratch-pad to its ``(tiles, extent)`` stack
-#: and a global-memory tensor to its flat array; ``cols`` maps each
-#: tensor to the batch's delta column (one delta per tile).
+#: and a global-memory tensor to its flat array (or the widened copy a
+#: call reads, see :meth:`CompiledKernel.__call__`); ``cols`` maps each
+#: tensor to the batch's delta column (one delta per tile) in it.
 Step = Callable[[dict, dict], None]
 
 #: One element span a record addresses: ``(buffer, lo, hi)``, inclusive;
@@ -572,7 +587,7 @@ class _At:
     come and go as ``(tiles, n)`` arrays, tile-major.
     """
 
-    __slots__ = ("buf", "gm", "idx", "starts", "n", "unique")
+    __slots__ = ("buf", "gm", "idx", "starts", "n", "unique", "rounds")
 
     def __init__(self, buf: str, idx: np.ndarray, add: bool = False):
         flat = _idx(idx).reshape(-1)
@@ -591,6 +606,12 @@ class _At:
         self.unique = runs is not None or (
             add and len(np.unique(flat)) == flat.size
         )
+        # An accumulating scratch-pad destination whose indices repeat
+        # adds in rounds of distinct indices, each element's additions
+        # in index order (see :meth:`add`).
+        self.rounds = (
+            _rounds(flat) if add and not (self.unique or self.gm) else ()
+        )
 
     def _at(self, bufs: dict, cols: dict):
         """``(array, key)``: ``array[key]`` is the operand, shaped
@@ -606,9 +627,13 @@ class _At:
         return arr, (slice(None), self.idx)
 
     def get(self, bufs: dict, cols: dict) -> np.ndarray:
-        """The values; a view of the stack for one scratch-pad run."""
+        """The values, widened like the stacks (a tensor the kernel
+        also writes is read from global memory); a view of the stack
+        for one scratch-pad run."""
         arr, key = self._at(bufs, cols)
         vals = arr[key]
+        if self.gm:
+            vals = vals.astype(jit_dtype(vals.dtype), copy=False)
         return vals if self.starts is None else vals.reshape(len(vals), -1)
 
     def take(self, bufs: dict, cols: dict) -> np.ndarray:
@@ -624,27 +649,71 @@ class _At:
         arr, key = self._at(bufs, cols)
         if self.starts is not None and np.ndim(vals):
             vals = vals.reshape(len(vals), len(self.starts), self.n)
-        arr[key] = vals
+        arr[key] = _narrowed(vals, arr.dtype) if self.gm else vals
 
-    def add(self, bufs: dict, cols: dict, vals: np.ndarray) -> None:
+    def add(self, bufs: dict, cols: dict, vals: np.ndarray, acc,
+            at: bool) -> None:
         """Accumulate ``vals`` tile by tile, each element's additions in
-        index order, as consecutive per-tile runs would."""
+        index order, as consecutive per-tile runs would.
+
+        On a stack, ``acc(old, vals)`` is one addition, rounded as the
+        interpreter rounds it (:func:`_accumulator`).  Global memory
+        runs the interpreter's own statement in its dtype: ``np.add.at``
+        with ``at`` (Col2Im), else ``+=`` (an accumulating DataMove).
+        """
         arr, key = self._at(bufs, cols)
         if self.starts is not None:
             vals = vals.reshape(len(vals), len(self.starts), self.n)
-        if not self.gm and self.unique:
-            # Stack rows are disjoint and a row repeats no element.
-            arr[key] += vals
-        elif self.unique:
-            # Tile windows may overlap: add them in tile order.
-            for k, v in zip(key, vals):
+        if not self.gm:
+            if self.unique:
+                # Stack rows are disjoint and a row repeats no element.
+                arr[key] = acc(arr[key], vals)
+            for pos, ix in self.rounds:
+                arr[:, ix] = acc(arr[:, ix], vals[:, pos])
+            return
+        # Tile windows may overlap: add them in tile order.
+        vals = _narrowed(vals, arr.dtype)
+        for k, v in zip(key, vals):
+            if at:
+                np.add.at(arr, k, v)
+            else:
                 arr[k] += v
-        else:
-            flat = arr if self.gm else arr.reshape(-1)
-            at = key if self.gm else (
-                np.arange(0, arr.size, arr.shape[1])[:, None] + self.idx
-            )
-            np.add.at(flat, at.reshape(-1), vals.reshape(-1))
+
+
+def _narrowed(vals, dtype: np.dtype):
+    """``vals`` for a store into global memory of ``dtype``: fp16
+    values held in float32 narrow exactly (:func:`~repro.dtypes.to_half`);
+    anything else is cast by the assignment."""
+    if dtype == np.float16 and getattr(vals, "dtype", None) == np.float32:
+        return to_half(vals)
+    return vals
+
+
+def _rounds(flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``flat`` split into rounds of distinct indices: round ``k`` holds
+    every element's ``k``-th occurrence, as ``(positions in flat,
+    indices)``."""
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    rank = np.arange(flat.size) - np.repeat(
+        starts, np.diff(np.r_[starts, flat.size])
+    )
+    rounds = []
+    for k in range(int(rank.max()) + 1 if flat.size else 0):
+        pos = np.sort(order[rank == k])
+        rounds.append((pos, flat[pos]))
+    return rounds
+
+
+def _accumulator(ref: MemRef, at: bool):
+    """One accumulating addition into ``ref``'s buffer on a stack: for
+    fp16 data, float32 rounded once per addition, keeping the NaN the
+    interpreter's statement keeps where both are NaN (the destination's
+    for ``np.add.at``, the source's for ``+=``)."""
+    if ref.dtype.np_dtype == np.float16:
+        return half_op(np.add, nan_from=0 if at else 1)
+    return np.add
 
 
 def _stacked(group: list, get) -> np.ndarray:
@@ -732,11 +801,17 @@ def _im2col_step(group: list[_Im2col]) -> Step:
     return step
 
 
-def _move(src: _At, dst: _At, accumulate: bool) -> Step:
-    if accumulate:
+def _move(
+    src: _At, dst: _At, ref: MemRef | None = None, at: bool = False
+) -> Step:
+    """A copy, or with the destination's ``ref`` an accumulating one
+    that adds as ``np.add.at`` (``at``) or ``+=`` does (:meth:`_At.add`).
+    """
+    if ref is not None:
+        acc = _accumulator(ref, at)
 
         def step(bufs, cols):
-            dst.add(bufs, cols, src.take(bufs, cols))
+            dst.add(bufs, cols, src.take(bufs, cols), acc, at)
 
     else:
 
@@ -752,7 +827,8 @@ def _col2im_step(group: list[_Col2im]) -> Step:
         _At(first.src_ref.buffer, _stacked(group, lambda g: g.src_idx)),
         _At(first.dst_ref.buffer, _stacked(group, lambda g: g.dst_idx),
             add=True),
-        accumulate=True,
+        first.dst_ref,
+        at=True,
     )
 
 
@@ -769,7 +845,7 @@ def _copy_step(group: list[_Copy]) -> Step:
     return _move(
         at([g.src_ref for g in group]),
         at([g.dst_ref for g in group], first.accumulate),
-        first.accumulate,
+        first.dst_ref if first.accumulate else None,
     )
 
 
@@ -791,7 +867,7 @@ def _mmad_step(rec: _Mmad) -> Step:
     def step(bufs, cols):
         a_rows, b_rows = a.get(bufs, cols), b.get(bufs, cols)
         c_rows = c.get(bufs, cols)
-        out = np.empty_like(c_rows)
+        out = np.empty(c_rows.shape, instr.c.dtype.np_dtype)
         for t in range(len(c_rows)):
             acc = (
                 np.zeros(square, dtype=np.float32)
@@ -838,12 +914,13 @@ class KernelStats:
 class CompiledKernel:
     """The whole program's data effect as a list of batched steps.
 
-    Call with ``kernel(cores, program, gm, deltas)``: ``program`` is the
-    program it was compiled from, and tile ``i`` of the batch runs on
-    ``cores[i]`` with its global-memory tensors at ``deltas[i]`` (tensor
-    name -> element offset; ``None`` for none).  Each step runs once for
-    the whole batch.  The caller keeps the batch exact: at most one tile
-    per core, and only tiles whose global-memory hazards allow it
+    Call with ``kernel(stores, program, gm, deltas)``: ``program`` is
+    the program it was compiled from, and tile ``i`` of the batch runs
+    on row ``i`` of every scratch-pad stack in ``stores`` with its
+    global-memory tensors at ``deltas[i]`` (tensor name -> element
+    offset; ``None`` for none).  Each step runs once for the whole
+    batch.  The caller keeps the batch exact: at most one tile per
+    core, and only tiles whose global-memory hazards allow it
     (:meth:`admits`).
     """
 
@@ -854,6 +931,7 @@ class CompiledKernel:
         extents: dict[str, int | None],
         reach: dict[str, tuple[int, int]],
         guarded: tuple[str, ...],
+        widened: frozenset[str],
         stats: KernelStats,
     ) -> None:
         self.program_name = program_name
@@ -868,6 +946,9 @@ class CompiledKernel:
         #: disjoint within a batch: written by more than one step, or
         #: read by any step.
         self.guarded = guarded
+        #: Global-memory tensors the steps read and never write: a call
+        #: widens each once, over the batch's reach.
+        self.widened = widened
         self.stats = stats
 
     def admits(self, batch: list, deltas) -> bool:
@@ -883,7 +964,14 @@ class CompiledKernel:
                     return False
         return True
 
-    def __call__(self, cores, program: Program, gm=None, deltas=None):
+    def __call__(self, stores: dict, program: Program, gm, deltas: list):
+        """Run a batch of ``len(deltas)`` tiles.
+
+        ``stores`` maps each scratch-pad the kernel addresses to a
+        ``(tiles, n)`` array, ``n`` at least its :attr:`extents` entry,
+        of :func:`~repro.dtypes.jit_dtype` data: the steps compute on
+        it in place.  Global memory keeps its own dtype.
+        """
         if len(program.instructions) != self.stats.instructions:
             raise SimulationError(
                 f"compiled kernel mismatch for program "
@@ -895,9 +983,7 @@ class CompiledKernel:
                 f"compiled kernel mismatch: kernel was built for "
                 f"{self.program_name!r}, not {program.name!r}"
             )
-        tiles = len(cores)
-        deltas = deltas or [None] * tiles
-        bufs: dict[str, np.ndarray] = {}
+        bufs: dict[str, np.ndarray] = dict(stores)
         cols: dict[str, np.ndarray] = {}
         for name, (lo, hi) in self.reach.items():
             if gm is None:
@@ -916,21 +1002,16 @@ class CompiledKernel:
                     f"jit: element indices [{lo + d}, {hi + d}] "
                     f"escape buffer {name!r} of size {arr.size}"
                 )
+            if name in self.widened:
+                base = int(col.min()) + lo
+                arr = arr[base : int(col.max()) + hi + 1].astype(
+                    jit_dtype(arr.dtype)
+                )
+                col = col - base
             bufs[name] = arr
             cols[name] = col
-        stores = {
-            name: [core.buffers[name].reserve(n)[:n] for core in cores]
-            for name, n in self.extents.items()
-            if n is not None
-        }
-        for name, rows in stores.items():
-            bufs[name] = rows[0][None] if tiles == 1 else np.array(rows)
         for step in self.steps:
             step(bufs, cols)
-        if tiles > 1:
-            for name, rows in stores.items():
-                for row, stacked in zip(rows, bufs[name]):
-                    row[:] = stacked
 
 
 def compile_program(program: Program) -> CompiledKernel:
@@ -973,6 +1054,7 @@ def compile_program(program: Program) -> CompiledKernel:
         buf for buf, n in writers.items()
         if buf in reach and (n > 1 or buf in read)
     ))
+    widened = frozenset(buf for buf in reach if buf in read) - writers.keys()
     steps = tuple(_STEPS[g[0].kind](g) for g in groups)
     return CompiledKernel(
         program_name=program.name,
@@ -980,6 +1062,7 @@ def compile_program(program: Program) -> CompiledKernel:
         extents=dict(sorted(extents.items())),
         reach=dict(sorted(reach.items())),
         guarded=guarded,
+        widened=widened,
         stats=KernelStats(
             instructions=len(program.instructions), steps=len(steps)
         ),

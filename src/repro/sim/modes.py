@@ -53,11 +53,13 @@ def check_modes(
       cycles-only path never touches buffer data, the JIT bypasses the
       per-instruction loop strict mode instruments, and injected
       faults corrupt scratch-pad state on purpose.
-    * per-instruction ``injection=`` is interpreter-only.
 
-    A compiled kernel travels on its :class:`~repro.sim.chip.WorkItem`,
-    and the chip refuses one outside ``execute="jit"``.  Every other
-    conflict raises :class:`~repro.errors.SimulationError`.
+    Per-instruction ``injection=`` needs no rule of its own here: it
+    reaches only :meth:`~repro.sim.AICore.run`, which refuses
+    ``execute="jit"`` outright.  A compiled kernel travels on its
+    :class:`~repro.sim.chip.WorkItem`, and the chip refuses one outside
+    ``execute="jit"``.  Every other conflict raises
+    :class:`~repro.errors.SimulationError`.
     """
     check_execute(execute)
     if execute == "jit":
@@ -77,13 +79,6 @@ def check_modes(
                 "buffer data, and JIT runs bypass the per-instruction "
                 "loop strict mode instruments"
             )
-    if injection is not None and execute == "jit":
-        raise SimulationError(
-            "injection= and execute='jit' are mutually exclusive: "
-            "faults are injected at per-instruction boundaries, which "
-            "the JIT's fused batch steps do not have; run the "
-            "interpreter (execute='numeric') to inject faults"
-        )
 
 
 def _check_jit_faults(faults, retry) -> None:

@@ -481,7 +481,7 @@ class TestRowRelocation:
             core.run(progs[b], None, execute="cycles", summary=sums[a])
         kernel = compile_program(progs[a])
         with pytest.raises(SimulationError, match="kernel mismatch"):
-            kernel(core, progs[b])
+            kernel({}, progs[b], None, [None])
 
 
 class TestUncachedJitCompiles:

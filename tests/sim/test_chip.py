@@ -580,9 +580,9 @@ class TestJitBatches:
         sizes = []
         call = CompiledKernel.__call__
 
-        def spy(self, cores, *args, **kwargs):
-            sizes.append(len(cores))
-            return call(self, cores, *args, **kwargs)
+        def spy(self, stores, program, gm, deltas):
+            sizes.append(len(deltas))
+            return call(self, stores, program, gm, deltas)
 
         monkeypatch.setattr(CompiledKernel, "__call__", spy)
         x = make_input(28, 28, 32, n=1, seed=0)

@@ -336,7 +336,9 @@ class TestRelocation:
             deltas = {"x": delta, "out": delta}
             ref_gm, jit_gm = _gm(seed=7), _gm(seed=7)
             AICore(CFG, DT).run(template, ref_gm, deltas=deltas)
-            kernel([AICore(CFG, DT)], template, jit_gm, [deltas])
+            Chip(ONE, DT).run_tile_groups(
+                _items(template, [deltas], kernel), jit_gm, execute="jit"
+            )
             assert np.array_equal(ref_gm.view("out"), jit_gm.view("out"))
             assert ref_gm.view("out")[delta + 64 : delta + 320].any()
 
@@ -346,7 +348,9 @@ class TestRelocation:
         gm = _gm()
         with pytest.raises(IsaError, match="escape"):
             # escapes out's 4096
-            kernel([AICore(CFG, DT)], template, gm, [{"out": 4096}])
+            Chip(ONE, DT).run_tile_groups(
+                _items(template, [{"out": 4096}], kernel), gm, execute="jit"
+            )
         # In a batch only the last tile escapes: the error names its
         # absolute indices (its store is out[64:320] at delta 3840),
         # and no tile of the batch ran.
@@ -533,14 +537,19 @@ class TestGuards:
             )
 
     def test_jit_rejects_injection(self):
+        """``injection=`` reaches only ``AICore.run``, which refuses the
+        JIT before any instruction runs."""
         from repro.sim.faults import Injection
-        from repro.sim.modes import check_modes
 
         inj = Injection(
             tile=0, core=0, attempt=0, bitflips=(BitFlip(tile=0),)
         )
-        with pytest.raises(SimulationError, match="injection"):
-            check_modes("jit", injection=inj)
+        gm = _gm()
+        with pytest.raises(SimulationError, match="does not execute 'jit'"):
+            AICore(CFG, DT).run(
+                _sample_program(), gm, injection=inj, execute="jit"
+            )
+        assert not gm.view("out").any()
 
     def test_compiled_requires_jit_mode(self):
         """An item carrying a kernel is refused before any tile runs."""

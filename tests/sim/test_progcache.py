@@ -184,7 +184,10 @@ class TestDeltaDispatch:
         with pytest.raises(
             IsaError, match=r"\[224, 287\] escape buffer 'x' of size 256"
         ):
-            kernel([AICore(ASCEND910)], rows, _gm(), [{"x": 224}])
+            Chip(ASCEND910_SINGLE_CORE).run_tile_groups(
+                [[WorkItem(rows, kernel=kernel, deltas={"x": 224})]],
+                _gm(), execute="jit",
+            )
 
     def test_negative_delta_rejected(self):
         from repro.errors import SimulationError
